@@ -18,8 +18,9 @@ from typing import Any
 
 def entry() -> Any:
     """Flagship pipeline on /root/testdata/sf0.001: documents →
-    synthesized boilerplate-laden pages → validate → actor-pool
-    extraction. Returns the extracted table."""
+    synthesized boilerplate-laden pages → validate → annotate →
+    extract, one task stage (``extract_dataset``). Returns the
+    extracted table."""
     from textextract_ray.pipelines.extract_pipeline import (
         _documents_as_pages,
         extract_dataset,

@@ -22,8 +22,6 @@ def test_cli_extract_and_report(tmp_path, fixture_pages):
             out_dir,
             "--shards-per-partition",
             "2",
-            "--giant-threshold",
-            str(1 << 17),
         ],
         cwd="/root/repo",
         env=env,

@@ -31,13 +31,13 @@ def test_ingest_restart_rebuilds_index(ray_session, fixture_pages, tmp_path):
 
     out = str(tmp_path / "ingest2")
     idx1 = SeenUrlIndex(num_shards=4)
-    ingest_increment(fixture_pages[0:2], out, idx1, increment_id=0, giant_threshold=1 << 17)
+    ingest_increment(fixture_pages[0:2], out, idx1, increment_id=0)
 
     # "process restart": fresh index, rebuilt from committed output
     idx2 = SeenUrlIndex(num_shards=4)
     n = rebuild_index(out, idx2)
     assert n == 1
-    ingest_increment(fixture_pages[0:4], out, idx2, increment_id=1, giant_threshold=1 << 17)
+    ingest_increment(fixture_pages[0:4], out, idx2, increment_id=1)
     full = read_pages([f"{out}/part-00000", f"{out}/part-00001"]).to_pandas()
     assert full["url"].is_unique
 
@@ -50,9 +50,9 @@ def test_fully_duplicate_increment_commits_empty(ray_session, fixture_pages, tmp
 
     out = str(tmp_path / "dupinc")
     idx = SeenUrlIndex(num_shards=2)
-    ingest_increment(fixture_pages[0:2], out, idx, increment_id=0, giant_threshold=1 << 17)
+    ingest_increment(fixture_pages[0:2], out, idx, increment_id=0)
     # same shards again as increment 1: everything is a duplicate
-    c = ingest_increment(fixture_pages[0:2], out, idx, increment_id=1, giant_threshold=1 << 17)
+    c = ingest_increment(fixture_pages[0:2], out, idx, increment_id=1)
     assert is_committed(out, 1)
     assert c["docs"] == 0
 
@@ -72,7 +72,7 @@ def test_rebuild_skips_stale_version_manifests(ray_session, fixture_pages, tmp_p
 
     out = str(tmp_path / "verbump")
     idx = SeenUrlIndex(num_shards=2)
-    ingest_increment(fixture_pages[0:2], out, idx, increment_id=0, giant_threshold=1 << 17)
+    ingest_increment(fixture_pages[0:2], out, idx, increment_id=0)
     n_rows_before = len(read_pages(f"{out}/part-00000").to_pandas())
 
     # simulate an extractor version bump: doctor the manifest version
@@ -86,7 +86,7 @@ def test_rebuild_skips_stale_version_manifests(ray_session, fixture_pages, tmp_p
     assert rebuild_index(out, idx2) == 0
     assert idx2.total_size() == 0
     # re-ingesting the same increment re-extracts the full data
-    ingest_increment(fixture_pages[0:2], out, idx2, increment_id=0, giant_threshold=1 << 17)
+    ingest_increment(fixture_pages[0:2], out, idx2, increment_id=0)
     assert len(read_pages(f"{out}/part-00000").to_pandas()) == n_rows_before
 
 
@@ -97,6 +97,6 @@ def test_ingest_refuses_shifted_increment_lineage(ray_session, fixture_pages, tm
 
     out = str(tmp_path / "lineage")
     idx = SeenUrlIndex(num_shards=2)
-    ingest_increment(fixture_pages[0:2], out, idx, increment_id=0, giant_threshold=1 << 17)
+    ingest_increment(fixture_pages[0:2], out, idx, increment_id=0)
     with _pytest.raises(ValueError, match="different input shards"):
-        ingest_increment(fixture_pages[2:4], out, idx, increment_id=0, giant_threshold=1 << 17)
+        ingest_increment(fixture_pages[2:4], out, idx, increment_id=0)

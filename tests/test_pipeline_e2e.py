@@ -29,7 +29,7 @@ def pipeline_df(ray_session, fixture_pages):
     from textextract_ray.sources import read_pages
 
     ds = read_pages(fixture_pages)
-    return extract_dataset(ds, giant_threshold=1 << 17).to_pandas()
+    return extract_dataset(ds).to_pandas()
 
 
 def test_row_sets_match_exactly(pipeline_df, golden):
@@ -88,7 +88,7 @@ def test_metrics_sink_written(ray_session, fixture_pages, tmp_path):
     from textextract_ray.pipelines.extract_pipeline import run_job
 
     out = str(tmp_path / "mjob")
-    run_job(fixture_pages, out, shards_per_partition=2, giant_threshold=1 << 17)
+    run_job(fixture_pages, out, shards_per_partition=2)
     path = os.path.join(out, "_metrics", "counters.parquet")
     assert os.path.exists(path)
     t = pq.read_table(path)
@@ -143,31 +143,38 @@ def test_q3_zero_budget_fully_bucketed_parity(ray_session, sf_dir, monkeypatch):
 
 
 def test_pdf_routing_path(ray_session, fixture_pages, golden):
-    """PDF rows route to the PdfExtract pool; output stays
-    byte-compatible with the default path; strict mode raises."""
-    import pytest as _pytest
+    """The in-task PDF router: every html row matches the oracle, a real
+    PDF row reaches PdfExtract and comes out ok with its exact text;
+    strict mode raises."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
 
-    from textextract_ray.sources import read_pages
+    from textextract_ray.datagen import EPOCH_US
+    from textextract_ray.pdf import build_pdf
     from textextract_ray.stages.extract import extract_pages_with_pdf_routing
 
-    ds = read_pages(fixture_pages)
-    out = extract_pages_with_pdf_routing(ds, concurrency=1).to_pandas()
-    assert len(out) == 200  # all rows accounted for (no dedup here)
-    merged_status = out.set_index("url")["status"]
+    pages = pa.concat_tables([pq.read_table(p) for p in fixture_pages])
+    pdf_url = "https://pdf.example/routed"
+    pdf_row = {"url": pdf_url, "warc_ts": EPOCH_US, "html": build_pdf("routed pdf text"),
+               "text": "", "lang": "en"}
+    pages = pa.concat_tables([pages, pa.Table.from_pylist([pdf_row], schema=pages.schema)])
+    out = extract_pages_with_pdf_routing(rd.from_arrow(pages)).to_pandas()
+    assert len(out) == 201  # all rows accounted for (no dedup here)
     for url, res in golden.items():
-        assert merged_status[url] == res.status if not isinstance(
-            merged_status[url], object
-        ) else res.status in set(out[out.url == url]["status"])
+        # F9 duplicate urls carry identical bytes: every copy must match
+        rows = out[out.url == url]
+        assert set(rows["status"]) == {res.status}, url
+        assert set(rows["extracted_text"]) == {res.text}, url
+    pdf = out[out.url == pdf_url]
+    assert pdf["status"].tolist() == ["ok"]
+    assert pdf["extracted_text"].tolist() == ["routed pdf text"]
 
     from textextract_ray.stages.extract import PdfExtract
 
-    import pyarrow as pa
-
     # strict mode: garbage with PDF magic raises; a real PDF extracts
-    with _pytest.raises(ValueError, match="strict"):
+    with pytest.raises(ValueError, match="strict"):
         PdfExtract(strict=True)(pa.table({"url": ["u"], "html": [b"%PDF-x" + b"\x00" * 64]}))
-    from textextract_ray.pdf import build_pdf
-
     ok = PdfExtract(strict=True)(
         pa.table({"url": ["u"], "html": [build_pdf("strict path works")]})
     )
@@ -189,8 +196,8 @@ def test_schema_validation_fails_fast(ray_session):
 
 
 def test_null_html_rows_not_dropped(ray_session):
-    """A null html row must flow through BOTH the size-split and the
-    pdf-routing paths as status='invalid' — never silently vanish."""
+    """A null html row must flow through BOTH extract_dataset and the
+    in-task PDF router as status='invalid' — never silently vanish."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -198,19 +205,18 @@ def test_null_html_rows_not_dropped(ray_session):
     from textextract_ray.pipelines.extract_pipeline import extract_dataset
     from textextract_ray.schemas import PAGES_SCHEMA
     from textextract_ray.stages.extract import extract_pages_with_pdf_routing
-    from textextract_ray.stages.validate import annotate_batch
 
     rows = [
         {"url": "https://h/ok", "warc_ts": EPOCH_US, "html": b"x" * 100, "text": "", "lang": "en"},
         {"url": "https://h/null", "warc_ts": EPOCH_US, "html": None, "text": "", "lang": "en"},
     ]
     ds = rd.from_arrow(pa.Table.from_pylist(rows, schema=PAGES_SCHEMA))
-    out = extract_dataset(ds, giant_threshold=64, dedup=False).to_pandas()
-    assert set(out["url"]) == {"https://h/ok", "https://h/null"}
-    assert out.set_index("url").loc["https://h/null", "status"] == "invalid"
-
-    out2 = extract_pages_with_pdf_routing(ds, concurrency=1).to_pandas()
-    assert set(out2["url"]) == {"https://h/ok", "https://h/null"}
+    for out in (
+        extract_dataset(ds, dedup=False).to_pandas(),
+        extract_pages_with_pdf_routing(ds).to_pandas(),
+    ):
+        assert set(out["url"]) == {"https://h/ok", "https://h/null"}
+        assert out.set_index("url").loc["https://h/null", "status"] == "invalid"
 
 
 def test_per_language_dispatch_observable(ray_session):
@@ -337,7 +343,7 @@ def test_fused_matches_dataset_path(ray_session, fixture_pages):
         .reset_index(drop=True)
     )
     b = (
-        extract_dataset(read_pages(fixture_pages), giant_threshold=None)
+        extract_dataset(read_pages(fixture_pages))
         .to_pandas()
         .drop(columns=drop)
         .sort_values("url")

@@ -22,14 +22,13 @@ def test_kill_and_resume(ray_session, fixture_pages, tmp_path):
             fixture_pages,
             out,
             shards_per_partition=1,
-            giant_threshold=1 << 17,
             fail_at_partition=2,
         )
     committed = checkpoint.load_manifests(out)
     assert len(committed) == 2
 
     # resume: completes the remaining partitions, skips the committed two
-    report = run_job(fixture_pages, out, shards_per_partition=1, giant_threshold=1 << 17)
+    report = run_job(fixture_pages, out, shards_per_partition=1)
     assert len(report) == 4
     manifests = checkpoint.load_manifests(out)
     assert [m["partition_id"] for m in manifests] == [0, 1, 2, 3]
@@ -74,7 +73,7 @@ def test_counters_in_manifest(ray_session, fixture_pages, tmp_path):
     from textextract_ray.pipelines.extract_pipeline import run_job
 
     out = str(tmp_path / "job4")
-    report = run_job(fixture_pages, out, shards_per_partition=4, giant_threshold=1 << 17)
+    report = run_job(fixture_pages, out, shards_per_partition=4)
     assert len(report) == 1
     row = report.iloc[0]
     assert row["docs"] > 0
@@ -101,9 +100,7 @@ def test_url_partitioned_layout_global_dedup(ray_session, fixture_pages, tmp_pat
     assert len(buckets) == 5
     assert stats["rows"].sum() == 200
 
-    report = run_job_partitioned(
-        buckets, str(tmp_path / "out"), giant_threshold=1 << 17
-    )
+    report = run_job_partitioned(buckets, str(tmp_path / "out"))
     assert len(report) == 5
     full = read_pages(
         [str(tmp_path / "out" / f"part-{i:05d}") for i in range(5)]
@@ -128,16 +125,12 @@ def test_auto_partition_sizing_and_lineage_guard(ray_session, fixture_pages, tmp
     assert 1 <= spp <= len(fixture_pages)
 
     out = str(tmp_path / "autojob")
-    rep = run_job(
-        fixture_pages, out, shards_per_partition=None, giant_threshold=1 << 17
-    )
+    rep = run_job(fixture_pages, out, shards_per_partition=None)
     expected_parts = -(-len(fixture_pages) // spp)  # ceil
     assert len(rep) == expected_parts
 
     # resume with auto sizing is a no-op that keeps the original layout
-    rep2 = run_job(
-        fixture_pages, out, shards_per_partition=None, giant_threshold=1 << 17
-    )
+    rep2 = run_job(fixture_pages, out, shards_per_partition=None)
     assert len(rep2) == expected_parts
 
     # explicit re-size against existing manifests must fail loudly
@@ -164,14 +157,11 @@ def test_uri_filesystem_job_e2e(ray_session, fixture_pages, tmp_path):
             uri_shards,
             out,
             shards_per_partition=2,
-            giant_threshold=1 << 17,
             fail_at_partition=1,
         )
     assert len(checkpoint.load_manifests(out)) == 1
 
-    report = run_job(
-        uri_shards, out, shards_per_partition=2, giant_threshold=1 << 17
-    )
+    report = run_job(uri_shards, out, shards_per_partition=2)
     assert len(report) == 2
     # manifests + metrics actually landed on disk under the stripped path
     assert sorted(os.listdir(os.path.join(out_local, "_manifests"))) == [
@@ -183,7 +173,7 @@ def test_uri_filesystem_job_e2e(ray_session, fixture_pages, tmp_path):
     n = read_pages([checkpoint.partition_dir(out, pid) for pid in range(2)]).count()
     assert n == sum(m["counters"]["docs"] for m in checkpoint.load_manifests(out))
     # no-op rerun over the URI path
-    report2 = run_job(uri_shards, out, shards_per_partition=2, giant_threshold=1 << 17)
+    report2 = run_job(uri_shards, out, shards_per_partition=2)
     assert len(report2) == 2
 
 
@@ -206,16 +196,12 @@ def test_transient_commit_error_retries(ray_session, fixture_pages, tmp_path, mo
         return real_commit(*args, **kwargs)
 
     monkeypatch.setattr(ep.checkpoint, "commit_partition", flaky_commit)
-    report = ep.run_job(
-        fixture_pages, out, shards_per_partition=2, giant_threshold=1 << 17
-    )
+    report = ep.run_job(fixture_pages, out, shards_per_partition=2)
     assert fails["left"] == 0  # the injection actually fired
     manifests = checkpoint.load_manifests(out)
     assert len(manifests) == len(report) == 2
     # exactly-once: rerun on the complete output is a no-op
-    again = ep.run_job(
-        fixture_pages, out, shards_per_partition=2, giant_threshold=1 << 17
-    )
+    again = ep.run_job(fixture_pages, out, shards_per_partition=2)
     assert len(again) == 2
 
     # non-transient (ValueError) fails fast — no retry loop
@@ -228,41 +214,8 @@ def test_transient_commit_error_retries(ray_session, fixture_pages, tmp_path, mo
 
     monkeypatch.setattr(ep.checkpoint, "commit_partition", broken_commit)
     with pytest.raises(RuntimeError, match="verify/commit failed"):
-        ep.run_job(
-            fixture_pages, out2, shards_per_partition=4, giant_threshold=1 << 17
-        )
+        ep.run_job(fixture_pages, out2, shards_per_partition=4)
     assert calls["n"] == 1
-
-
-def test_run_job_fused_single_pool_parity(ray_session, tmp_path):
-    """run_job(giant_threshold=None) routes through the fused
-    read+extract and must produce the same committed output as the
-    dual-pool default (modulo the wall-clock timing column)."""
-    import pandas as pd
-    import pyarrow.parquet as pq
-
-    from textextract_ray.datagen import generate_pages
-    from textextract_ray.pipelines.extract_pipeline import run_job
-
-    files = generate_pages(str(tmp_path / "pages"), 120, 4, giant_bytes=1 << 17)
-
-    def read_all(out):
-        import glob
-
-        parts = sorted(glob.glob(str(out) + "/part-*/*.parquet"))
-        df = pd.concat([pq.read_table(p).to_pandas() for p in parts])
-        return (
-            df.drop(columns=["processing_time_ms"])
-            .sort_values("url")
-            .reset_index(drop=True)
-        )
-
-    run_job(files, str(tmp_path / "out_fused"), shards_per_partition=2,
-            giant_threshold=None)
-    run_job(files, str(tmp_path / "out_pool"), shards_per_partition=2)
-    pd.testing.assert_frame_equal(
-        read_all(tmp_path / "out_fused"), read_all(tmp_path / "out_pool")
-    )
 
 
 def test_multi_kill_resume_fuzz(ray_session, tmp_path):

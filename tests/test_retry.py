@@ -111,7 +111,7 @@ def test_poison_document_is_a_status_row_not_a_retry(ray_session):
 
 
 def test_task_mode_transient_retry(ray_session, tmp_path, monkeypatch):
-    """The default stateless-task extract path must retry transient
+    """The extract task stage (extract_dataset) must retry transient
     OSErrors too: plain tasks don't consume actor_task_retry_on_errors
     (Ray 2.49 reads it only in the actor-pool operator), so the stage
     passes retry_exceptions in its remote args. Flakiness keyed on a
@@ -119,6 +119,7 @@ def test_task_mode_transient_retry(ray_session, tmp_path, monkeypatch):
     instance state does not survive the attempt boundary."""
     import os
 
+    from textextract_ray.pipelines.extract_pipeline import extract_dataset
     from textextract_ray.stages import extract as ex
 
     marker = str(tmp_path / "failed_once")
@@ -132,7 +133,9 @@ def test_task_mode_transient_retry(ray_session, tmp_path, monkeypatch):
             return super().__call__(batch)
 
     monkeypatch.setattr(ex, "ExtractBatch", FlakyTaskExtract)
-    out = ex.extract_pages(_pages_ds(), batch_size=16).to_pandas()
+    out = extract_dataset(
+        _pages_ds(), batch_size=16, dedup=False, validate_schema=False
+    ).to_pandas()
     assert len(out) == 32
     assert os.path.exists(marker)  # the injected failure actually fired
 

@@ -986,20 +986,6 @@ def test_run_job_versioned_auto_sizing_resume_survives_expiry(
     assert all(n.split(":")[4] == "s1" for n in notes)
 
 
-def test_run_job_table_dir_rejects_unsupported_knobs(ray_session, tmp_path):
-    """Library-level guard (not just the CLI): table_dir with
-    giant-pool sizing / explicit concurrency / overlap_commit=False
-    must raise, never silently drop the knob."""
-    from textextract_ray.pipelines.extract_pipeline import run_job
-
-    with pytest.raises(ValueError, match="giant_threshold"):
-        run_job(["x.parquet"], "", table_dir=str(tmp_path), giant_threshold=1 << 20)
-    with pytest.raises(ValueError, match="concurrency"):
-        run_job(["x.parquet"], "", table_dir=str(tmp_path), concurrency=4)
-    with pytest.raises(ValueError, match="overlap_commit"):
-        run_job(["x.parquet"], "", table_dir=str(tmp_path), overlap_commit=False)
-
-
 def test_append_type_guard_covers_evolved_columns(ray_session, tmp_path):
     """Pass-3 review repro: with a legacy file lacking an evolved
     column, a type-mismatched append of that column must STILL be
@@ -1259,6 +1245,42 @@ def test_expire_dry_run_plans_without_touching(ray_session, tmp_path):
     assert set(real["kept_versions"]) == {1, 3}
     with pytest.raises(ValueError):
         read_table_at(t, 2)
+
+
+def test_expire_dry_run_skips_manifest_expired_under_it(ray_session, tmp_path, monkeypatch):
+    """dry_run takes no lock, so a concurrent real expire can unlink
+    manifests between the dry run's listdir and its reads. The dry run
+    must skip the vanished manifests, not crash with FileNotFoundError."""
+    import textextract_ray.pipelines.tablelog as tl
+
+    t = str(tmp_path / "tbl")
+    table_create(t)
+    table_append(t, _ds(0, 30))       # v1
+    table_overwrite(t, _ds(50, 60))   # v2
+    table_overwrite(t, _ds(70, 80))   # v3
+    real_locked = tl._expire_locked
+    fired = []
+
+    def racing_locked(table_dir, log, cutoff, tagged, grace, dry_run, names):
+        def names_then_real_expire():
+            listed = names()
+            if dry_run and not fired:
+                # the real sweep lands right after the dry run's listdir
+                fired.append(table_expire(t, keep_last=1, orphan_grace_seconds=0))
+            return listed
+
+        return real_locked(
+            table_dir, log, cutoff, tagged, grace, dry_run,
+            names_then_real_expire if dry_run else names,
+        )
+
+    monkeypatch.setattr(tl, "_expire_locked", racing_locked)
+    plan = table_expire(t, keep_last=2, orphan_grace_seconds=0, dry_run=True)
+    assert fired and fired[0]["kept_versions"] == [3]
+    # v0-v2 vanished under the dry run: they are in no plan any more
+    assert plan["kept_versions"] == [3]
+    assert plan["expired_versions"] == []
+    assert plan["deleted_files"] == 0
 
 
 def test_restore_expire_fences(ray_session, tmp_path, monkeypatch):

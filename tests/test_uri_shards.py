@@ -60,7 +60,7 @@ def test_fused_matches_dataset_path_uri(ray_session, small_pages):
         extract_files(["local://" + p for p in small_pages], batch_size=32)
     )
     unfused = _norm(
-        extract_dataset(read_pages(small_pages), giant_threshold=None)
+        extract_dataset(read_pages(small_pages))
     )
     pd.testing.assert_frame_equal(local, via_file)
     pd.testing.assert_frame_equal(local, via_fsspec)

@@ -1,7 +1,9 @@
 """CLI entry point — the ``ray job submit`` surface.
 
     python -m textextract_ray extract --input '/data/pages' --out /tmp/out \
-        [--shards-per-partition 4|0=auto] [--giant-threshold 0=fused-single-pool] [--resume]
+        [--shards-per-partition 4|0=auto] [--resume]
+    python -m textextract_ray extract --input '/data/pages' --table /tmp/tbl \
+        [--shards-per-partition 4|0=auto] [--release-tag NAME]
     python -m textextract_ray report --out /tmp/out
     python -m textextract_ray query --name q1_pricing_summary --sf-dir /root/testdata/sf0.01
 
@@ -67,17 +69,6 @@ def cmd_extract(args) -> int:
         # versioned mode: commits go to the table log (time travel /
         # CDC / compaction); resume is note-based and always safe, so
         # no --resume gate is needed
-        if args.giant_threshold > 0:
-            # the versioned job is the fused single-pool shape only —
-            # silently dropping the user's giant-doc sizing would be a
-            # misconfiguration they only notice in production
-            print(
-                "error: --giant-threshold is not supported with --table "
-                "(the versioned job uses the fused single-pool path); "
-                "drop the flag or use manifest mode (--out)",
-                file=sys.stderr,
-            )
-            return 2
         _init_ray()
         report = run_job(
             files,
@@ -99,7 +90,6 @@ def cmd_extract(args) -> int:
         files,
         args.out,
         shards_per_partition=args.shards_per_partition or None,
-        giant_threshold=args.giant_threshold if args.giant_threshold > 0 else None,
     )
     print(report.to_string(index=False))
     return 0
@@ -215,14 +205,6 @@ def main(argv=None) -> int:
         help="shards per committed partition; 0 = auto-size from "
         "parquet footers + cluster CPUs (resume keeps the original "
         "sizing recorded in the manifests)",
-    )
-    pe.add_argument(
-        "--giant-threshold",
-        type=int,
-        default=0,
-        help="route docs larger than this many bytes to the dedicated "
-        "small-batch giant pool (opt-in); 0 (default) = the fused "
-        "single-pool shape, matching run_job's library default",
     )
     pe.add_argument(
         "--table",

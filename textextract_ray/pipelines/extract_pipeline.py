@@ -1,7 +1,7 @@
 """The flagship pipeline: pages → validate → extract → dedup → commit.
 
-Lifecycle mapping (SURVEY.md §3.4): read_parquet(shards) [the request
-queue] → annotate/validate (M1/M7) → actor-pool extract (M4/A1) →
+Lifecycle mapping (SURVEY.md §3.4): shard decode [the request queue]
+→ validate/annotate (M1/M7) → extract (M4/A1), one task per shard →
 exact dedup by url (D2, the one true shuffle) → partitioned write with
 manifest commit (S3/D1/S8 rename idiom) → counters aggregation
 (G1-G6) → driver-side report join (J2).
@@ -15,9 +15,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources import read_pages
-from ..stages.extract import extract_pages
 from ..stages.metrics import aggregate_counters, counters_report
-from ..stages.validate import annotate_batch
 from ..state import checkpoint
 
 
@@ -25,8 +23,6 @@ def extract_dataset(
     pages_ds,
     *,
     batch_size: int = 256,
-    concurrency=None,
-    giant_threshold: int | None = None,
     dedup: bool = True,
     canonicalize_urls: bool = False,
     validate_schema: bool = True,
@@ -35,31 +31,30 @@ def extract_dataset(
     (``canonicalize_urls=True`` keys the dedup on the canonical url —
     see dedup_by_url).
 
+    One task stage: each input block runs through the same per-chunk
+    kernel as ``extract_files`` (``stages.extract.extract_chunk``), with
+    the same bounded transient-retry remote args.
+
     ``validate_schema`` casts every batch to PAGES_SCHEMA at the
     pipeline boundary (explicit DDL-style validation — no inference at
     10^12 rows; a wrong column type fails fast with the stage name,
-    not deep inside an actor)."""
-    if validate_schema:
-        from ..schemas import PAGES_SCHEMA, validate_table
+    not deep inside the extractor)."""
+    from ..stages.extract import TASK_RETRY_ARGS, ExtractBatch, extract_chunk
 
-        def validate_and_annotate(t: pa.Table) -> pa.Table:
-            # fused into one stage: an extra map pass just for the cast
-            # costs a full extra traversal of the html bytes
-            return annotate_batch(
-                validate_table(t, PAGES_SCHEMA, where="extract_dataset input")
-            )
+    extractor = ExtractBatch()
 
-        stage_fn = validate_and_annotate
-    else:
-        stage_fn = annotate_batch
-    annotated = pages_ds.map_batches(
-        stage_fn, batch_format="pyarrow", zero_copy_batch=True
-    )
-    extracted = extract_pages(
-        annotated,
-        batch_size=batch_size,
-        concurrency=concurrency,
-        giant_threshold=giant_threshold,
+    def extract_block(t: pa.Table):
+        yield from extract_chunk(
+            t, extractor, batch_size=batch_size,
+            validate_schema=validate_schema, where="extract_dataset input",
+        )
+
+    extracted = pages_ds.map_batches(
+        extract_block,
+        batch_size=None,  # one whole block per call; the kernel slices it
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        **TASK_RETRY_ARGS,
     )
     if dedup:
         extracted = dedup_by_url(extracted, canonicalize=canonicalize_urls)
@@ -68,8 +63,10 @@ def extract_dataset(
 
 class _CommitOverlap:
     """Background-commit machinery shared by ``run_job`` (manifest
-    verify+commit, backlog ≤ 2) and ``run_job_versioned`` (table
-    commit, one at a time): ``submit(pid, fn)`` runs ``fn`` on a
+    verify+commit; ``drain(2)`` after each submit, so at most two
+    commits overlap the next partition's extraction) and
+    ``run_job_versioned`` (table commit; ``drain(0)`` before each
+    submit, one committer at a time): ``submit(pid, fn)`` runs ``fn`` on a
     daemon thread catching its failure; ``drain(n)`` joins until at
     most ``n`` are in flight; ``join_all()`` joins everything and
     re-raises the FIRST failure as ``RuntimeError("partition <pid>
@@ -154,28 +151,31 @@ def extract_files(
     worker-side and extracts in the same process — the html payload
     never enters the object store.
 
-    Why this exists next to ``extract_dataset``: the Dataset path
-    materializes every page block (url + html + metadata — the corpus'
-    dominant bytes) into the object store between the read operator and
-    the extract operator, and Ray 2.49's planner does not fuse
-    ``ReadParquet`` with a downstream ``map_batches`` (measured: two
-    ``TaskPoolMapOperator``s in every plan). At the bench corpus that
-    round-trip is 6.5 GB of plasma memcpy plus parquet-decode running
-    as its own CPU-contending operator — ~20% of extract wall at 16
-    CPUs, and the first thing a 100 TB run would pay per node. Here the
-    decode happens inside the extract task (exactly one shard per
-    task, the same one-task-per-shard contract as ``read_arrow_shards``
-    / ``read_pages_http`` / ``read_warc``), so only the ~10×-smaller
-    extracted rows are ever stored. Output is byte-identical to
-    ``extract_dataset(read_pages(paths))`` — same validate → annotate →
-    ``ExtractBatch`` stages per ``batch_size`` slice (pinned by
-    ``test_pipeline_e2e.test_fused_matches_dataset_path``).
+    ``extract_dataset`` is the same extraction over a Dataset someone
+    else already read (a filtered, deduped or synthesized page stream);
+    this is the shape for shard files. Reading them with ``read_pages``
+    first would materialize every page block (url + html + metadata —
+    the corpus' dominant bytes) into the object store between the read
+    operator and the extract operator, because Ray 2.49's planner does
+    not fuse ``ReadParquet`` with a downstream ``map_batches``
+    (measured: two ``TaskPoolMapOperator``s in every plan). At the bench
+    corpus that round-trip is 6.5 GB of plasma memcpy plus
+    parquet-decode running as its own CPU-contending operator — ~20% of
+    extract wall at 16 CPUs, and the first thing a 100 TB run would pay
+    per node. Here the decode happens inside the extract task (exactly
+    one shard per task, the same one-task-per-shard contract as
+    ``read_arrow_shards`` / ``read_pages_http`` / ``read_warc``), so
+    only the ~10×-smaller extracted rows are ever stored. Both entry
+    points run one per-chunk kernel (``stages.extract.extract_chunk``:
+    validate → annotate → ``ExtractBatch`` per ``batch_size`` slice), so
+    output is byte-identical to ``extract_dataset(read_pages(paths))``
+    (pinned by ``test_pipeline_e2e.test_fused_matches_dataset_path``).
 
-    Trade documented: this is the ``giant_threshold=None`` single-pool
-    shape; callers routing pathological giants to a dedicated pool use
-    ``extract_dataset``. Shard size is the parallelism unit — at 100 TB
-    keep shards at the usual 100-500 MB and the fan-out matches the
-    cluster exactly as the Dataset path would.
+    Giant documents need no pool of their own: they run inside their
+    shard's task, which the scheduler interleaves with the others, and
+    one decode chunk bounds the heap. Shard size is the parallelism
+    unit — at 100 TB keep shards at the usual 100-500 MB and the
+    fan-out matches the cluster exactly as the Dataset path would.
 
     Shards may be ``.parquet`` OR ``.warc.gz`` (Common Crawl native —
     each archive streams record-at-a-time through the own WARC framing
@@ -208,21 +208,16 @@ def extract_files(
     import ray.data as rd
 
     from ..oracle import DEFAULT_MAX_OUTPUT_BYTES
-    from ..schemas import PAGES_SCHEMA, validate_table
     from ..sources import expand_shards
-    from ..stages.extract import (
-        TRANSIENT_EXCEPTIONS,
-        TRANSIENT_MAX_RETRIES,
-        ExtractBatch,
-        apply_transient_retry_policy,
-    )
+    from ..stages.extract import TASK_RETRY_ARGS, ExtractBatch, extract_chunk
 
     shard_list = expand_shards(paths, (".parquet", ".warc.gz"))
     if not shard_list:
         raise ValueError("extract_files: no parquet/warc shards")
-    apply_transient_retry_policy()
-    out_bytes = (
-        DEFAULT_MAX_OUTPUT_BYTES if max_output_bytes is None else max_output_bytes
+    extractor = ExtractBatch(
+        max_output_bytes=DEFAULT_MAX_OUTPUT_BYTES
+        if max_output_bytes is None
+        else max_output_bytes
     )
     decode_rows = max(batch_size, 4096)
     # http(s) shards: the whole-shard fetch (no Range support → one
@@ -254,8 +249,6 @@ def extract_files(
 
         from ..sources import open_shard, warc_pages_chunks
 
-        extractor = ExtractBatch(max_output_bytes=out_bytes)
-
         def chunks(path, src):
             # open_shard: local path string (mmap fast path) OR a
             # worker-side stream for URI shards — decode stays
@@ -286,16 +279,11 @@ def extract_files(
                         else None
                     )
                     for t in chunks(path, src):
-                        if validate_schema:
-                            t = validate_table(
-                                t, PAGES_SCHEMA, where="extract_files input"
-                            )
-                        t = annotate_batch(t)
-                        # slice-by-slice so extracted rows stream
-                        # downstream (Ray coalesces yields into
-                        # target-size output blocks)
-                        for off in range(0, t.num_rows, batch_size):
-                            yield extractor(t.slice(off, batch_size))
+                        yield from extract_chunk(
+                            t, extractor, batch_size=batch_size,
+                            validate_schema=validate_schema,
+                            where="extract_files input",
+                        )
             finally:
                 # a decode error in the CURRENT shard (or Ray closing
                 # the streaming generator early) must not abandon the
@@ -316,16 +304,9 @@ def extract_files(
     ).map_batches(
         fused,
         batch_format="pyarrow",
-        # plain tasks don't consume DataContext.actor_task_retry_on_errors
-        # (Ray 2.49 reads it only in the actor-pool operator), so the
-        # transient-retry contract rides the task's own remote args —
-        # the shard READ I/O lives inside this task now, exactly where
-        # a dropped NFS/object-store connection would surface
-        retry_exceptions=list(TRANSIENT_EXCEPTIONS),
-        # bounded: Ray Data task operators default to max_retries=-1,
-        # which turns a permanently-dead shard (OSError class) into an
-        # infinite task-respawn loop wedging the pipeline
-        max_retries=TRANSIENT_MAX_RETRIES,
+        # the shard READ I/O lives inside this task, exactly where a
+        # dropped NFS/object-store connection would surface
+        **TASK_RETRY_ARGS,
     )
     if dedup:
         extracted = dedup_by_url(extracted, canonicalize=canonicalize_urls)
@@ -1028,24 +1009,18 @@ def run_job(
     *,
     shards_per_partition: int | None = 4,
     batch_size: int = 256,
-    concurrency=None,
-    giant_threshold: int | None = None,
     fail_at_partition: int | None = None,
-    overlap_commit: bool = True,
     table_dir: str | None = None,
     tag: str | None = None,
 ) -> pd.DataFrame:
     """Resumable extraction job over Parquet shards.
 
-    Default extraction shape (round 4): the FUSED single-pool path
-    (``extract_files`` — parquet decode inside the extract task, html
-    never enters the object store; measured 3.4× the dual-pool soak at
-    the 96k/32-shard config, 4474 vs 1309 docs/s). Giant documents run
-    as longer tasks that the scheduler interleaves — no pool-level
-    head-of-line blocking — so the dedicated giant pool is opt-in via
-    an explicit ``giant_threshold`` (bytes) for corpora whose heavy
-    tail needs separate sizing; committed-output parity between both
-    shapes is pinned in ``test_run_job_fused_single_pool_parity``.
+    Extraction is the FUSED path (``extract_files`` — shard decode
+    inside the extract task, html never enters the object store;
+    measured 3.4× the former dual-pool giant/small shape at the
+    96k/32-shard config, 4474 vs 1309 docs/s). Giant documents run
+    inside their shard's task, which the scheduler interleaves with the
+    others — no pool-level head-of-line blocking.
 
     Partition = a contiguous group of input shards; each partition is
     extracted, written under ``out_dir/part-{pid:05d}/``, then committed
@@ -1064,10 +1039,8 @@ def run_job(
     (the commit barrier serialized the whole job otherwise — measured
     ~40% of soak wall time in round 1). Commits are per-partition
     manifests, so out-of-order completion is resume-safe: a crash
-    re-runs exactly the uncommitted partitions.
-    ``overlap_commit=False`` forces the round-1 sequential barrier
-    (each partition fully verifies + commits before the next starts) —
-    the control arm for measuring the overlap win.
+    re-runs exactly the uncommitted partitions. At most two commits are
+    in flight, so a slow verify applies backpressure.
 
     ``shards_per_partition=None`` auto-sizes partitions from parquet
     footers + cluster CPUs (``_auto_shards_per_partition``). On a
@@ -1085,27 +1058,6 @@ def run_job(
             "versioned-table snapshot; manifest mode has no versions to pin"
         )
     if table_dir is not None:
-        # reject, don't silently drop: the versioned job is the fused
-        # single-pool always-overlapped shape — a caller passing
-        # giant-pool sizing, explicit concurrency, or a serialization
-        # request would otherwise only notice in production (the CLI
-        # repeats this check for its own friendlier message)
-        dropped = [
-            name
-            for name, bad in (
-                ("giant_threshold", giant_threshold is not None),
-                ("concurrency", concurrency is not None),
-                ("overlap_commit=False", overlap_commit is False),
-            )
-            if bad
-        ]
-        if dropped:
-            raise ValueError(
-                f"run_job(table_dir=...) does not support {', '.join(dropped)}: "
-                "the versioned job is the fused single-pool shape with "
-                "one-deep commit overlap; use manifest mode (out_dir) "
-                "for those knobs"
-            )
         return run_job_versioned(
             shard_files,
             table_dir,
@@ -1198,23 +1150,7 @@ def run_job(
             commits.join_all()  # earlier commits land; THIS one does not
             raise RuntimeError(f"fault injection: killed before partition {pid}")
         checkpoint.clean_uncommitted(out_dir, pid)
-        if giant_threshold is None and concurrency is None:
-            # single-pool shape: take the fused read+extract (decode
-            # inside the extract task — html never enters the object
-            # store; byte-parity pinned in test_pipeline_e2e). URI
-            # shards included: each task opens its own stream through
-            # sources.open_shard, so object-store inputs keep the
-            # fused data motion (VERDICT r4 rank-1).
-            extracted = extract_files(shards, batch_size=batch_size, dedup=True)
-        else:
-            ds = read_pages(shards)
-            extracted = extract_dataset(
-                ds,
-                batch_size=batch_size,
-                concurrency=concurrency,
-                giant_threshold=giant_threshold,
-                dedup=True,
-            )
+        extracted = extract_files(shards, batch_size=batch_size, dedup=True)
         pdir = checkpoint.partition_dir(out_dir, pid)
         extracted.write_parquet(pdir)
         # commit barrier off the critical path: next partition's read +
@@ -1226,7 +1162,7 @@ def run_job(
         )
         # bound the verify backlog: at most 2 in flight, so a slow
         # verify applies backpressure instead of piling up read jobs
-        commits.drain(2 if overlap_commit else 0)
+        commits.drain(2)
         if commits.errors:
             commits.join_all()
     commits.join_all()
@@ -1267,7 +1203,7 @@ def _documents_as_pages(sf_dir: str):
 
 def extract_documents(sf_dir: str):
     """Flagship extraction over pages synthesized from documents:
-    read → annotate → actor-pool extract. The DuckDB oracle asserts
+    read → validate → annotate → extract. The DuckDB oracle asserts
     extracted_text == the original document text, byte-for-byte —
     the north_rule invariant expressed as SQL."""
     extracted = extract_dataset(_documents_as_pages(sf_dir), dedup=False)
@@ -1281,15 +1217,19 @@ def extract_localized(sf_dir: str):
     once per actor — SURVEY §7 step 5, reference src/ocr.py:196-204).
     Output is SQL-checkable: extracted_text == documents.text plus the
     per-lang stopword-model counts."""
-    from ..stages.extract import LangDispatchExtract, _auto_pools
+    from ..stages.extract import (
+        LangDispatchExtract,
+        _auto_pool_size,
+        apply_transient_retry_policy,
+    )
 
-    small, giant = _auto_pools()
+    apply_transient_retry_policy()
     out = _documents_as_pages(sf_dir).map_batches(
         LangDispatchExtract,
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=128,
-        concurrency=small + giant,
+        concurrency=_auto_pool_size(),
     )
     df = out.to_pandas()
     return df.sort_values("url").reset_index(drop=True)
@@ -1303,17 +1243,21 @@ def extract_pdf_documents(sf_dir: str):
     the north_rule's "PDF/layout parse" requirement, SQL-checked."""
     from ..datagen import documents_to_pdf_pages
     from ..sources import read_table
-    from ..stages.extract import PdfExtract, _auto_pools
+    from ..stages.extract import (
+        PdfExtract,
+        _auto_pool_size,
+        apply_transient_retry_policy,
+    )
 
+    apply_transient_retry_policy()
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     pages = docs.map_batches(documents_to_pdf_pages, batch_format="pyarrow")
-    small, giant = _auto_pools()
     extracted = pages.map_batches(
         PdfExtract,
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=64,
-        concurrency=small + giant,
+        concurrency=_auto_pool_size(),
         fn_constructor_kwargs={"strict": True},
     )
     df = extracted.to_pandas()[["url", "extracted_text", "status"]]
@@ -1406,7 +1350,6 @@ def run_job_partitioned(
     out_dir: str,
     *,
     batch_size: int = 64,
-    giant_threshold: int | None = 4 * 1024 * 1024,
 ) -> pd.DataFrame:
     """Resumable extraction over a url-hash-partitioned layout
     (one bucket file per partition): dedup happens inside each
@@ -1418,5 +1361,4 @@ def run_job_partitioned(
         out_dir,
         shards_per_partition=1,
         batch_size=batch_size,
-        giant_threshold=giant_threshold,
     )

@@ -57,7 +57,6 @@ def ingest_increment(
     *,
     increment_id: int,
     batch_size: int = 64,
-    giant_threshold: int | None = 4 * 1024 * 1024,
 ) -> dict:
     """Process one increment: drop seen urls, extract the rest, commit
     as partition ``increment_id``. Returns the increment's counters."""
@@ -77,15 +76,17 @@ def ingest_increment(
         return m["counters"]
     checkpoint.clean_uncommitted(out_dir, increment_id)
     ds = read_pages(shard_files)
-    # materialize: the claim stage is side-effecting, and the giant-doc
-    # split downstream would re-execute it in each branch; pinning the
-    # deduped blocks in the object store makes the claims run exactly
-    # once per increment (blocks spill to disk if they outgrow memory)
+    # materialize: the claim stage is side-effecting. Pinning its output
+    # blocks in the object store runs the claims exactly once per
+    # increment, whatever Ray fuses or retries downstream: a
+    # transient-error retry of an extract task re-reads the pinned
+    # blocks instead of re-running claims (a re-run claim is safe only
+    # while it presents a byte-identical batch — see streaming_dedup).
+    # Blocks spill to disk if they outgrow memory.
     fresh = streaming_dedup(ds, index, run_id=f"increment-{increment_id}").materialize()
     extracted = extract_dataset(
         fresh,
         batch_size=batch_size,
-        giant_threshold=giant_threshold,
         dedup=False,  # the index already guarantees per-url uniqueness
     )
     pdir = checkpoint.partition_dir(out_dir, increment_id)

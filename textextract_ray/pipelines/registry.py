@@ -133,17 +133,19 @@ def _annotate_factory():
 @register("extract")
 def _extract_factory(batch_size: int = 64, concurrency=None, max_output_bytes=None):
     from ..oracle import DEFAULT_MAX_OUTPUT_BYTES
-    from ..stages.extract import ExtractBatch, _auto_pools
+    from ..stages.extract import (
+        ExtractBatch,
+        _auto_pool_size,
+        apply_transient_retry_policy,
+    )
 
-    if concurrency is None:
-        small, giant = _auto_pools()
-        concurrency = small + giant
+    apply_transient_retry_policy()
     return (
         ExtractBatch,
         dict(
             zero_copy_batch=True,
             batch_size=batch_size,
-            concurrency=concurrency,
+            concurrency=concurrency or _auto_pool_size(),
             fn_constructor_kwargs={
                 "max_output_bytes": max_output_bytes or DEFAULT_MAX_OUTPUT_BYTES
             },

@@ -195,9 +195,9 @@ def _fold_partials(partials, *, budget_rows: int = AGG_FOLD_BUDGET_ROWS):
     Null group keys: the fold arms keep them (``dropna=False``, SQL
     GROUP BY semantics). Ray's sort-based groupby cannot shuffle a
     null key, so a past-budget arm whose key column may be null must
-    mask-and-restore (see ``token_stats``); q1/q3/usage_rollup group
-    on TPC-H keys that are non-null by schema and document the
-    limitation here instead."""
+    mask-and-restore (see ``token_stats``; q1 does the same). q3 and
+    usage_rollup group on keys that are non-null by schema and
+    document the limitation here instead."""
     from ..stages.fold import fold_partials
 
     return fold_partials(partials, budget_rows=budget_rows)
@@ -553,7 +553,9 @@ def usage_rollup(sf_dir: str):
         # aggregate-sized fold: both rollup levels are driver pandas
         # (the month level reaggregates the |users|×|days| day frame)
         if len(folded):
-            # dropna=False: NULL group keys survive, as in the Ray arm
+            # user_id / bucket are non-null by schema (the past-budget
+            # Ray groupby cannot shuffle a NULL key); dropna=False only
+            # keeps the driver fold from silently dropping one
             d = folded.groupby(
                 ["user_id", "bucket"], as_index=False, dropna=False
             )[sums].sum(min_count=1)

@@ -1533,9 +1533,17 @@ def _expire_locked(
         for name in sorted(mnames):  # the fenced snapshot, exactly
             v = int(name[1:9])
             path = os.path.join(log, name)
-            if v < cutoff and v not in tagged:
+            try:
                 with open(path) as fh:
                     m = json.load(fh)
+            except FileNotFoundError:
+                if not dry_run:
+                    raise
+                # dry_run holds no lock: a concurrent real expire
+                # unlinked this manifest after the listdir — it is in
+                # no plan any more, so the dry run skips it
+                continue
+            if v < cutoff and v not in tagged:
                 if m.get("note"):
                     expired_notes.add(m["note"])
                 for f in m["files"]:
@@ -1545,11 +1553,10 @@ def _expire_locked(
                 expired_manifests.append(path)
                 continue
             kept.append(v)
-            with open(path) as fh:
-                for f in json.load(fh)["files"]:
-                    reachable.add(f["path"])
-                    if f.get("bloom"):
-                        reachable.add(f["bloom"]["path"])
+            for f in m["files"]:
+                reachable.add(f["path"])
+                if f.get("bloom"):
+                    reachable.add(f["bloom"]["path"])
         # tag-vs-expire fence (read 1 of 2): a tag that landed during
         # the read-only pass pins its version OUT of the expiry plan —
         # re-read and replan until the tag set is stable (table_tag

@@ -199,8 +199,7 @@ def map_parquet_fused(
         for rg in range(pq.ParquetFile(p).metadata.num_row_groups):
             items.append({"path": p, "rg": rg})
     if len(items) < min_tasks:
-        from ..stages.extract import TRANSIENT_EXCEPTIONS as _TE
-        from ..stages.extract import TRANSIENT_MAX_RETRIES as _TMR
+        from ..stages.extract import TASK_RETRY_ARGS
 
         kwargs = {"columns": list(columns)} if columns is not None else {}
         # same transient-retry semantics as the fused branch — failure
@@ -210,8 +209,7 @@ def map_parquet_fused(
             batch_format="pyarrow",
             batch_size=batch_size,
             zero_copy_batch=True,
-            retry_exceptions=list(_TE),
-            max_retries=_TMR,
+            **TASK_RETRY_ARGS,
         )
 
     cols = list(columns) if columns is not None else None
@@ -224,13 +222,10 @@ def map_parquet_fused(
             for off in range(0, t.num_rows, batch_size):
                 yield fn(t.slice(off, batch_size))
 
-    from ..stages.extract import TRANSIENT_EXCEPTIONS, TRANSIENT_MAX_RETRIES
+    from ..stages.extract import TASK_RETRY_ARGS
 
     return rd.from_items(items, override_num_blocks=len(items)).map_batches(
-        run,
-        batch_format="pyarrow",
-        retry_exceptions=list(TRANSIENT_EXCEPTIONS),
-        max_retries=TRANSIENT_MAX_RETRIES,
+        run, batch_format="pyarrow", **TASK_RETRY_ARGS
     )
 
 

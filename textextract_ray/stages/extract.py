@@ -1,13 +1,16 @@
-"""The extraction stage: an actor-pool ``map_batches`` over Arrow.
+"""The extraction stage: ``ExtractBatch`` over Arrow batches.
 
 Rebuild of the reference's hot path (backend/routes/api_routes.py:19-152):
 per-document extract + per-request provenance (timing, request/response
-sizes, status, error) — but batched, zero-copy, and stateful-per-actor
-instead of request/response. The callable CLASS pattern means parser
-state (compiled token tables, per-language hooks — the analogue of the
-module-level Together client at api_routes.py:16-17 and the singleton
-session at src/ocr.py:22-41) is built ONCE per actor in ``__init__``
-and amortized across every batch the actor processes.
+sizes, status, error) — but batched and zero-copy instead of
+request/response. The HTML extractor's only state is a byte
+limit and a version string (its compiled regexes are module-level and
+load with the worker process), so it runs as plain tasks: no pool
+spin-up, scheduler-managed parallelism. The callable CLASS pattern
+stays for stages with real state (per-language models, PDF parser
+handles — the analogue of the module-level Together client at
+api_routes.py:16-17 and the singleton session at src/ocr.py:22-41),
+which build it ONCE per actor in ``__init__``.
 
 Per-document work is inherently row-wise (each doc is its own parse),
 so the "vectorization unit" is the document; the batch loop carries no
@@ -53,11 +56,21 @@ TRANSIENT_EXCEPTIONS = (OSError, ConnectionError, TimeoutError)
 # SIGINT ended the run.
 TRANSIENT_MAX_RETRIES = 4
 
+# Remote args of every extraction task stage: plain tasks don't consume
+# DataContext.actor_task_retry_on_errors (Ray 2.49 reads it only in the
+# actor-pool operator), so the transient contract rides the task's own
+# remote args — bounded, never Ray Data's default of infinite retries.
+TASK_RETRY_ARGS = {
+    "retry_exceptions": list(TRANSIENT_EXCEPTIONS),
+    "max_retries": TRANSIENT_MAX_RETRIES,
+}
+
 
 def apply_transient_retry_policy() -> None:
     """Idempotently install the transient-retry classification on the
     current DataContext (picked up by every dataset built after the
-    call). Called by the extraction entry points."""
+    call). Called by the actor-pool extraction stages; task stages
+    carry ``TASK_RETRY_ARGS`` instead."""
     from ray.data import DataContext
 
     ctx = DataContext.get_current()
@@ -69,19 +82,14 @@ def apply_transient_retry_policy() -> None:
 
 
 class ExtractBatch:
-    """Actor-pool extraction stage.
+    """HTML extraction of one Arrow batch (url, html) -> EXTRACTED_SCHEMA.
 
-    Use:
-        ds.map_batches(ExtractBatch, batch_format="pyarrow",
-                       zero_copy_batch=True, batch_size=256,
-                       concurrency=(2, 8), num_cpus=1,
-                       fn_constructor_kwargs={"max_output_bytes": ...})
+    Runs inside the task stages through ``extract_chunk``, or as an
+    actor-pool stage (``ds.map_batches(ExtractBatch, concurrency=N,
+    fn_constructor_kwargs={"max_output_bytes": ...})``).
     """
 
     def __init__(self, max_output_bytes: int = DEFAULT_MAX_OUTPUT_BYTES):
-        # Stateful setup happens here, once per actor: at present the
-        # HTML oracle's state is module-level compiled regexes; future
-        # per-language models / PDF parser handles land here too.
         self.max_output_bytes = max_output_bytes
         self.version = EXTRACTOR_VERSION
 
@@ -118,115 +126,38 @@ class ExtractBatch:
         )
 
 
-def _auto_pools() -> tuple:
-    """Size the two extraction pools from the cluster CPU budget:
-    ~5/8 of CPUs to the small-doc pool, ~1/4 to the giant-doc pool,
-    the rest left for read/write tasks. Fixed-size pools (ints) start
-    every actor immediately — an autoscaling pool ramps too slowly for
-    a batch job, and two fixed pools must never sum past the CPU
-    budget or the second pool deadlocks waiting for actors."""
+def _auto_pool_size() -> int:
+    """Actor-pool size for the stateful extraction stages (per-language
+    models, PDF parser handles): ~7/8 of the cluster CPUs, the rest left
+    for read/write tasks. A fixed-size pool (an int) starts every actor
+    immediately — an autoscaling pool ramps too slowly for a batch job."""
     import ray
 
     ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    small = max(2, (ncpu * 5) // 8)
-    giant = max(1, ncpu // 4)
-    return small, giant
+    return max(2, (ncpu * 5) // 8) + max(1, ncpu // 4)
 
 
-def _clamp_two_pools(c_small, c_giant) -> tuple:
-    """Deadlock guard for any two-fixed-pool layout: if the pools
-    together would reserve every cluster CPU, the second pool waits
-    forever for actors that can never schedule (and the read/write
-    tasks starve). Scale both down so at least one CPU stays free.
-    Only int (fixed) concurrencies are clamped — autoscaling tuples
-    release actors under pressure."""
-    import ray
-
-    if not (isinstance(c_small, int) and isinstance(c_giant, int)):
-        return c_small, c_giant
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    budget = max(2, ncpu - 1)
-    total = c_small + c_giant
-    if total <= budget:
-        return c_small, c_giant
-    scale = budget / total
-    return max(1, int(c_small * scale)), max(1, int(c_giant * scale))
-
-
-def extract_pages(
-    pages_ds,
+def extract_chunk(
+    t: pa.Table,
+    extractor: ExtractBatch,
     *,
-    batch_size: int = 256,
-    concurrency=None,
-    num_cpus: float = 1,
-    giant_threshold: int | None = None,
-    max_output_bytes: int = DEFAULT_MAX_OUTPUT_BYTES,
+    batch_size: int,
+    validate_schema: bool,
+    where: str,
 ):
-    """pages Dataset -> extracted Dataset (EXTRACTED_SCHEMA).
+    """The one per-chunk extraction kernel: validate → annotate →
+    ``extractor`` per ``batch_size`` slice, yielded slice by slice so
+    extracted rows stream downstream (Ray coalesces yields into
+    target-size output blocks). ``extract_files`` runs it per decode
+    chunk inside its shard task, ``extract_dataset`` per input block."""
+    from ..schemas import PAGES_SCHEMA, validate_table
+    from .validate import annotate_batch
 
-    With ``giant_threshold`` set, rows whose ``html_size`` exceeds it
-    are routed to a second pool with batch_size=4 (skew-aware: one
-    20 MB doc shouldn't ride in a 256-row batch next to 2 KB docs —
-    the north_rule's "skew-aware block splitting"). Requires the
-    validate.annotate_batch stage upstream for ``html_size``.
-
-    ``concurrency=None`` auto-sizes both pools from the cluster CPUs.
-    """
-    auto_small, auto_giant = _auto_pools()
-    common = dict(
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        num_cpus=num_cpus,
-        fn_constructor_kwargs={"max_output_bytes": max_output_bytes},
-    )
-    apply_transient_retry_policy()
-    if giant_threshold is None:
-        if concurrency is None:
-            # Stateless-task mode (default): the HTML extractor's only
-            # per-actor state is a byte limit and a version string —
-            # module-level compiled regexes load with the worker
-            # process either way — so a constructed INSTANCE runs as
-            # plain tasks: no pool spin-up (~1-3 s per invocation), no
-            # fixed-pool/read-task CPU contention, scheduler-managed
-            # parallelism (measured 16% faster at 16 CPUs). Actor
-            # pools remain the shape for stages with REAL state
-            # (per-language models, PDF parser handles, host caches):
-            # pass an explicit ``concurrency`` to get one here.
-            return pages_ds.map_batches(
-                ExtractBatch(max_output_bytes=max_output_bytes),
-                batch_size=batch_size,
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-                num_cpus=num_cpus,
-                # plain tasks don't consume actor_task_retry_on_errors
-                # (Ray 2.49 reads it only in the actor-pool operator) —
-                # the transient contract rides the remote args instead
-                retry_exceptions=list(TRANSIENT_EXCEPTIONS),
-                max_retries=TRANSIENT_MAX_RETRIES,
-            )
-        return pages_ds.map_batches(
-            ExtractBatch,
-            batch_size=batch_size,
-            concurrency=concurrency,
-            **common,
-        )
-    from .validate import split_by_size
-
-    c_small, c_giant = _clamp_two_pools(
-        concurrency or auto_small, concurrency or auto_giant
-    )
-    small, giant = split_by_size(pages_ds, giant_threshold)
-    small_out = small.map_batches(
-        ExtractBatch, batch_size=batch_size, concurrency=c_small, **common
-    )
-    # the giant pool runs a real share of the cluster (a heavy-tailed
-    # corpus can be mostly-giant by bytes; an undersized giant pool
-    # serializes the whole pipeline) with a tiny batch_size so one
-    # batch never holds more than a few multi-MB payloads
-    giant_out = giant.map_batches(
-        ExtractBatch, batch_size=4, concurrency=c_giant, **common
-    )
-    return small_out.union(giant_out)
+    if validate_schema:
+        t = validate_table(t, PAGES_SCHEMA, where=where)
+    t = annotate_batch(t)
+    for off in range(0, t.num_rows, batch_size):
+        yield extractor(t.slice(off, batch_size))
 
 
 # --- groupby-host locality (A3: parser-cache locality) -----------------------
@@ -258,8 +189,8 @@ def extract_pages_host_locality(
     per (host, batch) occurrence.
 
     Costs a full input shuffle; worth it when per-host state is
-    expensive (layout templates, per-site models). The default
-    ``extract_pages`` path skips the shuffle. Output additionally
+    expensive (layout templates, per-site models). ``extract_files``
+    and ``extract_dataset`` skip the shuffle. Output additionally
     carries ``host_cache_hit`` so the locality win is measurable.
     """
     import pyarrow.compute as pc
@@ -441,55 +372,37 @@ def extract_pages_with_pdf_routing(
     pages_ds,
     *,
     batch_size: int = 64,
-    concurrency=None,
     max_output_bytes: int = DEFAULT_MAX_OUTPUT_BYTES,
 ):
-    """Split the stream on the PDF magic number: HTML rows go to the
-    HTML pool, %PDF- rows to the PdfExtract pool (small batches — real
-    layout parsing is memory-heavy). Vectorized prefix test, no Python
-    rows; union preserves the per-url output contract."""
+    """One task stage that routes each row on the PDF magic number
+    inside its batch: ``%PDF-`` rows go to ``PdfExtract(strict=False)``,
+    every other row (null html included) to ``ExtractBatch``, and the
+    two halves concatenate. Vectorized prefix test, no Python rows;
+    every input row comes out once, in EXTRACTED_SCHEMA."""
     import pyarrow.compute as pc
 
-    apply_transient_retry_policy()
-    auto_small, auto_giant = _auto_pools()
+    html_ex = ExtractBatch(max_output_bytes=max_output_bytes)
+    pdf_ex = PdfExtract(max_output_bytes=max_output_bytes)
 
-    def is_pdf(t: pa.Table):
-        # fill_null(False): null html is NOT pdf — it must stay in the
-        # html branch (where the extractor flags it invalid), not
-        # vanish from both branches via a null mask
-        return pc.fill_null(
+    def route(t: pa.Table) -> pa.Table:
+        # fill_null(False): null html is NOT pdf — it must stay on the
+        # html side (where the extractor flags it invalid), not vanish
+        # from both sides via a null mask
+        is_pdf = pc.fill_null(
             pc.equal(
                 pc.binary_slice(t["html"], start=0, stop=5),
                 pa.scalar(b"%PDF-", pa.binary()),
             ),
             False,
         )
+        return pa.concat_tables(
+            [html_ex(t.filter(pc.invert(is_pdf))), pdf_ex(t.filter(is_pdf))]
+        )
 
-    html_ds = pages_ds.map_batches(
-        lambda t: t.filter(pc.invert(is_pdf(t))),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    pdf_ds = pages_ds.map_batches(
-        lambda t: t.filter(is_pdf(t)), batch_format="pyarrow", zero_copy_batch=True
-    )
-    c_html, c_pdf = _clamp_two_pools(
-        concurrency or auto_small, concurrency or auto_giant
-    )
-    html_out = html_ds.map_batches(
-        ExtractBatch,
+    return pages_ds.map_batches(
+        route,
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
-        concurrency=c_html,
-        fn_constructor_kwargs={"max_output_bytes": max_output_bytes},
+        **TASK_RETRY_ARGS,
     )
-    pdf_out = pdf_ds.map_batches(
-        PdfExtract,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=8,
-        concurrency=c_pdf,
-        fn_constructor_kwargs={"max_output_bytes": max_output_bytes},
-    )
-    return html_out.union(pdf_out)

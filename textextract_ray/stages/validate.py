@@ -15,9 +15,6 @@ import pyarrow.compute as pc
 
 from ..oracle import MIN_HTML_BYTES
 
-# large-doc routing threshold: docs above this go to the skew pool
-GIANT_HTML_BYTES = 4 * 1024 * 1024
-
 
 def annotate_batch(batch: pa.Table) -> pa.Table:
     """Add ``html_size`` (bytes) and ``precheck`` columns.
@@ -27,36 +24,13 @@ def annotate_batch(batch: pa.Table) -> pa.Table:
     left to the extractor so the policy lives in exactly one place.
     """
     # fill_null(0): a null html must flow through as an invalid-sized
-    # row — a null size would otherwise null out downstream masks and
-    # silently DROP the row from both branches of split_by_size
+    # row — a null size would otherwise null out any mask built on it
+    # and silently DROP the row from a filter
     size = pc.fill_null(pc.binary_length(batch["html"]).cast(pa.int64()), 0)
     invalid = pc.less(size, MIN_HTML_BYTES)
     precheck = pc.if_else(invalid, pa.scalar("invalid"), pa.scalar("ok"))
     out = batch.append_column("html_size", size)
     return out.append_column("precheck", precheck)
-
-
-def split_by_size(ds, threshold: int = GIANT_HTML_BYTES):
-    """Route pathological giant docs to a dedicated pool (skew-aware
-    splitting per the north_rule): returns (small_ds, giant_ds), both
-    filtered with vectorized Arrow predicates (no per-row Python).
-
-    Both branches re-scan the lazy upstream; callers apply this AFTER
-    the (cheap) read+annotate so the double scan costs IO, not compute.
-    At cluster scale, prefer a size-partitioned input layout when the
-    corpus is known to carry heavy tails.
-    """
-    small = ds.map_batches(
-        lambda t, th=threshold: t.filter(pc.less_equal(t["html_size"], th)),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    giant = ds.map_batches(
-        lambda t, th=threshold: t.filter(pc.greater(t["html_size"], th)),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    return small, giant
 
 
 def denylist_filter(ds, denied_hosts):
