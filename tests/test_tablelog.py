@@ -1346,6 +1346,77 @@ def test_restore_expire_fences(ray_session, tmp_path, monkeypatch):
     monkeypatch.undo()
 
 
+def test_expire_lock_steal_is_atomic(ray_session, tmp_path, monkeypatch):
+    """Two expires stealing one stale (crashed-holder) lock: the one
+    that checks staleness and then finds a co-stealer's fresh lock, or
+    no lock, in its place must back off and leave that lock alone,
+    not delete it and run a second destructive phase beside it."""
+    import time
+
+    import textextract_ray.pipelines.tablelog as tl
+
+    t = str(tmp_path / "tbl")
+    table_create(t)
+    table_append(t, _ds(0, 30))       # v1
+    table_overwrite(t, _ds(50, 60))   # v2
+    lock = tl._expire_lock_path(t)
+    crashed_at = time.time() - 2 * tl.EXPIRE_LOCK_STALE_SECONDS
+
+    def plant_stale_lock():
+        with open(lock, "w") as fh:
+            fh.write("crashed")
+        os.utime(lock, (crashed_at, crashed_at))
+
+    def leftovers():
+        return [n for n in os.listdir(tl._log_dir(t)) if ".stale-" in n or ".tmp-" in n]
+
+    real_live = tl._live_expire_lock
+
+    def co_stealer(act):
+        # the co-stealer acts right after this expire's staleness check
+        def live(table_dir):
+            is_live = real_live(table_dir)
+            if not is_live and os.path.exists(lock):
+                act()
+            return is_live
+        return live
+
+    # (a) the co-stealer already holds a fresh lock: it must survive
+    def steal_done():
+        os.unlink(lock)
+        with open(lock, "w") as fh:
+            fh.write("co-stealer")
+
+    plant_stale_lock()
+    monkeypatch.setattr(tl, "_live_expire_lock", co_stealer(steal_done))
+    with pytest.raises(RuntimeError, match="another table_expire"):
+        table_expire(t, keep_last=1, orphan_grace_seconds=0)
+    monkeypatch.undo()
+    with open(lock) as fh:
+        assert fh.read() == "co-stealer"
+    assert leftovers() == []
+    pd.testing.assert_frame_equal(  # nothing was expired
+        _sorted(read_table_at(t, 1).to_pandas()), _sorted(_df(0, 30))
+    )
+
+    # (b) the co-stealer moved the stale lock aside first
+    plant_stale_lock()
+    moved = lock + ".moved"
+    monkeypatch.setattr(tl, "_live_expire_lock", co_stealer(lambda: os.rename(lock, moved)))
+    with pytest.raises(RuntimeError, match="another table_expire"):
+        table_expire(t, keep_last=1, orphan_grace_seconds=0)
+    monkeypatch.undo()
+    os.unlink(moved)
+    assert leftovers() == [] and not os.path.exists(lock)
+
+    # (c) uncontended: the stale lock is stolen, the expire runs and
+    # releases its own lock
+    plant_stale_lock()
+    rep = table_expire(t, keep_last=1, orphan_grace_seconds=0)
+    assert rep["kept_versions"] == [2]
+    assert leftovers() == [] and not os.path.exists(lock)
+
+
 def test_timestamp_time_travel(ray_session, tmp_path):
     """read_table_at(as_of=) resolves the latest version committed at
     or before that wall time (manifests now stamp `ts` at commit)."""

@@ -122,31 +122,51 @@ del _t, _spec
 # ('!' / '?' can't start a tag name), so the order cannot change what
 # matches. Handlers dispatch on m.lastindex: 1 = item run, 3 =
 # boundary, 7 = generic tag, None = comment/doctype/PI/stray '<'.
+# Every alternative starts with '<'; the leading (?=<) lets the scan
+# reject every other position before entering the alternation, and
+# wraps it in a non-capturing group so group numbers stay as above.
+#
+# _ATTRS is the attribute run of a tag: unquoted characters and whole
+# quoted strings, up to (not including) the closing '>'. It is
+# possessive (no backtrack points), which cannot change any match:
+# a quote is consumed only by its own quoted branch, which must end
+# at the next matching quote, so the run has exactly one parse; and
+# every use is followed by a '>' (after at most '/' and whitespace,
+# which the run consumes itself). The maximal run stops at the first
+# position outside quotes that precedes '>', so no shorter run can
+# reach a '>' the maximal one missed. The backtracking form pushed
+# one backtrack point per attribute character, and on a page such as
+# '<a ' * 8000 (no '>' anywhere) retried every suffix. Do NOT write
+# it as (?:[^>"']+|...)* — a quantifier nested in a quantifier
+# backtracks exponentially on an unclosed quote.
+_ATTRS = r"""(?:[^>"']++|"[^"]*+"|'[^']*+')*+"""
 _LI_ITEM = (
-    r"<li(?![a-zA-Z0-9:-])(?:\"[^\"]*\"|'[^']*'|[^>\"'])*>"
+    r"<li(?![a-zA-Z0-9:-])" + _ATTRS + r">"
     r"\s*"
-    r"<a(?![a-zA-Z0-9:-])(?:\"[^\"]*\"|'[^']*'|[^>\"'])*>"
+    r"<a(?![a-zA-Z0-9:-])" + _ATTRS + r">"
     r"[^<]*</a></li>"
 )
 _TOKEN_RE = re.compile(
+    r"(?=<)(?:"
     r"(" + _LI_ITEM + r"(?:\s*" + _LI_ITEM + r")*)"  # 1: item run
     r"|</a></li><li><a(?![a-zA-Z0-9:-])"  # compound boundary…
-    r"((?:\"[^\"]*\"|'[^']*'|[^>\"'])*)(/?)>"  # …attrs + self-close (2, 3)
-    r"|<\s*(/?)\s*([a-zA-Z][a-zA-Z0-9:-]*)((?:\"[^\"]*\"|'[^']*'|[^>\"'])*)(/?)\s*>"  # 4-7
+    r"(" + _ATTRS + r")(/?)>"  # …attrs + self-close (2, 3)
+    r"|<\s*(/?)\s*([a-zA-Z][a-zA-Z0-9:-]*)(" + _ATTRS + r")(/?)\s*>"  # 4-7
     r"|<!--.*?(?:-->|$)"         # comments (unclosed -> to EOF)
     r"|<!\[CDATA\[.*?(?:\]\]>|$)"
     r"|<![^>]*>"                 # doctype
     r"|<\?[^>]*>"                # processing instruction
-    r"|<",                       # stray '<' treated as text
+    r"|<"                        # stray '<' treated as text
+    r")",
     re.DOTALL,
 )
 # pre-mode fallback scanner over one matched item run: items (with the
 # gap and text captured) and the pure-whitespace separators between
 # them — nothing else can occur inside a run by construction
 _LI_RUN_SCAN_RE = re.compile(
-    r"<li(?![a-zA-Z0-9:-])(?:\"[^\"]*\"|'[^']*'|[^>\"'])*>"
+    r"<li(?![a-zA-Z0-9:-])" + _ATTRS + r">"
     r"(\s*)"                                                  # 1 gap
-    r"<a(?![a-zA-Z0-9:-])(?:\"[^\"]*\"|'[^']*'|[^>\"'])*>"
+    r"<a(?![a-zA-Z0-9:-])" + _ATTRS + r">"
     r"([^<]*)</a></li>"                                       # 2 text
     r"|\s+",
     re.DOTALL,
@@ -168,6 +188,10 @@ _SPACE_RUN_RE = re.compile(r"[ \t\f\v\xa0]+")
 # search is cheaper than sub's scan+rebuild on the (very common) clean
 # text runs. \s and the space class are each other's complements here,
 # so `no match` proves the corresponding sub returns its input.
+# Cheaper still, and tried first: every \s character other than ' '
+# is non-printable (true of all code points; a test checks each one),
+# so `t.isprintable() and "  " not in t` proves neither detector can
+# match without running a regex.
 _WS_NONIDENTITY_RE = re.compile(r"[^\S ]| {2,}")
 _SPACE_NONIDENTITY_RE = re.compile(r"[\t\f\v\xa0]| {2,}")
 _NL_TRIM_RE = re.compile(r" *\n *")
@@ -236,7 +260,7 @@ def _canonicalize(parts: list, pre: bool) -> str:
     if pre:
         t = t.replace("\r\n", "\n").replace("\r", "\n")
         return t.strip("\n")
-    if _SPACE_NONIDENTITY_RE.search(t) is not None:
+    if (not t.isprintable() or "  " in t) and _SPACE_NONIDENTITY_RE.search(t) is not None:
         t = _SPACE_RUN_RE.sub(" ", t)
     if "\n" in t:  # the two newline passes are identities without one
         t = _NL_TRIM_RE.sub("\n", t)
@@ -316,7 +340,10 @@ def _parse_blocks(doc: str) -> list:
                 cur.parts.append(" ")
         else:
             unescaped = _unescape(text)
-            if _WS_NONIDENTITY_RE.search(unescaped) is not None:
+            if (
+                (not unescaped.isprintable() or "  " in unescaped)
+                and _WS_NONIDENTITY_RE.search(unescaped) is not None
+            ):
                 unescaped = _ws_sub(" ", unescaped)
             if unescaped:
                 if cur is None:
@@ -337,8 +364,6 @@ def _parse_blocks(doc: str) -> list:
     tag_info = _TAG_INFO
     generic = _GENERIC_INFO
     _unescape = _htmllib.unescape
-    _ws_sub = _WS_RUN_RE.sub
-    _nonid_search = _WS_NONIDENTITY_RE.search
     for m in _TOKEN_RE.finditer(doc):
         start, end = m.span()
         if start < pos:

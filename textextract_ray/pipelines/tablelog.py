@@ -380,6 +380,38 @@ def _live_expire_lock(table_dir: str) -> bool:
     return age < EXPIRE_LOCK_STALE_SECONDS
 
 
+def _expire_busy(table_dir: str) -> RuntimeError:
+    return RuntimeError(f"tablelog: another table_expire is running on {table_dir}")
+
+
+def _steal_stale_expire_lock(table_dir: str, lock: str) -> None:
+    """Move a crashed holder's expire lock aside, or raise if it is live.
+
+    The staleness check and the removal act on one inode: the lock is
+    renamed to a unique tombstone first and the TOMBSTONE is checked.
+    Checking the path and then unlinking it would let a co-stealer
+    replace the stale lock with its own fresh one in between, and the
+    unlink would delete that live lock. A fresh tombstone is such a
+    co-stealer's lock: it is linked back and this caller backs off.
+    """
+    if _live_expire_lock(table_dir):
+        raise _expire_busy(table_dir)
+    tomb = lock + f".stale-{uuid.uuid4().hex[:8]}"
+    try:
+        os.rename(lock, tomb)
+    except FileNotFoundError:  # a co-stealer moved it first
+        raise _expire_busy(table_dir) from None
+    try:
+        if time.time() - os.path.getmtime(tomb) < EXPIRE_LOCK_STALE_SECONDS:
+            try:
+                os.link(tomb, lock)
+            except FileExistsError:  # a third expire took the free path
+                pass
+            raise _expire_busy(table_dir)
+    finally:
+        os.unlink(tomb)
+
+
 def _wait_expire_lock(table_dir: str) -> None:
     """Block until no LIVE expire lock remains (released, or aged into
     staleness — a crashed holder cannot delete anything)."""
@@ -1489,12 +1521,11 @@ def table_expire(
             try:
                 os.link(tmpl, lock)
             except FileExistsError:
-                if _live_expire_lock(table_dir):
-                    raise RuntimeError(
-                        f"tablelog: another table_expire is running on {table_dir}"
-                    ) from None
-                os.unlink(lock)  # stale crashed holder: steal
-                os.link(tmpl, lock)  # a losing co-stealer raises here
+                _steal_stale_expire_lock(table_dir, lock)
+                try:
+                    os.link(tmpl, lock)
+                except FileExistsError:  # a co-stealer linked first
+                    raise _expire_busy(table_dir) from None
         finally:
             try:
                 os.unlink(tmpl)
