@@ -45,10 +45,14 @@ def test_minhash_finds_near_dups(doc_ds):
 
 
 def test_minhash_dedup_filters(doc_ds):
-    from textextract_ray.stages.dedup import minhash_dedup
+    # dropping every assigned id leaves one member per near-dup group
+    from textextract_ray.stages.dedup import minhash_duplicate_assignments
 
-    out = minhash_dedup(doc_ds, "text", "doc_id", threshold=0.5).to_pandas()
-    assert set(out["doc_id"]) == {0, 3, 5}
+    pairs = minhash_duplicate_assignments(
+        doc_ds, "text", "doc_id", threshold=0.5
+    ).to_pandas()
+    kept = set(doc_ds.to_pandas()["doc_id"]) - set(pairs["id"])
+    assert kept == {0, 3, 5}
 
 
 def test_minhash_dedup_string_ids(ray_session):
@@ -56,7 +60,7 @@ def test_minhash_dedup_string_ids(ray_session):
     # urls) must not be force-cast to int64 anywhere in the ladder
     import ray.data as rd
 
-    from textextract_ray.stages.dedup import minhash_dedup
+    from textextract_ray.stages.dedup import minhash_duplicate_assignments
 
     base = "the quick brown fox jumps over the lazy dog again and again today"
     rows = [
@@ -64,23 +68,26 @@ def test_minhash_dedup_string_ids(ray_session):
         {"url": "b://1", "text": base},
         {"url": "c://2", "text": "totally unrelated text about marine biology research"},
     ]
-    out = minhash_dedup(rd.from_items(rows), "text", "url", threshold=0.5).to_pandas()
-    assert set(out["url"]) == {"a://0", "c://2"}
+    pairs = minhash_duplicate_assignments(
+        rd.from_items(rows), "text", "url", threshold=0.5
+    ).to_pandas()
+    assert pairs[["id", "keep_id"]].values.tolist() == [["b://1", "a://0"]]
 
 
 def test_minhash_dedup_no_dups_passthrough(ray_session):
-    # empty drop set: the filter stage is skipped entirely (no is_in
-    # against an empty value_set of a mismatched type)
+    # no near-dups: the assignment table is empty, not an error
     import ray.data as rd
 
-    from textextract_ray.stages.dedup import minhash_dedup
+    from textextract_ray.stages.dedup import minhash_duplicate_assignments
 
     rows = [
         {"url": "a://0", "text": "first entirely distinct document body here"},
         {"url": "b://1", "text": "second unrelated text about marine biology"},
     ]
-    out = minhash_dedup(rd.from_items(rows), "text", "url", threshold=0.5).to_pandas()
-    assert set(out["url"]) == {"a://0", "b://1"}
+    pairs = minhash_duplicate_assignments(
+        rd.from_items(rows), "text", "url", threshold=0.5
+    ).to_pandas()
+    assert len(pairs) == 0
 
 
 def test_simhash_assignments(doc_ds):
@@ -162,191 +169,6 @@ def test_dedup_is_partitioning_invariant(doc_ds):
         a.sort_values("id").reset_index(drop=True),
         b.sort_values("id").reset_index(drop=True),
     )
-
-
-def test_resolve_clusters_union_find_and_distributed(ray_session):
-    """Connected components over pair tables: driver union-find and the
-    distributed hash-to-min path agree with each other, with a
-    constructed ground truth (chains = worst diameter, stars, merged
-    components), and with a DuckDB recursive-CTE oracle on a random
-    graph."""
-    import duckdb
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    from textextract_ray.stages.dedup import resolve_clusters
-
-    # constructed graph: chain 0-1-2-3-4, star 10-{11,12,13},
-    # two-edge merge 20-21, 21-22, singleton pair 30-31
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4),
-             (10, 11), (10, 12), (10, 13),
-             (20, 21), (21, 22), (30, 31)]
-    truth = {}
-    for comp in ([0, 1, 2, 3, 4], [10, 11, 12, 13], [20, 21, 22], [30, 31]):
-        for x in comp:
-            truth[x] = comp[0]
-    pairs = pd.DataFrame(
-        {"id_a": [a for a, _ in edges], "id_b": [b for _, b in edges]}
-    )
-
-    drv = resolve_clusters(rd.from_pandas(pairs)).to_pandas()
-    assert dict(zip(drv["id"], drv["rep"])) == truth
-
-    dist = (
-        resolve_clusters(rd.from_pandas(pairs), driver_budget_rows=0)
-        .to_pandas()
-        .sort_values("id")
-        .reset_index(drop=True)
-    )
-    assert dict(zip(dist["id"], dist["rep"])) == truth
-
-    # random graph vs DuckDB recursive-CTE transitive closure
-    rng = np.random.default_rng(42)
-    ra = rng.integers(0, 120, 150)
-    rb = rng.integers(0, 120, 150)
-    rp = pd.DataFrame({"id_a": ra, "id_b": rb})
-    got = (
-        resolve_clusters(rd.from_pandas(rp))
-        .to_pandas()
-        .sort_values("id")
-        .reset_index(drop=True)
-    )
-    con = duckdb.connect()
-    con.register("pairs", rp)
-    want = con.execute(
-        """
-        WITH RECURSIVE sym AS (
-            SELECT id_a AS u, id_b AS v FROM pairs
-            UNION SELECT id_b, id_a FROM pairs
-            UNION SELECT id_a, id_a FROM pairs
-            UNION SELECT id_b, id_b FROM pairs
-        ), reach(u, v) AS (
-            SELECT u, v FROM sym
-            UNION SELECT r.u, s.v FROM reach r JOIN sym s ON r.v = s.u
-        )
-        SELECT u AS id, min(v) AS rep FROM reach GROUP BY u ORDER BY u
-        """
-    ).df()
-    assert got["id"].tolist() == want["id"].tolist()
-    assert got["rep"].tolist() == want["rep"].tolist()
-
-    # distributed path agrees on the random graph too
-    got_dist = (
-        resolve_clusters(rd.from_pandas(rp), driver_budget_rows=0)
-        .to_pandas()
-        .sort_values("id")
-        .reset_index(drop=True)
-    )
-    assert got_dist["rep"].tolist() == want["rep"].tolist()
-
-    # empty pair table
-    empty = resolve_clusters(
-        rd.from_pandas(pd.DataFrame({"id_a": [], "id_b": []}))
-    ).to_pandas()
-    assert len(empty) == 0
-
-
-def test_drop_cluster_duplicates(ray_session):
-    """Composed near-dup dedup: minhash pairs -> transitive clusters ->
-    keep exactly one row per cluster (the min id), everything else
-    streams through untouched."""
-    import pandas as pd
-    import ray.data as rd
-
-    from textextract_ray.stages.dedup import (
-        drop_cluster_duplicates,
-        resolve_clusters,
-    )
-
-    docs = pd.DataFrame(
-        {
-            "doc_id": list(range(8)),
-            "text": ["alpha"] * 1 + ["x%d" % i for i in range(7)],
-        }
-    )
-    # chain 0~1, 1~2 (transitive: {0,1,2} is ONE cluster even though
-    # 0 and 2 never pair directly), plus 5~6
-    pairs = pd.DataFrame({"id_a": [0, 1, 5], "id_b": [1, 2, 6]})
-    clusters = resolve_clusters(rd.from_pandas(pairs))
-    kept = (
-        drop_cluster_duplicates(rd.from_pandas(docs), clusters, "doc_id")
-        .to_pandas()
-        .sort_values("doc_id")
-    )
-    assert kept["doc_id"].tolist() == [0, 3, 4, 5, 7]
-
-
-def test_winnow_fingerprint_guarantee():
-    """Winnowing guarantee: shared token runs >= w + k - 1 produce a
-    shared fingerprint; disjoint random texts share none; layout of
-    surrounding text doesn't matter."""
-    import numpy as np
-
-    from textextract_ray.functions.text import winnow_fingerprints
-
-    shared = " ".join(f"tok{i}" for i in range(30))
-    a = "aaa bbb " + shared + " ccc"
-    b = "xxx " + shared + " yyy zzz qqq"
-    c = " ".join(f"zz{i}" for i in range(60))
-    fa, fb, fc = winnow_fingerprints([a, b, c], k=4, w=8)
-    assert len(np.intersect1d(fa, fb)) >= 1
-    assert len(np.intersect1d(fa, fc)) == 0
-    assert len(np.intersect1d(fb, fc)) == 0
-    # deterministic and batch-layout independent
-    fa2 = winnow_fingerprints([a], k=4, w=8)[0]
-    assert np.array_equal(fa, fa2)
-    # empty doc -> empty set
-    assert len(winnow_fingerprints([""], k=4, w=8)[0]) == 0
-
-
-def test_winnow_overlap_pairs(ray_session):
-    """Substring-overlap operator: planted quoted paragraphs are found
-    across block layouts, Jaccard-invisible partial copies included;
-    unrelated docs produce no pairs."""
-    import pandas as pd
-    import ray.data as rd
-
-    from textextract_ray.stages.dedup import winnow_overlap_pairs
-
-    quote = " ".join(f"quote{i}" for i in range(40))
-    rng_texts = {
-        i: " ".join(f"doc{i}w{j}" for j in range(120)) for i in range(10)
-    }
-    docs = []
-    for i in range(10):
-        t = rng_texts[i]
-        if i in (2, 7):  # two docs quote the same paragraph
-            t = t[: len(t) // 2] + " " + quote + " " + t[len(t) // 2 :]
-        docs.append({"doc_id": i, "text": t})
-    ds = rd.from_items(docs)
-    out = winnow_overlap_pairs(ds, "text", "doc_id", min_shared=2).to_pandas()
-    assert len(out) == 1
-    assert (int(out["id_a"][0]), int(out["id_b"][0])) == (2, 7)
-    assert out["n_shared"][0] >= 2
-    assert 0 < out["overlap"][0] <= 1.0
-
-    # layout invariance: same answer from a different partitioning
-    out2 = winnow_overlap_pairs(
-        rd.from_items(docs).repartition(5), "text", "doc_id", min_shared=2
-    ).to_pandas()
-    pd.testing.assert_frame_equal(
-        out.sort_values(["id_a", "id_b"]).reset_index(drop=True),
-        out2.sort_values(["id_a", "id_b"]).reset_index(drop=True),
-    )
-
-    # no overlap anywhere -> empty with stable schema
-    clean = winnow_overlap_pairs(
-        rd.from_items(
-            [{"doc_id": i, "text": rng_texts[i]} for i in range(10)]
-        ),
-        "text",
-        "doc_id",
-    ).to_pandas()
-    assert len(clean) == 0
-    # empty Datasets may round-trip schemaless (documented engine-wide
-    # caveat); when columns survive they must be the declared four
-    assert list(clean.columns) in ([], ["id_a", "id_b", "n_shared", "overlap"])
 
 
 def test_group_all_pairs_matches_per_group_reference():

@@ -6,7 +6,7 @@ gram-hash front-end.
 
 The driver corpus has no repeated k-token runs, so the operator is
 pinned here with planted duplicates instead of a gate slot (same
-approach as paragraph_dedup / the embedding near-dup recall tests).
+approach as paragraph_dedup_ds / the embedding near-dup recall tests).
 """
 
 from __future__ import annotations

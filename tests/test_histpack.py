@@ -1,19 +1,13 @@
-"""Histogram-based best-fit sequence packing (Krell et al. 2021
-SPFHP-style): driver plan over the length histogram, distributed
-rank->pack assignment. Constraints, worked examples, utilization vs
-next-fit, determinism, layout invariance, edge cases."""
+"""Histogram-based best-fit packing plan (Krell et al. 2021 SPFHP-style:
+driver plan over the length histogram) and sequence packing's bucket
+count. Plan: constraints, worked examples, conservation, bad lengths.
+Packer: the caller's ``num_buckets`` is a floor, and the packed output
+does not depend on the bucket count."""
 
 import numpy as np
-import pandas as pd
-import pyarrow as pa
-import pyarrow.parquet as pq
 import pytest
 
-from textextract_ray.pipelines.textops import (
-    histogram_pack_plan,
-    pack_best_fit,
-    pack_bins,
-)
+from textextract_ray.pipelines.textops import histogram_pack_plan
 
 
 def _plan_packs(classes):
@@ -79,72 +73,6 @@ def test_plan_rejects_bad_lengths():
         histogram_pack_plan({0: 3}, 512)
     with pytest.raises(ValueError):
         histogram_pack_plan({600: 1}, 512)
-
-
-def test_pack_best_fit_constraints_vs_next_fit(sf_dir, ray_session):
-    cap = 512
-    got = pack_best_fit(sf_dir, capacity=cap)
-    assert len(got) == 500 and got["doc_id"].is_unique
-
-    # per-pack clipped totals never exceed capacity; empty docs count 1
-    clipped = np.clip(got["n_tokens"].to_numpy(), 1, cap)
-    fill = pd.Series(clipped).groupby(got["pack_id"].to_numpy()).sum()
-    assert (fill <= cap).all()
-
-    # truncated == longer than capacity; such docs sit alone
-    assert (got["truncated"] == (got["n_tokens"] > cap)).all()
-    big = got[got["truncated"]]
-    if len(big):
-        assert not set(big["pack_id"]) & set(got[~got["truncated"]]["pack_id"])
-
-    # pack ids are dense 0..P-1 and every pack is non-empty
-    ids = np.sort(got["pack_id"].unique())
-    assert ids[0] == 0 and ids[-1] == len(ids) - 1
-
-    # best-fit never needs more packs than next-fit on the same corpus
-    nf = pack_bins(sf_dir, capacity=cap)
-    assert got["pack_id"].nunique() <= nf["bin_id"].nunique()
-
-
-def test_pack_best_fit_layout_invariance_and_edges(tmp_path, ray_session):
-    texts = {
-        1: "a b c",                  # 3 tokens
-        2: "",                       # empty -> length-1 padding slot
-        3: None,                     # null -> same
-        5: " ".join(["t"] * 23),     # oversize at cap 8 -> own pack
-        9: "x",
-        100: " ".join(["y"] * 8),    # exactly capacity
-    }
-    table = pa.table(
-        {
-            "doc_id": pa.array(sorted(texts), pa.int64()),
-            "text": pa.array([texts[k] for k in sorted(texts)], pa.string()),
-        }
-    )
-    one = tmp_path / "one"
-    one.mkdir()
-    pq.write_table(table, str(one / "documents.parquet"))
-    got = pack_best_fit(str(one), capacity=8)
-
-    assert got["doc_id"].tolist() == [1, 2, 3, 5, 9, 100]
-    assert got["truncated"].tolist() == [False, False, False, True, False, False]
-    # the oversize doc and the exactly-capacity doc each sit alone
-    solo = got.set_index("doc_id")["pack_id"]
-    others = got[~got["doc_id"].isin([5, 100])]["pack_id"]
-    assert solo[5] not in set(others) and solo[100] not in set(others)
-    assert solo[5] != solo[100]
-    # remaining docs (3+1+1+1 clipped tokens = 6 <= 8) share one pack
-    assert others.nunique() == 1
-
-    sharded = tmp_path / "many" / "documents.parquet"
-    sharded.mkdir(parents=True)
-    for i in range(table.num_rows):
-        pq.write_table(table.slice(i, 1), str(sharded / f"p{i}.parquet"))
-    again = pack_best_fit(str(tmp_path / "many"), capacity=8, num_buckets=3)
-    pd.testing.assert_frame_equal(got, again)
-
-    rerun = pack_best_fit(str(one), capacity=8)
-    pd.testing.assert_frame_equal(got, rerun)
 
 
 def test_packer_bucket_count_autoscales(ray_session, monkeypatch):

@@ -96,27 +96,6 @@ def test_metrics_sink_written(ray_session, fixture_pages, tmp_path):
     assert "parse_failures" in t.column_names
 
 
-def test_host_locality_extraction(ray_session, fixture_pages, golden):
-    """Host-locality path: same byte-identical output, plus per-host
-    cache hits for every row after a host's first."""
-    from textextract_ray.pipelines.extract_pipeline import dedup_by_url
-    from textextract_ray.sources import read_pages
-    from textextract_ray.stages.extract import extract_pages_host_locality
-    from textextract_ray.stages.validate import annotate_batch
-
-    ds = read_pages(fixture_pages).map_batches(annotate_batch, batch_format="pyarrow")
-    out = dedup_by_url(extract_pages_host_locality(ds)).to_pandas()
-    assert set(out["url"]) == set(golden)
-    for _, row in out.iterrows():
-        assert row["extracted_text"] == golden[row["url"]].text, row["url"]
-    # 200 rows over 20 hosts -> most rows are cache hits
-    full = extract_pages_host_locality(
-        read_pages(fixture_pages).map_batches(annotate_batch, batch_format="pyarrow")
-    ).to_pandas()
-    hosts = full["url"].str.extract(r"https://([^/]+)/")[0]
-    assert (~full["host_cache_hit"]).sum() == hosts.nunique()
-
-
 def test_q3_hashjoin_matches_broadcast(ray_session, sf_dir):
     from textextract_ray.pipelines.relational import (
         q3_top_orders,
@@ -142,35 +121,20 @@ def test_q3_zero_budget_fully_bucketed_parity(ray_session, sf_dir, monkeypatch):
     assert (a["revenue"] - b["revenue"]).abs().max() < 1e-6
 
 
-def test_pdf_routing_path(ray_session, fixture_pages, golden):
-    """The in-task PDF router: every html row matches the oracle, a real
-    PDF row reaches PdfExtract and comes out ok with its exact text;
-    strict mode raises."""
+def test_pdf_routing_path(ray_session):
+    """PdfExtract, the parser stage of PDF rows: a real PDF comes out ok
+    with its exact text in lenient mode; strict mode raises on garbage
+    with PDF magic and extracts a real PDF."""
     import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray.data as rd
 
-    from textextract_ray.datagen import EPOCH_US
     from textextract_ray.pdf import build_pdf
-    from textextract_ray.stages.extract import extract_pages_with_pdf_routing
-
-    pages = pa.concat_tables([pq.read_table(p) for p in fixture_pages])
-    pdf_url = "https://pdf.example/routed"
-    pdf_row = {"url": pdf_url, "warc_ts": EPOCH_US, "html": build_pdf("routed pdf text"),
-               "text": "", "lang": "en"}
-    pages = pa.concat_tables([pages, pa.Table.from_pylist([pdf_row], schema=pages.schema)])
-    out = extract_pages_with_pdf_routing(rd.from_arrow(pages)).to_pandas()
-    assert len(out) == 201  # all rows accounted for (no dedup here)
-    for url, res in golden.items():
-        # F9 duplicate urls carry identical bytes: every copy must match
-        rows = out[out.url == url]
-        assert set(rows["status"]) == {res.status}, url
-        assert set(rows["extracted_text"]) == {res.text}, url
-    pdf = out[out.url == pdf_url]
-    assert pdf["status"].tolist() == ["ok"]
-    assert pdf["extracted_text"].tolist() == ["routed pdf text"]
-
     from textextract_ray.stages.extract import PdfExtract
+
+    out = PdfExtract(strict=False)(
+        pa.table({"url": ["https://pdf.example/routed"], "html": [build_pdf("routed pdf text")]})
+    )
+    assert out["status"].to_pylist() == ["ok"]
+    assert out["extracted_text"].to_pylist() == ["routed pdf text"]
 
     # strict mode: garbage with PDF magic raises; a real PDF extracts
     with pytest.raises(ValueError, match="strict"):
@@ -196,27 +160,23 @@ def test_schema_validation_fails_fast(ray_session):
 
 
 def test_null_html_rows_not_dropped(ray_session):
-    """A null html row must flow through BOTH extract_dataset and the
-    in-task PDF router as status='invalid' — never silently vanish."""
+    """A null html row must flow through extract_dataset as
+    status='invalid' — never silently vanish."""
     import pyarrow as pa
     import ray.data as rd
 
     from textextract_ray.datagen import EPOCH_US
     from textextract_ray.pipelines.extract_pipeline import extract_dataset
     from textextract_ray.schemas import PAGES_SCHEMA
-    from textextract_ray.stages.extract import extract_pages_with_pdf_routing
 
     rows = [
         {"url": "https://h/ok", "warc_ts": EPOCH_US, "html": b"x" * 100, "text": "", "lang": "en"},
         {"url": "https://h/null", "warc_ts": EPOCH_US, "html": None, "text": "", "lang": "en"},
     ]
     ds = rd.from_arrow(pa.Table.from_pylist(rows, schema=PAGES_SCHEMA))
-    for out in (
-        extract_dataset(ds, dedup=False).to_pandas(),
-        extract_pages_with_pdf_routing(ds).to_pandas(),
-    ):
-        assert set(out["url"]) == {"https://h/ok", "https://h/null"}
-        assert out.set_index("url").loc["https://h/null", "status"] == "invalid"
+    out = extract_dataset(ds, dedup=False).to_pandas()
+    assert set(out["url"]) == {"https://h/ok", "https://h/null"}
+    assert out.set_index("url").loc["https://h/null", "status"] == "invalid"
 
 
 def test_per_language_dispatch_observable(ray_session):

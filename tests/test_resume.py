@@ -90,7 +90,7 @@ def test_url_partitioned_layout_global_dedup(ray_session, fixture_pages, tmp_pat
     corpus-wide shuffle."""
     from textextract_ray.pipelines.extract_pipeline import (
         partition_pages_by_url,
-        run_job_partitioned,
+        run_job,
     )
     from textextract_ray.sources import read_pages
 
@@ -100,7 +100,7 @@ def test_url_partitioned_layout_global_dedup(ray_session, fixture_pages, tmp_pat
     assert len(buckets) == 5
     assert stats["rows"].sum() == 200
 
-    report = run_job_partitioned(buckets, str(tmp_path / "out"))
+    report = run_job(buckets, str(tmp_path / "out"), shards_per_partition=1)
     assert len(report) == 5
     full = read_pages(
         [str(tmp_path / "out" / f"part-{i:05d}") for i in range(5)]
@@ -309,13 +309,9 @@ def test_multi_kill_resume_fuzz(ray_session, tmp_path):
 def test_versioned_job_release_tag(ray_session, tmp_path):
     """run_job_versioned(tag=) pins the COMPLETED run's head as a
     named snapshot: a failed run does not tag, the completed resume
-    does, the pin survives retention GC of later versions, and a
-    manifest-mode tag is a clean error."""
+    does, and the pin survives retention GC of later versions."""
     from textextract_ray.datagen import generate_pages
-    from textextract_ray.pipelines.extract_pipeline import (
-        run_job,
-        run_job_versioned,
-    )
+    from textextract_ray.pipelines.extract_pipeline import run_job_versioned
     from textextract_ray.pipelines.tablelog import (
         read_table_at,
         table_expire,
@@ -348,9 +344,6 @@ def test_versioned_job_release_tag(ray_session, tmp_path):
         pinned.sort_values("url").reset_index(drop=True),
         again.sort_values("url").reset_index(drop=True),
     )
-    # manifest mode cannot pin
-    with pytest.raises(ValueError, match="requires table_dir"):
-        run_job(files, str(tmp_path / "out"), tag="nope")
 
 
 def test_versioned_job_bad_tag_fails_fast(ray_session, tmp_path):

@@ -1,101 +1,10 @@
-"""Latest-snapshot-per-url crawl consolidation: DuckDB parity on a
-planted multi-dump page set, equal-timestamp tie determinism, both
-resolve arms (driver budget vs bucketed groupby), and layout
-invariance. Also pins that the shared dedup scaffold refactor kept
-dedup_by_url's behavior (its own e2e suite runs elsewhere)."""
+"""The engine hash ``hash_utf8`` on binary input, as the content key
+of crawl snapshots: the binary fast path must agree with the string
+path and must accept bytes that are not valid utf-8."""
 
 from __future__ import annotations
 
-import duckdb
-import pandas as pd
 import pyarrow as pa
-
-TS0 = pd.Timestamp("2024-01-01", tz="UTC")
-
-
-def _pages() -> pa.Table:
-    rows = [
-        # url A captured in three dumps -> keep newest
-        ("https://a.com/x", 0, b"<html>a v1</html>"),
-        ("https://a.com/x", 2, b"<html>a v3</html>"),
-        ("https://a.com/x", 1, b"<html>a v2</html>"),
-        # url B captured once -> passes through the unique fast path
-        ("https://b.com/y", 0, b"<html>b</html>"),
-        # url C: equal newest timestamps, different bytes -> the
-        # content-hash order statistic decides, not arrival order
-        ("https://c.com/z", 5, b"<html>c east</html>"),
-        ("https://c.com/z", 5, b"<html>c west</html>"),
-        ("https://c.com/z", 1, b"<html>c old</html>"),
-    ]
-    return pa.table(
-        {
-            "url": pa.array([r[0] for r in rows], pa.string()),
-            "warc_ts": pa.array(
-                [TS0 + pd.Timedelta(days=r[1]) for r in rows],
-                pa.timestamp("us", tz="UTC"),
-            ),
-            "html": pa.array([r[2] for r in rows], pa.binary()),
-        }
-    )
-
-
-def _expected_c_winner() -> bytes:
-    from textextract_ray.functions.scalar import hash_utf8
-
-    cand = [b"<html>c east</html>", b"<html>c west</html>"]
-    h = hash_utf8(pa.array(cand, pa.binary()), seed=0)
-    return cand[int(h.argmax())]  # max content hash wins the ts tie
-
-
-def _run(tbl: pa.Table, **kw) -> pd.DataFrame:
-    import ray.data as rd
-
-    from textextract_ray.pipelines.extract_pipeline import latest_snapshot_ds
-
-    out = latest_snapshot_ds(rd.from_arrow(tbl), **kw).to_pandas()
-    return out.sort_values("url").reset_index(drop=True)
-
-
-def test_latest_snapshot_matches_duckdb_and_tiebreak(ray_session):
-    tbl = _pages()
-    got = _run(tbl)
-    # DuckDB checks the url set and the per-url max timestamp; the
-    # equal-ts content winner is pinned against the engine hash rule
-    con = duckdb.connect()
-    con.register("pages", tbl.to_pandas())
-    want = con.execute(
-        "SELECT url, max(warc_ts) AS warc_ts FROM pages GROUP BY url ORDER BY url"
-    ).df()
-    con.close()
-    want["warc_ts"] = want["warc_ts"].dt.tz_convert("UTC")
-    pd.testing.assert_frame_equal(got[["url", "warc_ts"]], want)
-    by_url = got.set_index("url")["html"]
-    assert bytes(by_url["https://a.com/x"]) == b"<html>a v3</html>"
-    assert bytes(by_url["https://b.com/y"]) == b"<html>b</html>"
-    assert bytes(by_url["https://c.com/z"]) == _expected_c_winner()
-
-
-def test_latest_snapshot_both_arms_and_layout(ray_session):
-    import ray.data as rd
-
-    from textextract_ray.pipelines.extract_pipeline import latest_snapshot_ds
-
-    tbl = _pages()
-    a = _run(tbl)  # driver-resolve arm (tiny subset)
-    b = _run(tbl, driver_budget_rows=0)  # force the bucketed arm
-    pd.testing.assert_frame_equal(a, b)
-    # layout invariance: shuffled + repartitioned input, same winners
-    perm = tbl.to_pandas().sample(frac=1.0, random_state=5).reset_index(drop=True)
-    ds = rd.from_arrow(
-        pa.Table.from_pandas(perm, preserve_index=False).cast(tbl.schema)
-    ).repartition(4)
-    c = (
-        latest_snapshot_ds(ds)
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(a, c)
 
 
 def test_hash_utf8_binary_matches_string():

@@ -834,7 +834,7 @@ def test_run_job_versioned_kill_resume_time_travel(ray_session, tmp_path):
     a time-travelable version, and merge-by-url makes the table
     exactly-once per url globally."""
     from textextract_ray.datagen import generate_pages
-    from textextract_ray.pipelines.extract_pipeline import run_job
+    from textextract_ray.pipelines.extract_pipeline import run_job_versioned
     from textextract_ray.pipelines.tablelog import (
         read_table_at,
         table_changes,
@@ -846,13 +846,13 @@ def test_run_job_versioned_kill_resume_time_travel(ray_session, tmp_path):
 
     # kill before partition 2: partitions 0-1 commit as versions
     with pytest.raises(RuntimeError, match="fault injection"):
-        run_job(files, "", shards_per_partition=1, table_dir=t, fail_at_partition=2)
+        run_job_versioned(files, t, shards_per_partition=1, fail_at_partition=2)
     hist = table_history(t)
     notes = [n for n in hist["note"].dropna() if n.startswith("job-part:")]
     assert len(notes) == 2
 
     # resume completes the remaining partitions only
-    report = run_job(files, "", shards_per_partition=1, table_dir=t)
+    report = run_job_versioned(files, t, shards_per_partition=1)
     assert len(report) == 4 and int(report["docs"].sum()) > 0
     hist = table_history(t)
     notes = [n for n in hist["note"].dropna() if n.startswith("job-part:")]
@@ -861,7 +861,7 @@ def test_run_job_versioned_kill_resume_time_travel(ray_session, tmp_path):
 
     # rerun on complete output: pure no-op (head unmoved), same counters
     head = int(hist["version"].max())
-    report2 = run_job(files, "", shards_per_partition=1, table_dir=t)
+    report2 = run_job_versioned(files, t, shards_per_partition=1)
     assert int(table_history(t)["version"].max()) == head
     stable = ["partition_id", "docs", "bytes_in", "ok_count"]
     pd.testing.assert_frame_equal(
@@ -889,7 +889,7 @@ def test_run_job_versioned_kill_resume_time_travel(ray_session, tmp_path):
 
     # re-partitioned rerun fails loudly (lineage guard)
     with pytest.raises(ValueError, match="different shard list"):
-        run_job(files, "", shards_per_partition=2, table_dir=t)
+        run_job_versioned(files, t, shards_per_partition=2)
 
 
 def test_run_job_versioned_extractor_upgrade_reextracts(

@@ -1,7 +1,6 @@
-"""Weighted bottom-k sampling (Efraimidis-Spirakis) and per-group HLL
-approx-distinct: brute-force key parity, weight-proportional inclusion,
-zero/null/negative weight contracts, layout invariance, and HLL
-accuracy vs exact nunique."""
+"""Weighted bottom-k sampling (Efraimidis-Spirakis): brute-force key
+parity, weight-proportional inclusion, zero/null/negative weight
+contracts, layout invariance."""
 
 from __future__ import annotations
 
@@ -102,39 +101,3 @@ def test_weighted_bottomk_inclusion_tracks_weight(ray_session):
         for s in range(20)
     )
     assert hits >= 19
-
-
-# --- approx_distinct_per_group_ds -------------------------------------------------
-
-
-def test_hll_per_group_accuracy_and_layout(ray_session):
-    from textextract_ray.pipelines.textops import approx_distinct_per_group_ds
-
-    rng = np.random.RandomState(9)
-    n = 20000
-    df = pd.DataFrame(
-        {
-            "host": [f"h{i % 5}" for i in range(n)],
-            "user": [f"u{rng.randint(0, 50 * (1 + i % 5))}" for i in range(n)],
-        }
-    )
-    got = (
-        approx_distinct_per_group_ds(_ds(df, 9), group_col="host",
-                                     value_col="user")
-        .to_pandas()
-        .sort_values("host")
-        .reset_index(drop=True)
-    )
-    exact = df.groupby("host")["user"].nunique().sort_index()
-    assert got["host"].tolist() == exact.index.tolist()
-    err = np.abs(got["approx_distinct"].to_numpy() - exact.to_numpy()) / exact.to_numpy()
-    assert (err < 0.05).all(), err  # 1.6% expected at p=12, 5% bound
-
-    again = (
-        approx_distinct_per_group_ds(_ds(df, 2), group_col="host",
-                                     value_col="user")
-        .to_pandas()
-        .sort_values("host")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got, again)  # merge order-independent

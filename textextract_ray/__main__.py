@@ -37,7 +37,7 @@ def _init_ray():
 
 
 def cmd_extract(args) -> int:
-    from .pipelines.extract_pipeline import run_job
+    from .pipelines.extract_pipeline import run_job, run_job_versioned
 
     files = sorted(glob.glob(args.input)) if any(c in args.input for c in "*?[") else None
     if files is None:
@@ -70,11 +70,10 @@ def cmd_extract(args) -> int:
         # CDC / compaction); resume is note-based and always safe, so
         # no --resume gate is needed
         _init_ray()
-        report = run_job(
+        report = run_job_versioned(
             files,
-            args.out or args.table,
+            args.table,
             shards_per_partition=args.shards_per_partition or None,
-            table_dir=args.table,
             tag=args.release_tag or None,
         )
         print(report.to_string(index=False))

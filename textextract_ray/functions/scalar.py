@@ -82,12 +82,6 @@ def anchored_period(now_ts: np.datetime64, anchor_day: int) -> tuple:
     return np.datetime64(start), np.datetime64(end)
 
 
-def month_bucket(ts_col: pa.ChunkedArray | pa.Array) -> pa.Array:
-    """Assign rows to calendar-month buckets, 'YYYY-MM' (the reference's
-    monthly-usage window, models.py:127-160, as a groupable column)."""
-    return pc.strftime(ts_col, format="%Y-%m")
-
-
 def date_bucket(ts_col: pa.ChunkedArray | pa.Array) -> pa.Array:
     """Daily bucket 'YYYY-MM-DD' (usage_stats (user_id, date) key,
     reference create_tables.sql:37-47)."""

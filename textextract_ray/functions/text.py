@@ -490,42 +490,6 @@ def jaccard(a: set, b: set) -> float:
     return len(a & b) / max(1, len(a | b))
 
 
-def winnow_fingerprints(
-    texts: list, k: int = 4, w: int = 8, base: int = 1_000_003
-) -> list:
-    """FULL winnowing fingerprint set per doc (Schleimer et al. SIGMOD
-    2003): rolling polynomial hash over every ``k``-token gram, then
-    the unique minima of all ``w``-wide windows. Guarantee: two docs
-    sharing a run of >= w + k - 1 identical tokens share at least one
-    fingerprint — substring-level overlap detection, which whole-doc
-    shingle Jaccard misses (a page quoting a paragraph of another page
-    has tiny global Jaccard but certain fingerprint collision).
-    ``rolling_fingerprint`` above is the 1-value identity special case;
-    this returns the set. Token hashing is one shared C pass; the
-    k-gram combine is k vector ops and the window min one
-    sliding_window_view reduction per doc."""
-    h, offs = _flat_token_hashes(texts)
-    mod = np.uint64((1 << 61) - 1)
-    b = np.uint64(base)
-    out = []
-    for i in range(len(texts)):
-        hs = h[offs[i] : offs[i + 1]] % mod
-        n = len(hs)
-        if n == 0:
-            out.append(np.empty(0, dtype=np.uint64))
-            continue
-        kk = min(k, n)
-        acc = np.zeros(n - kk + 1, dtype=np.uint64)
-        for j in range(kk):
-            acc = (acc * b + hs[j : j + len(acc)]) % mod
-        if len(acc) <= w:
-            out.append(np.unique(acc.min(keepdims=True)))
-        else:
-            wins = np.lib.stride_tricks.sliding_window_view(acc, w)
-            out.append(np.unique(wins.min(axis=1)))
-    return out
-
-
 def compression_ratio(col: "pa.ChunkedArray | pa.Array") -> pa.Array:
     """zlib-deflate size / raw size per document (level 6) — the
     RefinedWeb/Dolma-family gibberish-vs-repetition signal: heavily

@@ -194,9 +194,8 @@ def semantic_decontaminate_against(
 ):
     """Embedding-space test-set decontamination: flag corpus documents
     whose embedding is within cosine ``threshold`` of ANY benchmark
-    document — the vector complement of the engine's two lexical
-    decontaminators (`textops.decontaminate`: exact n-gram membership;
-    `stages.dedup.fuzzy_decontaminate_against`: MinHash near-dup). A
+    document — the vector complement of the engine's lexical
+    decontaminator (`textops.decontaminate`: exact n-gram membership). A
     reworded eval item that keeps its vocabulary but shares few exact
     grams and disagrees on shingle sets still lands close in bag-of-
     ngram embedding space (the SemDeDup argument, arXiv:2303.09540,

@@ -164,8 +164,8 @@ def extract_files(
     extract wall at 16 CPUs, and the first thing a 100 TB run would pay
     per node. Here the decode happens inside the extract task (exactly
     one shard per task, the same one-task-per-shard contract as
-    ``read_arrow_shards`` / ``read_pages_http`` / ``read_warc``), so
-    only the ~10×-smaller extracted rows are ever stored. Both entry
+    ``read_arrow_shards`` / ``read_pages_http``), so only the
+    ~10×-smaller extracted rows are ever stored. Both entry
     points run one per-chunk kernel (``stages.extract.extract_chunk``:
     validate → annotate → ``ExtractBatch`` per ``batch_size`` slice), so
     output is byte-identical to ``extract_dataset(read_pages(paths))``
@@ -346,8 +346,8 @@ def dedup_by_url(
        deduped within the batch), a small groupby sums them, and only
        the O(dup keys) result reaches the driver. No O(rows)
        ``to_pandas`` anywhere: a caller invoking this on an
-       unpartitioned full corpus is safe, not just the partition-sized
-       ``run_job`` path,
+       unpartitioned full corpus is safe, not just a partition-sized
+       job,
     3. stream-filter the unique-url rows with the broadcast dup-hash
        set (vectorized ``is_in``, no shuffle — the overwhelming
        majority of the data takes this path),
@@ -432,9 +432,9 @@ def _dedup_with_winner(
     driver_budget_rows: int = DEDUP_DRIVER_BUDGET_ROWS,
     driver_budget_bytes: int = DEDUP_DRIVER_BUDGET_BYTES,
 ):
-    """Shared keys-only dedup scaffold (``dedup_by_url``,
-    ``latest_snapshot_ds``): a distributed (8-byte hash, count)
-    partial scan finds the duplicate KEYS; unique-key rows — the
+    """Keys-only dedup scaffold of ``dedup_by_url``: a distributed
+    (8-byte hash, count) partial scan finds the duplicate KEYS;
+    unique-key rows — the
     overwhelming majority — stream through a vectorized ``is_in``
     filter untouched; only the rare duplicate rows resolve through
     ``winner_fn(table) -> table`` (one winner row per key), driver-side
@@ -573,157 +573,6 @@ def _dedup_with_winner(
         .map_groups(winner_per_bucket, batch_format="pyarrow")
     )
     return uniq.union(resolved)
-
-
-def latest_snapshot_ds(
-    pages_ds,
-    *,
-    url_col: str = "url",
-    ts_col: str = "warc_ts",
-    content_col: str = "html",
-    num_buckets: int = 256,
-    driver_budget_rows: int = DEDUP_DRIVER_BUDGET_ROWS,
-    driver_budget_bytes: int = DEDUP_DRIVER_BUDGET_BYTES,
-):
-    """Multi-dump crawl consolidation: keep, per url, the NEWEST
-    capture (max ``ts_col``) — the standard first step when a corpus
-    spans several Common-Crawl dumps and a recrawled url appears once
-    per dump. The winner is a pure order statistic — max (warc_ts,
-    then content hash, then everything-else-is-identical) — so
-    equal-timestamp recaptures resolve deterministically under any
-    block arrival order or layout; a content-hash tie with different
-    bytes is a ~2^-64 hash collision (documented, same family as the
-    engine's other hash verdicts).
-
-    Scale shape: the shared keys-only scaffold (``_dedup_with_winner``,
-    same as ``dedup_by_url``): an (8-byte url-hash, count) partial scan
-    finds recrawled urls; single-capture urls — the majority within one
-    dump set — stream through untouched; only the recaptured rows
-    resolve (driver-side under the budgets, bucketed groupby past
-    them). The html payload never rides an all-to-all."""
-    from ..functions.scalar import hash_utf8
-
-    ds = pages_ds.materialize()
-
-    def newest_per_url(tbl: pa.Table) -> pa.Table:
-        urls = np.asarray(tbl[url_col].to_pylist(), dtype=object)
-        ts = tbl[ts_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        content = tbl[content_col]
-        if isinstance(content, pa.ChunkedArray):
-            content = content.combine_chunks()
-        h2 = hash_utf8(pc.fill_null(content, b""), seed=0)
-        # lexsort: last key is primary -> url asc, then ts desc, h2
-        # desc (~h2 = 2^64-1-h2 is the overflow-safe uint64 descending key)
-        order = np.lexsort((~h2, -ts, urls))
-        _, first_idx = np.unique(urls[order], return_index=True)
-        return tbl.take(np.sort(order[first_idx]))
-
-    return _dedup_with_winner(
-        ds,
-        url_col,
-        newest_per_url,
-        num_buckets=num_buckets,
-        driver_budget_rows=driver_budget_rows,
-        driver_budget_bytes=driver_budget_bytes,
-    )
-
-
-def crawl_delta_ds(
-    old_ds,
-    new_ds,
-    *,
-    url_col: str = "url",
-    content_col: str = "html",
-    include_unchanged: bool = False,
-    num_buckets: int = 256,
-):
-    """Dump-over-dump crawl delta: classify every url across two crawl
-    snapshots as ``added`` (new dump only), ``removed`` (old dump
-    only), ``changed`` (both, different content) or ``unchanged``
-    (both, identical content; emitted only with
-    ``include_unchanged=True`` — at corpus scale the unchanged class
-    IS the corpus, the delta is the interesting O(churn) result).
-    This is the incremental-recrawl planner: feed ``added``+``changed``
-    to extraction, retire ``removed``.
-
-    Inputs are consolidated snapshots (one capture per url per side —
-    run ``latest_snapshot_ds`` first on multi-capture dumps; stray
-    duplicates within a side collapse by max content hash before
-    classification, so the result is still deterministic).
-
-    Scale shape: each side ships (url, 8-byte content hash, side) into
-    ONE coarse-bucketed groupby — html never rides the all-to-all, and
-    per-url dispatch is avoided exactly as in `_bucketed_group_apply`
-    (O(num_buckets) groups, vectorized pandas inside). Content
-    equality is hash equality: a ~2^-64-per-pair false ``unchanged``
-    is the engine's documented hash-verdict trade."""
-    from ..functions.scalar import hash_utf8, stable_bucket
-
-    def keyed(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            content = batch[content_col]
-            if isinstance(content, pa.ChunkedArray):
-                content = content.combine_chunks()
-            fill = (
-                b""
-                if pa.types.is_binary(content.type)
-                or pa.types.is_large_binary(content.type)
-                else ""
-            )
-            h = hash_utf8(pc.fill_null(content, fill), seed=0)
-            return pa.table(
-                {
-                    url_col: batch[url_col],
-                    "h": pa.array(h.view(np.int64), pa.int64()),
-                    "side": pa.array(np.full(len(h), side, np.int8), pa.int8()),
-                    "_bucket": pa.array(
-                        stable_bucket(batch[url_col], num_buckets), pa.int32()
-                    ),
-                }
-            )
-
-        return fn
-
-    keys = old_ds.map_batches(keyed(0), batch_format="pyarrow").union(
-        new_ds.map_batches(keyed(1), batch_format="pyarrow")
-    )
-
-    def classify(df: pd.DataFrame) -> pd.DataFrame:
-        # nullable Int64 throughout: a plain unstack would coerce the
-        # 64-bit hashes to float64 (53-bit mantissa), letting two
-        # DIFFERENT hashes compare equal and a changed page classify
-        # unchanged — ~2^11 worse than the documented 2^-64 trade
-        per_side = (
-            df.groupby([url_col, "side"])["h"]
-            .max()
-            .astype("Int64")
-            .unstack("side")
-        )
-        old_h = (
-            per_side[0]
-            if 0 in per_side.columns
-            else pd.Series(pd.NA, index=per_side.index, dtype="Int64")
-        )
-        new_h = (
-            per_side[1]
-            if 1 in per_side.columns
-            else pd.Series(pd.NA, index=per_side.index, dtype="Int64")
-        )
-        has_old = old_h.notna().to_numpy()
-        has_new = new_h.notna().to_numpy()
-        differs = (old_h != new_h).fillna(False).to_numpy()
-        change = np.where(
-            ~has_old,
-            "added",
-            np.where(~has_new, "removed",
-                     np.where(differs, "changed", "unchanged")),
-        )
-        out = pd.DataFrame({url_col: per_side.index, "change": change})
-        if not include_unchanged:
-            out = out[out["change"] != "unchanged"]
-        return out.reset_index(drop=True)
-
-    return keys.groupby("_bucket").map_groups(classify, batch_format="pandas")
 
 
 def _ensure_partition_dir(pdir: str) -> None:
@@ -1010,8 +859,6 @@ def run_job(
     shards_per_partition: int | None = 4,
     batch_size: int = 256,
     fail_at_partition: int | None = None,
-    table_dir: str | None = None,
-    tag: str | None = None,
 ) -> pd.DataFrame:
     """Resumable extraction job over Parquet shards.
 
@@ -1047,25 +894,9 @@ def run_job(
     resume, the sizing recorded in the existing manifests WINS over
     auto — partition boundaries must be identical across runs or
     partition ids would not line up with the committed lineage.
-    ``table_dir`` switches the commit target to the versioned table log
-    (``run_job_versioned``): each partition publishes as one atomic
-    table version with time travel / CDC / compaction for free, and
-    ``out_dir`` is ignored. Returns the per-partition counters report.
+    ``run_job_versioned`` is the same job committing to the versioned
+    table log instead. Returns the per-partition counters report.
     """
-    if tag is not None and table_dir is None:
-        raise ValueError(
-            "run_job(tag=...) requires table_dir= — release tags pin a "
-            "versioned-table snapshot; manifest mode has no versions to pin"
-        )
-    if table_dir is not None:
-        return run_job_versioned(
-            shard_files,
-            table_dir,
-            shards_per_partition=shards_per_partition,
-            batch_size=batch_size,
-            fail_at_partition=fail_at_partition,
-            tag=tag,
-        )
     committed = {m["partition_id"]: m for m in checkpoint.load_manifests(out_dir)}
     if shards_per_partition is None:
         if committed:
@@ -1272,7 +1103,7 @@ def extract_spans(sf_dir: str):
     def flatten(batch: pa.Table) -> pa.Table:
         # vectorized 1->N explode: list_flatten yields every span struct,
         # list_parent_indices maps each back to its row's url — the same
-        # Arrow idiom paragraph_dedup uses; no Python row loop.
+        # Arrow idiom paragraph_dedup_ds uses; no Python row loop.
         spans = batch["spans"]
         structs = pc.list_flatten(spans)
         parents = pc.list_parent_indices(spans)
@@ -1297,9 +1128,9 @@ def partition_pages_by_url(shard_files: list, out_dir: str, *, num_buckets: int 
     assumes ("repartition by url-hash").
 
     After this pass every occurrence of a url lives in exactly one
-    bucket, so ``run_job_partitioned`` can dedup LOCALLY per partition
-    and still be globally exact — extraction output never needs a
-    corpus-wide shuffle. The layout shuffle itself moves raw pages
+    bucket, so ``run_job(..., shards_per_partition=1)`` can dedup
+    LOCALLY per partition and still be globally exact — extraction
+    output never needs a corpus-wide shuffle. The layout shuffle itself moves raw pages
     once; at 100 TB it is amortized across every downstream run (and
     is exactly the shuffle a crawl ingest already performs).
     """
@@ -1343,22 +1174,3 @@ def partition_pages_by_url(shard_files: list, out_dir: str, *, num_buckets: int 
     return sorted(
         os.path.join(out_dir, f) for f in os.listdir(out_dir) if f.endswith(".parquet")
     ), stats
-
-
-def run_job_partitioned(
-    bucket_files: list,
-    out_dir: str,
-    *,
-    batch_size: int = 64,
-) -> pd.DataFrame:
-    """Resumable extraction over a url-hash-partitioned layout
-    (one bucket file per partition): dedup happens inside each
-    partition only, which the layout makes globally exact. This is the
-    configuration that holds at 10^12 documents — no corpus-wide
-    all-to-all at extraction time."""
-    return run_job(
-        bucket_files,
-        out_dir,
-        shards_per_partition=1,
-        batch_size=batch_size,
-    )

@@ -20,19 +20,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 
 import pyarrow as pa
 
 STAGE_REGISTRY: dict = {}
-
-
-@dataclass
-class StageSpec:
-    """One pipeline step: a registered kernel name + its options."""
-
-    name: str
-    options: dict = field(default_factory=dict)
 
 
 def register(name: str):

@@ -21,7 +21,7 @@ import pyarrow.compute as pc
 import ray
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
-from ..functions.scalar import date_bucket, month_bucket
+from ..functions.scalar import date_bucket
 from ..sources import read_table
 
 
@@ -450,61 +450,10 @@ def q3_top_orders_hashjoin(
     return _round_floats(out.rename(columns={"l_orderkey": "o_orderkey"}).reset_index(drop=True))
 
 
-# --- G1: daily usage counters over events ------------------------------------
-
-def usage_daily(sf_dir: str):
-    """Per (user_id, day) request counters — the usage_stats upsert
-    (G1) as a grouped aggregate. Day bucketing is vectorized strftime
-    (M11 analogue)."""
-    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "value", "event_type"])
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        day = date_bucket(batch["ts"])
-        err = pc.equal(batch["event_type"], "error").cast(pa.int64())
-        return pa.table(
-            {
-                "user_id": batch["user_id"],
-                "day": day,
-                "value": batch["value"],
-                "is_error": err,
-            }
-        )
-
-    out = (
-        ds.map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["user_id", "day"])
-        .aggregate(
-            Count(alias_name="requests_count"),
-            Sum("value", alias_name="total_value"),
-            Sum("is_error", alias_name="error_count"),
-        )
-    )
-    return _round_floats(out.to_pandas().sort_values(["user_id", "day"]).reset_index(drop=True))
-
-
-# --- G2/M11: monthly window sum ---------------------------------------------
-
-def usage_monthly(sf_dir: str):
-    """Month-bucketed event counts per user (reference monthly-usage
-    query G2/models.py:127-160)."""
-    ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        return pa.table({"user_id": batch["user_id"], "month": month_bucket(batch["ts"])})
-
-    out = (
-        ds.map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["user_id", "month"])
-        .aggregate(Count(alias_name="requests_count"))
-    )
-    return out.to_pandas().sort_values(["user_id", "month"]).reset_index(drop=True)
-
-
 def usage_rollup(sf_dir: str):
     """Daily AND monthly usage counters from ONE events scan (scope
     column 'day'/'month') — G1's usage_stats upsert and G2's monthly
-    count consolidated into a single gate query (driver 50-cap; the
-    separate usage_daily/usage_monthly remain as library functions).
+    count consolidated into a single gate query (driver 50-cap).
 
     Hierarchical rollup: events shuffle ONCE into the (user, day)
     aggregate; the month level is a second groupby over the day-agg
@@ -934,8 +883,7 @@ def recent_events(sf_dir: str, *, limit: int = 100):
     """Latest-k events (reference request-history O1
     user_routes.py:127-152 with its limit clamp 1..100). Top-k without
     a global sort: each batch keeps its local newest-k (vectorized
-    lexsort), the driver merges the O(blocks × k) candidates — the
-    pattern recent_events_per_user already uses, applied globally."""
+    lexsort), the driver merges the O(blocks × k) candidates."""
     limit = max(1, min(100, limit))
     ds = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"])
 
@@ -952,9 +900,8 @@ def recent_events(sf_dir: str, *, limit: int = 100):
 
 def recent_events_combined(sf_dir: str, *, limit: int = 100, k: int = 3):
     """Global latest-N and per-user latest-k from ONE scan of events
-    (consolidates the former separate ``recent_events`` and
-    ``recent_events_per_user`` gate slots — the driver reports at most
-    50 queries; both standalone pipelines remain for direct use).
+    (consolidates the former separate global and per-user gate slots —
+    the driver reports at most 50 queries).
 
     One candidate pass emits each batch's global top-``limit`` rows
     tagged ``scope='global'`` and its per-user head(``k``) rows tagged
@@ -1370,39 +1317,6 @@ def running_user_totals(sf_dir: str):
     return _round_floats(out.to_pandas().sort_values("user_id").reset_index(drop=True))
 
 
-# --- top-k per group (O1 per key) --------------------------------------------
-
-def recent_events_per_user(sf_dir: str, *, k: int = 3):
-    """Latest k events per user (request-history O1 applied per key):
-    per-batch partial top-k, then in-group final top-k — no global
-    sort."""
-    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values(["ts", "event_id"], ascending=False)
-        return pa.Table.from_pandas(
-            df.groupby("user_id", as_index=False).head(k), preserve_index=False
-        )
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df.sort_values(["ts", "event_id"], ascending=False)
-            .groupby("user_id", as_index=False)
-            .head(k)
-        )
-
-    out = _bucketed_apply(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "user_id",
-        final,
-    )
-    return (
-        out.to_pandas()
-        .sort_values(["user_id", "ts", "event_id"], ascending=[True, False, False])
-        .reset_index(drop=True)
-    )
-
-
 # --- exact median per group --------------------------------------------------
 
 def value_median(sf_dir: str):
@@ -1727,8 +1641,7 @@ def broadcast_lookup_join_ds(
         raise ValueError(
             f"broadcast_lookup_join_ds: dim has {len(key_arr) - n_distinct} "
             f"duplicate '{on}' keys — a lookup dimension must be unique "
-            "(dedupe with groupby(key).map_groups(take_first) or "
-            "drop_cluster_duplicates first)"
+            "(dedupe with groupby(key).map_groups(take_first) first)"
         )
     ref = ray.put(dim_tbl)
 

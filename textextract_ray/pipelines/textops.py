@@ -23,12 +23,11 @@ from ..functions.text import lang_id, md5_hex, quality_features, token_count
 from ..sources import read_table
 
 
-
 def _lower_token_lists(col, pattern: str = "[^a-z]+"):
     """Shared tokenizer front-end for the vocab-driven operators
-    (perplexity_buckets, tfidf_topk, train_bpe, bpe_token_stats,
-    bpe_encode_corpus): lowercase then split on ``pattern`` — one
-    definition so the train and encode sides can never drift."""
+    (perplexity_buckets, train_bpe, bpe_token_stats, bpe_encode_corpus):
+    lowercase then split on ``pattern`` — one definition so the train
+    and encode sides can never drift."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     low = pc.utf8_lower(pc.fill_null(col, ""))
@@ -41,9 +40,10 @@ def _exact_top(counts_ds, key_col: str, count_col: str, k: int) -> pd.DataFrame:
     contribute at most k global winners, so nominations are exact), the
     O(blocks·k) nomination set pulls to the driver, and the same order
     picks the global cut. This is THE nomination kernel behind every
-    top-K table in this module (perplexity_buckets, tfidf, train_bpe,
-    bigram LM) — the two-level order must be byte-identical for
-    exactness and layout invariance, so it lives in exactly one place.
+    top-K table in this module (perplexity_buckets, train_bpe,
+    train_unigram_lm) and of ``skew.key_skew_report`` — the two-level
+    order must be byte-identical for exactness and layout invariance,
+    so it lives in exactly one place.
     Returns a pandas frame of ≤k rows (empty-with-columns when the
     input has no rows)."""
 
@@ -217,9 +217,8 @@ def quality_scores(sf_dir: str):
     fractions, top-bigram share) and the heuristic language-ID
     prediction, all from the same batch — one corpus pass covers the
     whole per-doc quality family. (``pred_lang`` consolidated from the
-    former separate ``language_id`` query: the driver gate reports at
-    most 50 queries; the standalone pipeline remains as
-    ``language_id`` for direct use.)"""
+    former separate language-ID query: the driver gate reports at most
+    50 queries.)"""
     from ..functions.text import repetition_features
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
@@ -251,23 +250,6 @@ def quality_scores(sf_dir: str):
         )
 
     out = ds.map_batches(feats, batch_format="pyarrow", zero_copy_batch=True)
-    return out.to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-
-def language_id(sf_dir: str):
-    """Heuristic language ID per doc (marker-n-gram argmax)."""
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
-
-    def lid(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "lang": batch["lang"],
-                "pred_lang": lang_id(batch["text"]),
-            }
-        )
-
-    out = ds.map_batches(lid, batch_format="pyarrow", zero_copy_batch=True)
     return out.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
 
@@ -478,46 +460,6 @@ def decontaminate(
 
     out = ds.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
     return out.to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-
-def fuzzy_decontaminate(
-    sf_dir: str,
-    *,
-    bench_mod: int = 97,
-    threshold: float = 0.5,
-    num_perm: int = 64,
-    bands: int = 16,
-    k_shingle: int = 3,
-):
-    """Pytest wrapper over ``stages.dedup.fuzzy_decontaminate_against``
-    with the same deterministic corpus-carved benchmark split as
-    ``decontaminate`` (doc_id % bench_mod == 0 is the eval stand-in).
-    Flags corpus docs that are MinHash near-duplicates of any bench
-    doc — the fuzzy-overlap complement of the exact n-gram check."""
-    from ..stages.dedup import fuzzy_decontaminate_against
-
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def side(keep_bench: bool):
-        def f(batch: pa.Table) -> pa.Table:
-            ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype("int64")
-            sel = (ids % bench_mod == 0) == keep_bench
-            return batch.filter(pa.array(sel))
-
-        return f
-
-    out = fuzzy_decontaminate_against(
-        ds.map_batches(side(False), batch_format="pyarrow", zero_copy_batch=True),
-        ds.map_batches(side(True), batch_format="pyarrow", zero_copy_batch=True),
-        "text",
-        "doc_id",
-        num_perm=num_perm,
-        bands=bands,
-        k_shingle=k_shingle,
-        threshold=threshold,
-    )
-    df = out.to_pandas().rename(columns={"id": "doc_id"})
-    return df.sort_values("doc_id").reset_index(drop=True)
 
 
 def chunk_windows(sf_dir: str, *, window: int = 64, stride: int = 48):
@@ -1225,65 +1167,6 @@ def approx_distinct(sf_dir: str):
     return pd.DataFrame(rows).sort_values("table_col").reset_index(drop=True)
 
 
-def approx_distinct_per_group_ds(ds, *, group_col: str, value_col: str,
-                                 p: int = 12):
-    """Per-GROUP approximate distinct counts (distinct users per day,
-    distinct urls per host, …) via mergeable HyperLogLog partials —
-    the grouped form of ``approx_distinct``, with the merge
-    DISTRIBUTED so group cardinality is unbounded: each batch emits
-    one 2^p-byte register blob per group it contains (registers
-    max-merge, so partials are associative and layout-independent),
-    the only shuffle is the keys-only groupby of those blobs, and each
-    group's reduce is one vectorized ``np.maximum`` fold. Returns a
-    Dataset of (group_col, approx_distinct) — ~1.04/√2^p relative
-    error (1.6% at p=12). An exact per-group distinct would co-locate
-    every (group, value) pair — O(corpus) through the shuffle; this
-    ships O(batches × groups-per-batch × 2^p) bytes.
-
-    Drop ``p`` for very high group cardinality (p=8 → 256 B/partial);
-    the error bound moves, the shape does not."""
-    from ..functions.sketch import hll_add, hll_count, hll_create
-
-    def partials(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "g": batch[group_col].to_pandas(),
-                "v": batch[value_col].to_pandas(),
-            }
-        )
-        groups, blobs = [], []
-        for g, sub in df.groupby("g", sort=True, dropna=False):
-            groups.append(g)
-            blobs.append(
-                hll_add(hll_create(p), sub["v"].tolist(), p).tobytes()
-            )
-        return pa.table(
-            {
-                group_col: pa.array(groups, type=batch[group_col].type),
-                "_regs": pa.array(blobs, pa.binary()),
-            }
-        )
-
-    def merge(group: pa.Table) -> pa.Table:
-        regs = np.maximum.reduce(
-            [np.frombuffer(b, dtype=np.uint8) for b in group["_regs"].to_pylist()]
-        )
-        return pa.table(
-            {
-                group_col: group[group_col].slice(0, 1),
-                "approx_distinct": pa.array(
-                    [int(round(hll_count(regs, p)))], pa.int64()
-                ),
-            }
-        )
-
-    return (
-        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(group_col)
-        .map_groups(merge, batch_format="pyarrow")
-    )
-
-
 def approx_quantiles(sf_dir: str, *, qs=(0.25, 0.5, 0.75, 0.95)):
     """Approximate per-group quantiles of events.value via mergeable
     DDSketch-style log-binned sketches (functions/sketch
@@ -1360,8 +1243,6 @@ def ngram_jaccard(sf_dir: str, *, threshold: float = 0.5):
         return pd.DataFrame({"id_a": [], "id_b": [], "jaccard": []})
     df["jaccard"] = df["jaccard"].round(4)
     return df.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-
-
 
 
 def perplexity_buckets(
@@ -1514,8 +1395,8 @@ def _bucketed_token_counts(ds, num_buckets: int):
     the same bounds aggregate for free), so a 10^12-row caller at the
     default 64 never materializes corpus/64 rows in one ``map_groups``
     task (VERDICT r4 item 4). Bucket-count invariance is per packer:
-    ``pack_sequences_ds`` (exact prefix sums) and ``pack_best_fit_ds``
-    (global histogram solve) produce IDENTICAL output under any cut;
+    ``pack_sequences_ds`` (exact prefix sums) produces IDENTICAL output
+    under any cut;
     ``pack_bins_ds``'s next-fit bins deliberately never cross bucket
     boundaries and its bin_id embeds the bucket id, so a different nb
     shifts bin compositions/ids (each boundary may add one underfilled
@@ -1766,145 +1647,6 @@ def histogram_pack_plan(hist: dict, capacity: int):
     if placed != {L: int(n) for L, n in hist.items() if n}:
         raise AssertionError("histogram_pack_plan lost or duplicated slots")
     return final, sum(cnt for _, cnt in final)
-
-
-def pack_best_fit(sf_dir: str, *, capacity: int = 512, num_buckets: int = 64):
-    """Gate-style wrapper over ``pack_best_fit_ds`` (pandas, doc_id
-    order) — pytest surface; not in the driver's 50-query gate."""
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    out = pack_best_fit_ds(ds, capacity=capacity, num_buckets=num_buckets)
-    return out.to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-
-def pack_best_fit_ds(ds, *, capacity: int = 512, num_buckets: int = 64):
-    """Histogram-based best-fit sequence packing: boundary-respecting
-    like ``pack_bins_ds`` (a doc is never split) but near-optimal
-    instead of next-fit — the padding killer for fixed-length training
-    (Krell et al. 2021 report ~2x step-rate on BERT-512 vs naive
-    padding; next-fit leaves the tail of every bin unfilled, best-fit
-    over the histogram packs long docs with the short docs that fit).
-
-    Scale shape (three corpus-independent moving parts, corpus text
-    never shuffles):
-      1. histogram pass — per-batch (bucket, length, n) partials,
-         ≤ num_buckets x (capacity+1) 24-byte rows fold on the driver;
-      2. ``histogram_pack_plan`` solves packing over the ≤capacity-row
-         histogram driver-side and the per-length segment tables
-         (O(plan slots) ints) broadcast via closure;
-      3. assignment pass — the packers' shared contiguous doc_id-range
-         bucket cut; per bucket, each doc's per-length dense rank =
-         driver-computed exclusive bucket offset + vectorized in-bucket
-         cumcount, and rank -> pack_id is a searchsorted into the
-         broadcast segment table. Deterministic and layout-invariant:
-         ranks follow doc_id order, never arrival order.
-
-    Docs longer than ``capacity`` are clipped to a full pack of their
-    own (``truncated=True``); empty docs pack as length-1 padding
-    slots. Output: (doc_id, n_tokens, pack_id, truncated) with dense
-    pack ids — ``bin_id`` sparsity and the dense-rank renumbering pass
-    of ``pack_bins_ds`` are unnecessary here because pack ids come from
-    the driver plan, already dense."""
-    import ray
-
-    empty = pa.table(
-        {
-            "doc_id": pa.array([], pa.int64()),
-            "n_tokens": pa.array([], pa.int64()),
-            "pack_id": pa.array([], pa.int64()),
-            "truncated": pa.array([], pa.bool_()),
-        }
-    )
-    front = _bucketed_token_counts(ds, num_buckets)
-    if front is None:
-        return ray.data.from_arrow(empty)
-    counts, _ = front
-    proj = ds.map_batches(counts, batch_format="pyarrow", zero_copy_batch=True)
-
-    # pass 1: (bucket, clipped length, n) partials -> driver fold
-    def length_partials(batch: pa.Table) -> pa.Table:
-        b = batch["_bucket"].to_numpy(zero_copy_only=False).astype(np.int64)
-        L = np.clip(
-            batch["n_tokens"].to_numpy(zero_copy_only=False), 1, capacity
-        ).astype(np.int64)
-        key = b * np.int64(capacity + 1) + L
-        uk, cnt = np.unique(key, return_counts=True)
-        return pa.table(
-            {
-                "_bucket": pa.array(uk // (capacity + 1), pa.int64()),
-                "length": pa.array(uk % (capacity + 1), pa.int64()),
-                "n": pa.array(cnt, pa.int64()),
-            }
-        )
-
-    bl: dict = {}  # (bucket, length) -> n
-    for t in proj.map_batches(length_partials, batch_format="pyarrow").iter_batches(
-        batch_size=None, batch_format="pyarrow"
-    ):
-        for b, L, n in zip(
-            t["_bucket"].to_numpy(zero_copy_only=False),
-            t["length"].to_numpy(zero_copy_only=False),
-            t["n"].to_numpy(zero_copy_only=False),
-        ):
-            bl[(int(b), int(L))] = bl.get((int(b), int(L)), 0) + int(n)
-    if not bl:
-        return ray.data.from_arrow(empty)
-    hist: dict = {}
-    for (_, L), n in bl.items():
-        hist[L] = hist.get(L, 0) + n
-
-    classes, _n_packs = histogram_pack_plan(hist, capacity)
-
-    # per-length segment tables: rank r of length L -> (class, instance)
-    bases = np.cumsum([0] + [cnt for _, cnt in classes])
-    seg: dict = {}  # L -> (slot_cum, base, count) arrays in class order
-    for i, (comp, cnt) in enumerate(classes):
-        for L, m in comp.items():
-            seg.setdefault(L, []).append((m * cnt, int(bases[i]), cnt))
-    seg_tables = {
-        L: (
-            np.cumsum([s for s, _, _ in rows]),
-            np.asarray([b for _, b, _ in rows], dtype=np.int64),
-            np.asarray([c for _, _, c in rows], dtype=np.int64),
-        )
-        for L, rows in seg.items()
-    }
-
-    # per-(bucket, length) exclusive rank offsets (bucket order)
-    offsets: dict = {}
-    acc: dict = {}
-    for b, L in sorted(bl):
-        offsets[(b, L)] = acc.get(L, 0)
-        acc[L] = acc.get(L, 0) + bl[(b, L)]
-
-    def assign(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("doc_id").reset_index(drop=True)
-        bucket = int(df["_bucket"].iloc[0])
-        nt = df["n_tokens"].to_numpy(np.int64)
-        L = np.clip(nt, 1, capacity)
-        pack = np.empty(len(df), dtype=np.int64)
-        # vectorized per distinct length (<= capacity groups per bucket)
-        order = np.argsort(L, kind="stable")
-        Ls = L[order]
-        starts = np.flatnonzero(np.r_[True, Ls[1:] != Ls[:-1]])
-        ends = np.r_[starts[1:], len(Ls)]
-        for s, e in zip(starts, ends):
-            lv = int(Ls[s])
-            idx = order[s:e]  # doc_id-ascending within the length class
-            rank = offsets[(bucket, lv)] + np.arange(e - s, dtype=np.int64)
-            slot_cum, base, count = seg_tables[lv]
-            si = np.searchsorted(slot_cum, rank, side="right")
-            seg_start = np.where(si > 0, slot_cum[si - 1], 0)
-            pack[idx] = base[si] + (rank - seg_start) % count[si]
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].astype("int64"),
-                "n_tokens": nt,
-                "pack_id": pack,
-                "truncated": nt > capacity,
-            }
-        )
-
-    return proj.groupby("_bucket").map_groups(assign, batch_format="pandas")
 
 
 def epoch_stream(sf_dir: str, *, seed: int = 0, weights=None):
@@ -2229,12 +1971,12 @@ def paragraph_dedup_ds(
     def _check_types(batch: pa.Table) -> None:
         if not pa.types.is_integer(batch[id_col].type):
             raise TypeError(
-                f"paragraph_dedup: id column {id_col!r} must be integer, "
+                f"paragraph_dedup_ds: id column {id_col!r} must be integer, "
                 f"got {batch[id_col].type}"
             )
         if not pa.types.is_string(batch[text_col].type):
             raise TypeError(
-                f"paragraph_dedup: text column {text_col!r} must be string, "
+                f"paragraph_dedup_ds: text column {text_col!r} must be string, "
                 f"got {batch[text_col].type}"
             )
 
@@ -2320,17 +2062,6 @@ def paragraph_dedup_ds(
     )
 
 
-def paragraph_dedup(sf_dir: str, **kw):
-    """paragraph_dedup_ds over the documents table, sorted for compare."""
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    return (
-        paragraph_dedup_ds(docs, **kw)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Exact-substring dedup (Lee et al. 2021, ExactSubstr) at k-gram resolution
 # ---------------------------------------------------------------------------
@@ -2398,12 +2129,12 @@ def exact_substring_dedup_ds(
     def _check_types(batch: pa.Table) -> None:
         if not pa.types.is_integer(batch[id_col].type):
             raise TypeError(
-                f"exact_substring_dedup: id column {id_col!r} must be integer, "
+                f"exact_substring_dedup_ds: id column {id_col!r} must be integer, "
                 f"got {batch[id_col].type}"
             )
         if not pa.types.is_string(batch[text_col].type):
             raise TypeError(
-                f"exact_substring_dedup: text column {text_col!r} must be "
+                f"exact_substring_dedup_ds: text column {text_col!r} must be "
                 f"string, got {batch[text_col].type}"
             )
 
@@ -2496,19 +2227,6 @@ def exact_substring_dedup_ds(
         num_buckets=num_buckets,
         broadcast_budget=broadcast_budget,
         check_types=_check_types,
-    )
-
-
-def exact_substring_dedup(sf_dir: str, **kw):
-    """exact_substring_dedup_ds over the documents table, sorted for
-    compare (thin gate-style wrapper; the Dataset core above is the
-    100-TB surface)."""
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    return (
-        exact_substring_dedup_ds(docs, **kw)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
     )
 
 
@@ -2622,27 +2340,6 @@ def c4_clean_ds(
     return docs.map_batches(clean, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def c4_clean(sf_dir: str, **kw):
-    """c4_clean_ds over the documents table, sorted for compare.
-    (A fully-filtered corpus — plausible: C4 keeps ~10% of raw crawl —
-    comes back as a typed empty frame, not a schema-less one.)"""
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    df = c4_clean_ds(docs, **kw).to_pandas()
-    if df.empty:
-        df = pd.DataFrame(
-            {
-                "doc_id": pd.Series(dtype="int64"),
-                "text": pd.Series(dtype="object"),
-                "n_dropped": pd.Series(dtype="int32"),
-            }
-        )
-    return df.sort_values("doc_id").reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
-# URL / domain blocklist filtering (UT1-style, RefinedWeb / Dolma stage)
-# ---------------------------------------------------------------------------
-
 BLOCKLIST_MAX_LABELS = 8  # deepest suffix checked (hosts rarely exceed this)
 
 
@@ -2709,176 +2406,6 @@ def filter_blocked_hosts_ds(
         return batch.filter(pa.array(mask))
 
     return pages.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# ---------------------------------------------------------------------------
-# TF-IDF keyword extraction
-# ---------------------------------------------------------------------------
-
-
-def tfidf_topk_ds(
-    docs,
-    *,
-    m: int = 5,
-    vocab_top: int = 50_000,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-):
-    """Per-document top-``m`` keywords by TF-IDF (smooth idf,
-    sklearn's convention: ``idf = ln((1+N)/(1+df)) + 1``) over the
-    corpus's own top-``vocab_top``-by-df vocabulary — the classic
-    keyword/topic-feature extraction stage of a document pipeline.
-    Deterministic everywhere: the vocabulary cutoff orders by
-    (df DESC, term ASC) and per-doc ranking by (score DESC, term ASC),
-    so reruns and layout changes cannot move a keyword.
-
-    Tokens are lowercase ``[a-z0-9]+`` runs (same RE2 family as the
-    CCNet vocab pass, so the DuckDB oracle reproduces tokenization
-    exactly).
-
-    Two streaming passes (the idf side must close before scoring, same
-    shape as ``perplexity_buckets``):
-
-    1. **Document frequencies** — per batch: per-doc UNIQUE terms →
-       (term, df) partials (shuffle ships term+count pairs, never
-       text) → one groupby sum → exact global top-V via per-block
-       local-top nomination + O(blocks·V) driver merge.
-    2. **Scoring** — the V-row (term, idf, alphabetical-rank) table
-       broadcasts once via ``ray.put``; each batch does one
-       ``pc.index_in`` lookup, a combined-key ``np.unique`` for
-       per-(doc, term) tf, and a vectorized lexsort + segment-rank to
-       take the per-doc top-m. No Python loop over rows or terms.
-
-    Returns (id_col, rank, term, tf, score) rows, rank 1..m, score
-    rounded to 4 dp; docs with no in-vocab tokens emit nothing.
-    """
-    import ray
-
-    def partial_df(batch: pa.Table) -> pa.Table:
-        lists = _lower_token_lists(batch[text_col], pattern="[^a-z0-9]+")
-        flat = pc.list_flatten(lists)
-        parent = pc.list_parent_indices(lists).to_numpy(zero_copy_only=False)
-        keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-        pdf = pd.DataFrame(
-            {"term": flat.to_numpy(zero_copy_only=False)[keep], "p": parent[keep]}
-        ).drop_duplicates()
-        vc = pdf["term"].value_counts()
-        return pa.table(
-            {
-                "term": pa.array(vc.index.to_numpy(), pa.string()),
-                "df": pa.array(vc.to_numpy(np.int64), pa.int64()),
-            }
-        )
-
-    dfs = (
-        docs.map_batches(partial_df, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("term")
-        .aggregate(Sum("df", alias_name="df"))
-        .materialize()
-    )
-    n_docs = docs.count()
-    empty = pd.DataFrame(
-        {
-            id_col: pd.Series(dtype="int64"),
-            "rank": pd.Series(dtype="int64"),
-            "term": pd.Series(dtype="object"),
-            "tf": pd.Series(dtype="int64"),
-            "score": pd.Series(dtype="float64"),
-        }
-    )
-    if dfs.count() == 0:
-        return ray.data.from_pandas(empty)
-
-    vocab = _exact_top(dfs, "term", "df", vocab_top)
-    vocab_terms = pa.array(vocab["term"].tolist(), pa.string())
-    idf = np.log((1.0 + n_docs) / (1.0 + vocab["df"].to_numpy(np.float64))) + 1.0
-    # alphabetical rank per vocab slot, for the vectorized term-asc
-    # tie-break without string comparisons in the hot loop
-    alpha_rank = np.empty(len(vocab), dtype=np.int64)
-    alpha_rank[np.argsort(vocab["term"].to_numpy(), kind="stable")] = np.arange(
-        len(vocab), dtype=np.int64
-    )
-    vref = ray.put((vocab_terms, idf, alpha_rank))
-
-    V = len(vocab)
-
-    def score(batch: pa.Table) -> pa.Table:
-        va, idf_vals, arank = ray.get(vref)
-        lists = _lower_token_lists(batch[text_col], pattern="[^a-z0-9]+")
-        flat = pc.list_flatten(lists)
-        parent = pc.list_parent_indices(lists).to_numpy(zero_copy_only=False)
-        keep = pc.not_equal(flat, "")
-        parent = parent[keep.to_numpy(zero_copy_only=False)]
-        flat = flat.filter(keep)
-        idx = (
-            pc.fill_null(pc.index_in(flat, value_set=va), -1)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        iv = idx >= 0  # OOV (outside top-V vocab) contributes nothing
-        parent, idx = parent[iv], idx[iv]
-        if len(idx) == 0:
-            return pa.table(
-                {
-                    id_col: pa.array([], pa.int64()),
-                    "rank": pa.array([], pa.int64()),
-                    "term": pa.array([], pa.string()),
-                    "tf": pa.array([], pa.int64()),
-                    "score": pa.array([], pa.float64()),
-                }
-            )
-        key = parent * V + idx
-        ukey, tf = np.unique(key, return_counts=True)
-        udoc, uidx = ukey // V, ukey % V
-        sc = tf.astype(np.float64) * idf_vals[uidx]
-        # per-doc top-m: primary doc, then score desc, then term asc
-        order = np.lexsort((arank[uidx], -sc, udoc))
-        udoc, uidx, tf, sc = udoc[order], uidx[order], tf[order], sc[order]
-        seg_start = np.flatnonzero(np.concatenate(([True], udoc[1:] != udoc[:-1])))
-        rank = np.arange(len(udoc), dtype=np.int64) - np.repeat(
-            seg_start, np.diff(np.concatenate((seg_start, [len(udoc)])))
-        )
-        top = rank < m
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                id_col: pa.array(ids[udoc[top]], pa.int64()),
-                "rank": pa.array(rank[top] + 1, pa.int64()),
-                "term": pc.take(va, pa.array(uidx[top], pa.int64())),
-                "tf": pa.array(tf[top].astype(np.int64), pa.int64()),
-                # same symmetric rounding as the engine's other
-                # float-parity surfaces (DuckDB round() convention)
-                "score": pc.round(
-                    pa.array(sc[top], pa.float64()),
-                    ndigits=4,
-                    round_mode="half_towards_infinity",
-                ),
-            }
-        )
-
-    return docs.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def tfidf_topk(sf_dir: str, **kw):
-    """tfidf_topk_ds over the documents table, sorted for compare."""
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    df = tfidf_topk_ds(docs, **kw).to_pandas()
-    if df.empty and "doc_id" not in df.columns:
-        df = pd.DataFrame(
-            {
-                "doc_id": pd.Series(dtype="int64"),
-                "rank": pd.Series(dtype="int64"),
-                "term": pd.Series(dtype="object"),
-                "tf": pd.Series(dtype="int64"),
-                "score": pd.Series(dtype="float64"),
-            }
-        )
-    return df.sort_values(["doc_id", "rank"]).reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
-# Deterministic exact-k sampling (bottom-k by hash)
-# ---------------------------------------------------------------------------
 
 
 def sample_bottomk_ds(ds, *, k: int, seed: int = 0, id_col: str = "doc_id",
@@ -3480,183 +3007,6 @@ def pretraining_prep(
     return pd.DataFrame(rows, columns=["stage", "rows"])
 
 
-# --- DSIR importance resampling (Xie et al. 2023, arXiv:2302.03169) -----------
-
-DSIR_N_BUCKETS = 8192
-DSIR_FEATURE_SEED = 0x5D51
-
-
-def _hashed_ngram_buckets(text_col, n_buckets: int, seed: int = DSIR_FEATURE_SEED):
-    """DSIR's hashed bag-of-ngrams features: unigram + bigram token
-    strings hashed into ``n_buckets`` with the repo-owned hash family.
-    Fully vectorized — tokens flatten once (`list_flatten` +
-    `list_parent_indices`), bigrams are the adjacent filtered-token
-    pairs whose parent doc matches (`binary_join_element_wise`), and
-    both gram families go through one `hash_utf8` call each. Returns
-    ``(bucket_ids, parent_rows)`` as int64 numpy arrays (one entry per
-    feature OCCURRENCE, so downstream `bincount`s count multiplicity
-    exactly as the paper's feature counts do)."""
-    from ..functions.scalar import hash_utf8
-
-    lists = _lower_token_lists(text_col)
-    flat = pc.list_flatten(lists)
-    parent = pc.list_parent_indices(lists).to_numpy(zero_copy_only=False).astype(np.int64)
-    keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-    parent = parent[keep]
-    flat = flat.filter(pa.array(keep))
-    if len(flat) == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    uni = (hash_utf8(flat, seed=seed) % np.uint64(n_buckets)).astype(np.int64)
-    if len(flat) > 1:
-        same = parent[1:] == parent[:-1]
-        lhs = flat.slice(0, len(flat) - 1).filter(pa.array(same))
-        rhs = flat.slice(1).filter(pa.array(same))
-        big = pc.binary_join_element_wise(lhs, rhs, " ")
-        bi = (hash_utf8(big, seed=seed) % np.uint64(n_buckets)).astype(np.int64)
-        bparent = parent[:-1][same]
-    else:
-        bi = np.empty(0, np.int64)
-        bparent = np.empty(0, np.int64)
-    return np.concatenate([uni, bi]), np.concatenate([parent, bparent])
-
-
-def dsir_select_ds(
-    ds,
-    *,
-    k: int,
-    target_col: str = "source",
-    target_values=("src0",),
-    n_buckets: int = DSIR_N_BUCKETS,
-    seed: int = 0,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-):
-    """DSIR — Data Selection via Importance Resampling (Xie et al.
-    2023, arXiv:2302.03169): pick the ``k`` raw-corpus documents whose
-    hashed-ngram feature distribution looks most like a small target
-    domain, by importance weighting + Gumbel top-k resampling.
-
-    Rows where ``target_col ∈ target_values`` ARE the target domain;
-    everything else is the raw pool being selected from.
-
-    Scale shape — two streaming passes, no payload shuffle:
-
-    1. **Fit** (one corpus pass): each batch bincounts its hashed
-       unigram+bigram features into target/raw histograms and ships
-       only the non-zero ``(bucket, tgt_n, raw_n)`` partials
-       (≤ n_buckets rows per batch); one small groupby-sum and the
-       driver folds ≤ n_buckets rows into the Laplace-smoothed
-       log-importance vector ``log p_tgt(b) − log p_raw(b)`` — a
-       fixed 64 KiB-scale array, broadcast once via ``ray.put``.
-    2. **Score + resample** (one raw-pool pass): per batch, feature
-       log-weights reduce per doc with one ``np.bincount``; the
-       Gumbel key ``logw + G_i`` uses deterministic per-doc noise
-       ``G_i = −log(−log u_i)`` with ``u_i`` from the repo hash of
-       (id, seed), so the resample is reproducible, retry-stable and
-       layout-invariant. Selection is the engine's local-top-k
-       nomination + O(blocks·k) driver merge (the exact-top-k
-       pattern shared with ``sample_bottomk_ds``/``recent_events``).
-
-    Returns a pandas frame (id, dsir_logweight, gumbel_key) of the
-    selected rows, gumbel_key descending."""
-    import ray
-
-    from ..functions.scalar import hash_utf8
-
-    tvals = set(target_values)
-
-    def _tgt_mask(batch: pa.Table) -> np.ndarray:
-        return pc.is_in(
-            batch[target_col], value_set=pa.array(sorted(tvals))
-        ).to_numpy(zero_copy_only=False)
-
-    def partials(batch: pa.Table) -> pa.Table:
-        tgt = _tgt_mask(batch)
-        b, parent = _hashed_ngram_buckets(batch[text_col], n_buckets)
-        is_tgt = tgt[parent]
-        tgt_n = np.bincount(b[is_tgt], minlength=n_buckets)
-        raw_n = np.bincount(b[~is_tgt], minlength=n_buckets)
-        nz = np.flatnonzero((tgt_n > 0) | (raw_n > 0))
-        return pa.table(
-            {
-                "bucket": pa.array(nz, pa.int64()),
-                "tgt_n": pa.array(tgt_n[nz], pa.int64()),
-                "raw_n": pa.array(raw_n[nz], pa.int64()),
-            }
-        )
-
-    hist = (
-        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .aggregate(Sum("tgt_n", alias_name="tgt_n"), Sum("raw_n", alias_name="raw_n"))
-        .to_pandas()
-    )
-    empty = pd.DataFrame(
-        {
-            id_col: pd.Series(dtype="int64"),
-            "dsir_logweight": pd.Series(dtype="float64"),
-            "gumbel_key": pd.Series(dtype="float64"),
-        }
-    )
-    if hist.empty:
-        return empty
-    tgt_full = np.zeros(n_buckets, np.int64)
-    raw_full = np.zeros(n_buckets, np.int64)
-    bk = hist["bucket"].to_numpy(np.int64)
-    tgt_full[bk] = hist["tgt_n"].to_numpy(np.int64)
-    raw_full[bk] = hist["raw_n"].to_numpy(np.int64)
-    # Laplace(+1) smoothing on both sides so unseen buckets are finite
-    logratio = np.log(tgt_full + 1.0) - np.log(float(tgt_full.sum() + n_buckets))
-    logratio -= np.log(raw_full + 1.0) - np.log(float(raw_full.sum() + n_buckets))
-    lref = ray.put(logratio)
-
-    def nominate(batch: pa.Table) -> pa.Table:
-        lr = ray.get(lref)
-        tgt = _tgt_mask(batch)
-        b, parent = _hashed_ngram_buckets(batch[text_col], n_buckets)
-        logw = np.bincount(parent, weights=lr[b], minlength=batch.num_rows)
-        ids = batch[id_col]
-        u = (
-            hash_utf8(pc.fill_null(ids.cast(pa.string()), "None"), seed=seed).astype(
-                np.float64
-            )
-            + 0.5
-        ) / float(1 << 64)
-        key = logw + -np.log(-np.log(u))
-        df = pd.DataFrame(
-            {
-                id_col: ids.to_pandas(),
-                "dsir_logweight": logw,
-                "gumbel_key": key,
-            }
-        )[~tgt]
-        df = df.sort_values(
-            ["gumbel_key", id_col], ascending=[False, True], kind="mergesort"
-        )
-        return pa.Table.from_pandas(df.head(k), preserve_index=False)
-
-    cand = ds.map_batches(
-        nominate, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()
-    if cand.empty:
-        return empty
-    out = cand.sort_values(
-        ["gumbel_key", id_col], ascending=[False, True], kind="mergesort"
-    ).head(k)
-    return out.reset_index(drop=True)
-
-
-def dsir_select(sf_dir: str, *, k: int = 50, **kw):
-    """dsir_select_ds over the documents table (target domain defaults
-    to source == 'src0'; the other 19 sources are the raw pool)."""
-    cols = ["doc_id", "text", kw.get("target_col", "source")]
-    ds = read_table(sf_dir, "documents", columns=sorted(set(cols)))
-    return dsir_select_ds(ds, k=k, **kw)
-
-
-# --- UniMax / temperature source mixing (Chung et al. 2023, arXiv:2304.09151) --
-
-
 def source_token_counts_ds(
     ds, *, key_col: str = "source", text_col: str = "text"
 ) -> dict[str, int]:
@@ -3804,8 +3154,6 @@ def unimax_mix_ds(
     )
 
 
-# --- cross-corpus overlap via bottom-k sketches (Broder 1997) -----------------
-
 OVERLAP_SKETCH_K = 256
 
 
@@ -3882,9 +3230,6 @@ def corpus_overlap_ds(
             est = float(in_both.sum()) / len(union) if len(union) else 0.0
             out_rows.append((a, b, round(est, 6), len(sa), len(sb)))
     return pd.DataFrame(out_rows, columns=cols)
-
-
-# --- quantile-calibrated adaptive filtering -----------------------------------
 
 
 def quantile_thresholds_ds(
@@ -3978,124 +3323,6 @@ def quantile_filter_ds(
         ds.map_batches(apply, batch_format="pyarrow", zero_copy_batch=True),
         thresholds,
     )
-
-
-# --- one-pass corpus profile ("corpus card") ----------------------------------
-
-
-def corpus_profile_ds(
-    ds,
-    *,
-    group_col: str = "lang",
-    text_col: str = "text",
-    url_col: str | None = None,
-) -> dict:
-    """One-pass corpus profiling: everything a datasheet/corpus-card
-    needs from a single streaming scan — per-group doc counts, token
-    and byte totals, empty-doc counts, a distinct-content HLL, a
-    distinct-host HLL (when url_col given), and a token-length
-    quantile sketch per group. All partials are mergeable (sums, HLL
-    registers, DDSketch bins), so one map_batches pass ships a few KiB
-    per (batch, group) and the driver folds O(batches·groups) rows —
-    at 100 TB this replaces 5+ separate aggregation passes with one.
-
-    Returns {group: {n_docs, n_tokens, n_bytes, n_empty,
-    approx_distinct_texts, approx_distinct_hosts?, token_quantiles
-    {p25, p50, p75, p95}}}, deterministic and layout-stable (every
-    partial commutes)."""
-    import json
-
-    from ..functions.sketch import (
-        hll_add,
-        hll_create,
-        hll_count,
-        hll_merge,
-        quantile_sketch,
-        quantile_sketch_merge,
-        quantile_sketch_value,
-    )
-
-    cols = [group_col, text_col] + ([url_col] if url_col else [])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        texts = pc.fill_null(batch[text_col], "")
-        nt = token_count(texts).to_numpy(zero_copy_only=False).astype(np.int64)
-        nb = pc.binary_length(texts).to_numpy(zero_copy_only=False).astype(np.int64)
-        groups = np.asarray(batch[group_col].to_pylist(), dtype=object)
-        hosts = None
-        if url_col is not None:
-            hosts = pc.extract_regex(
-                pc.fill_null(batch[url_col], ""), r"^[a-z+]+://(?P<host>[^/]+)"
-            )
-        out_k, out_blob = [], []
-        for g in np.unique(groups):
-            m = groups == g
-            sub = texts.filter(pa.array(m))
-            reg = hll_add(hll_create(), sub.to_pylist())
-            blob = {
-                "n_docs": int(m.sum()),
-                "n_tokens": int(nt[m].sum()),
-                "n_bytes": int(nb[m].sum()),
-                "n_empty": int((nt[m] == 0).sum()),
-                "hll_text": reg.tolist(),
-                "qs": quantile_sketch(nt[m].astype(np.float64)),
-            }
-            if hosts is not None:
-                hv = hosts.filter(pa.array(m)).to_pylist()
-                hreg = hll_add(
-                    hll_create(), [h["host"] if h else "" for h in hv]
-                )
-                blob["hll_host"] = hreg.tolist()
-            out_k.append(str(g))
-            out_blob.append(json.dumps(blob))
-        return pa.table(
-            {"k": pa.array(out_k, pa.string()), "blob": pa.array(out_blob, pa.string())}
-        )
-
-    acc: dict[str, dict] = {}
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    for b in parts.iter_batches(batch_size=256, batch_format="pyarrow"):
-        for key, blob in zip(b["k"].to_pylist(), b["blob"].to_pylist()):
-            p = json.loads(blob)
-            p["qs"]["pos"] = {int(x): v for x, v in p["qs"]["pos"].items()}
-            p["qs"]["neg"] = {int(x): v for x, v in p["qs"]["neg"].items()}
-            if key not in acc:
-                acc[key] = p
-                continue
-            a = acc[key]
-            for f in ("n_docs", "n_tokens", "n_bytes", "n_empty"):
-                a[f] += p[f]
-            a["hll_text"] = hll_merge(
-                np.array(a["hll_text"], np.uint8), np.array(p["hll_text"], np.uint8)
-            ).tolist()
-            if "hll_host" in p:
-                a["hll_host"] = hll_merge(
-                    np.array(a["hll_host"], np.uint8),
-                    np.array(p["hll_host"], np.uint8),
-                ).tolist()
-            a["qs"] = quantile_sketch_merge(a["qs"], p["qs"])
-
-    out: dict[str, dict] = {}
-    for key, a in sorted(acc.items()):
-        rec = {
-            "n_docs": a["n_docs"],
-            "n_tokens": a["n_tokens"],
-            "n_bytes": a["n_bytes"],
-            "n_empty": a["n_empty"],
-            "approx_distinct_texts": round(
-                hll_count(np.array(a["hll_text"], np.uint8)), 1
-            ),
-            "token_quantiles": {
-                f"p{int(q * 100)}": round(quantile_sketch_value(a["qs"], q), 2)
-                for q in (0.25, 0.5, 0.75, 0.95)
-            },
-        }
-        if "hll_host" in a:
-            rec["approx_distinct_hosts"] = round(
-                hll_count(np.array(a["hll_host"], np.uint8)), 1
-            )
-        out[key] = rec
-    return out
 
 
 # --- frequent-line boilerplate removal (CCNet §2.1 / RefinedWeb line-wise) ----
@@ -4468,80 +3695,6 @@ def filter_noindex_ds(
         if audit:
             return batch.append_column("noindex", flagged)
         return batch.filter(pc.invert(flagged))
-
-    return pages.map_batches(kernel, batch_format="pyarrow", zero_copy_batch=True)
-
-
-_HEAD_META_FIELDS = {
-    # field -> (primary pattern, alternate attribute-order pattern)
-    "title": (r"(?is)<title[^>]*>(?P<v>.*?)</title>", None),
-    "canonical_url": (
-        r'(?is)<link[^>]+rel\s*=\s*["\x27]?canonical["\x27 ][^>]*href\s*=\s*["\x27](?P<v>[^"\x27>]+)',
-        r'(?is)<link[^>]+href\s*=\s*["\x27](?P<v>[^"\x27>]+)["\x27][^>]*rel\s*=\s*["\x27]?canonical',
-    ),
-    "og_title": (
-        r'(?is)<meta[^>]+property\s*=\s*["\x27]og:title["\x27][^>]*content\s*=\s*["\x27](?P<v>[^"\x27]*)',
-        r'(?is)<meta[^>]+content\s*=\s*["\x27](?P<v>[^"\x27]*)["\x27][^>]*property\s*=\s*["\x27]og:title["\x27]',
-    ),
-    "og_description": (
-        r'(?is)<meta[^>]+property\s*=\s*["\x27]og:description["\x27][^>]*content\s*=\s*["\x27](?P<v>[^"\x27]*)',
-        r'(?is)<meta[^>]+content\s*=\s*["\x27](?P<v>[^"\x27]*)["\x27][^>]*property\s*=\s*["\x27]og:description["\x27]',
-    ),
-    "meta_description": (
-        r'(?is)<meta[^>]+name\s*=\s*["\x27]description["\x27][^>]*content\s*=\s*["\x27](?P<v>[^"\x27]*)',
-        r'(?is)<meta[^>]+content\s*=\s*["\x27](?P<v>[^"\x27]*)["\x27][^>]*name\s*=\s*["\x27]description["\x27]',
-    ),
-    "html_lang": (r'(?is)<html[^>]+lang\s*=\s*["\x27]?(?P<v>[a-zA-Z-]+)', None),
-}
-
-_ENTITY_MAP = (
-    ("&amp;", "&"), ("&lt;", "<"), ("&gt;", ">"),
-    ("&quot;", '"'), ("&#39;", "'"), ("&nbsp;", " "),
-)
-
-
-def extract_head_meta_ds(pages, *, html_col: str = "html",
-                         scan_bytes: int = 16384):
-    """Head-metadata extraction — the page-level structured fields a
-    web corpus catalogs next to the main content: <title>, canonical
-    link, og:title / og:description, meta description, and the <html
-    lang> attribute. The canonical url in particular feeds the URL
-    dedup path (`canonicalize_url` strips params; the publisher's own
-    rel=canonical beats any heuristic).
-
-    One vectorized RE2 ``extract_regex`` pass per field over the
-    first ``scan_bytes`` of the RAW payload (binary kernels — no
-    document decode; the head metadata lives in <head> by contract,
-    the same bound the noindex filter uses); both attribute orders
-    are matched and coalesced. Only the EXTRACTED values (titles — a
-    few dozen bytes) decode to text, utf-8 with replacement, then a
-    minimal entity unescape. Absent fields are null. Appends the six
-    columns; ZERO shuffle."""
-
-    def kernel(batch: pa.Table) -> pa.Table:
-        payload = batch[html_col]
-        if isinstance(payload, pa.ChunkedArray):
-            payload = payload.combine_chunks()
-        head = pc.binary_slice(pc.fill_null(payload, b""), 0, scan_bytes)
-        out = batch
-        for field, (pat, alt) in _HEAD_META_FIELDS.items():
-            v = pc.struct_field(pc.extract_regex(head, pattern=pat), "v")
-            if alt is not None:
-                v2 = pc.struct_field(pc.extract_regex(head, pattern=alt), "v")
-                v = pc.coalesce(v, v2)
-            vals = []
-            for raw in v.to_pylist():
-                if raw is None:
-                    vals.append(None)
-                    continue
-                s = raw.decode("utf-8", "replace").strip()
-                for ent, ch in _ENTITY_MAP:
-                    if "&" not in s:
-                        break
-                    s = s.replace(ent, ch)
-                vals.append(" ".join(s.split()) if field == "title" else s)
-            out = out.append_column(field, pa.array(vals, pa.string()))
-        return out
 
     return pages.map_batches(kernel, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -4958,600 +4111,6 @@ def gopher_filter_ds(docs, *, text_col: str = "text", audit: bool = False):
     return docs.map_batches(kernel, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def host_flag_filter_ds(
-    docs,
-    *,
-    url_col: str = "url",
-    flag_col: str,
-    min_docs: int = 10,
-    max_flag_frac: float = 0.5,
-    audit: bool = False,
-    budget_rows: int = 50_000_000,
-):
-    """Domain-level quality filtering (the C4/RefinedWeb/FineWeb move
-    of judging HOSTS, not just documents): aggregate a per-document
-    boolean quality flag (``flag_col`` — e.g. Gopher-audit failure,
-    classifier verdict, PII hit) per host, and drop EVERY document
-    from hosts where the flagged fraction exceeds ``max_flag_frac``
-    over at least ``min_docs`` documents (small hosts never convict —
-    one bad page on a 3-page host is noise, 600 on a 1000-page host is
-    a content farm). ``audit=True`` returns the per-host stats table
-    (host, n_docs, n_flagged, flag_frac, host_bad) instead of
-    filtering.
-
-    Scale shape — hierarchical rollup + small-side broadcast: one pass
-    emits PRE-COMBINED per-batch (host, n, n_flagged) partials, the
-    only shuffle is the keys-only groupby of those partials
-    (host-cardinality, never corpus); the convicted-host DENYLIST is
-    O(bad hosts) — broadcast once through the public anti semi-join
-    (`relational.broadcast_semi_join_ds`), so the corpus itself never
-    shuffles. ``budget_rows`` is that join's broadcast guard."""
-    from ..functions.scalar import url_host
-    from .relational import broadcast_semi_join_ds
-
-    def partials(batch: pa.Table) -> pa.Table:
-        host = url_host(batch[url_col])
-        flag = pc.fill_null(batch[flag_col], False)
-        df = pd.DataFrame(
-            {
-                "host": host.to_pylist(),
-                "n": 1,
-                "n_flagged": flag.to_numpy(zero_copy_only=False).astype(np.int64),
-            }
-        )
-        agg = df.groupby("host", as_index=False).sum()
-        return pa.Table.from_pandas(agg, preserve_index=False)
-
-    stats = (
-        docs.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("host")
-        .sum(["n", "n_flagged"])
-        .map_batches(
-            lambda b: b.rename_columns(["host", "n_docs", "n_flagged"]),
-            batch_format="pyarrow",
-        )
-    )
-
-    def verdict(batch: pa.Table) -> pa.Table:
-        n = batch["n_docs"].to_numpy(zero_copy_only=False).astype(np.float64)
-        f = batch["n_flagged"].to_numpy(zero_copy_only=False).astype(np.float64)
-        frac = np.where(n > 0, f / np.maximum(n, 1), 0.0)
-        bad = (n >= min_docs) & (frac > max_flag_frac)
-        out = batch.append_column("flag_frac", pa.array(frac, pa.float64()))
-        return out.append_column("host_bad", pa.array(bad))
-
-    stats = stats.map_batches(verdict, batch_format="pyarrow")
-    if audit:
-        return stats
-
-    bad_hosts = stats.map_batches(
-        lambda b: b.filter(b["host_bad"]).select(["host"]),
-        batch_format="pyarrow",
-    )
-
-    def with_host(batch: pa.Table) -> pa.Table:
-        return batch.append_column("_host", url_host(batch[url_col]))
-
-    kept = broadcast_semi_join_ds(
-        docs.map_batches(with_host, batch_format="pyarrow", zero_copy_batch=True),
-        bad_hosts.map_batches(
-            lambda b: b.rename_columns(["_host"]), batch_format="pyarrow"
-        ),
-        "_host",
-        anti=True,
-        budget_rows=budget_rows,
-    )
-    return kept.drop_columns(["_host"])
-
-
-# --- interpolated bigram LM perplexity ----------------------------------------
-
-def bigram_perplexity_ds(
-    docs,
-    *,
-    vocab_size: int = 4096,
-    bigram_budget: int = 65536,
-    lam: float = 0.7,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-):
-    """Corpus-trained INTERPOLATED BIGRAM LM perplexity — the
-    CCNet-fidelity upgrade over ``perplexity_buckets``'s unigram model
-    (Wenzek et al. LREC 2020 score with a 5-gram KenLM; an
-    interpolated bigram is the strongest stand-in trainable in two
-    streaming passes without an external model):
-
-        p(w_i | w_{i-1}) = λ · c(w_{i-1} w_i)/c(w_{i-1} ·)
-                         + (1-λ) · p_unigram(w_i)
-
-    Distributed shape (all passes keys-only, text never re-shuffles):
-
-    1. unigram (token, count) partials → groupby → exact top-V vocab
-       via local-top nomination (the perplexity_buckets pattern);
-       vocab broadcast once; OOV maps to one <unk> id, so the bigram
-       alphabet is V+1 and a bigram packs into ONE int64 key
-       ``ctx·(V+1)+tok`` (V+1 ≤ 2^21 keeps the product < 2^42).
-    2. bigram (key, count) partials — pre-combined per batch with
-       ``np.unique``, adjacent pairs never cross doc boundaries —
-       → groupby → exact top-``bigram_budget`` table by the same
-       nomination, PLUS the ≤V+1-row context-marginal table c(w ·)
-       from the same partials.
-    3. scoring: one broadcast (vocab, unigram logp, sorted bigram
-       keys+counts, context counts); per batch everything is
-       ``index_in`` + ``searchsorted`` + ``bincount``. A bigram
-       outside the kept table contributes its interpolation floor
-       (1-λ)·p_uni — the standard budgeted-LM behavior; each doc's
-       first token scores unigram-only.
-
-    Deterministic and layout-invariant: every count is exact, both
-    top-K cuts order by (count desc, key asc), scoring is per-row.
-    Returns (id_col, n_tokens, n_oov, perplexity)."""
-    import ray
-
-    if not 0.0 <= lam < 1.0:
-        # lam=1.0 is rejected: with no unigram mass the interpolation
-        # floor vanishes, so any bigram dropped by bigram_budget would
-        # contribute log(0) = -inf and the doc's perplexity goes infinite
-        raise ValueError(f"lam must be in [0, 1), got {lam}")
-
-    # --- pass 1: unigram vocab ------------------------------------------------
-    def unigram_partials(batch: pa.Table) -> pa.Table:
-        flat = pc.list_flatten(_lower_token_lists(batch[text_col]))
-        flat = flat.filter(pc.not_equal(flat, ""))
-        vc = flat.value_counts()
-        return pa.table(
-            {"tok": vc.field("values"), "n": vc.field("counts").cast(pa.int64())}
-        )
-
-    counts = (
-        docs.map_batches(unigram_partials, batch_format="pyarrow",
-                         zero_copy_batch=True)
-        .groupby("tok")
-        .aggregate(Sum("n", alias_name="n"))
-        .materialize()
-    )
-    total = counts.sum("n") or 0
-    if total == 0:
-        # token-free corpus: keep the per-doc contract the non-degenerate
-        # path has for token-less docs — one (id, 0, 0, 1.0) row each —
-        # rather than dropping every doc from downstream joins
-        def degenerate(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            return pa.table({
-                id_col: batch[id_col].cast(pa.int64()),
-                "n_tokens": pa.array(np.zeros(n, np.int64)),
-                "n_oov": pa.array(np.zeros(n, np.int64)),
-                "perplexity": pa.array(np.ones(n, np.float64)),
-            })
-
-        return docs.map_batches(
-            degenerate, batch_format="pyarrow", zero_copy_batch=True
-        )
-
-    vocab = _exact_top(counts, "tok", "n", vocab_size)
-    vocab_toks = pa.array(vocab["tok"].tolist(), pa.string())
-    uni_n = vocab["n"].to_numpy(np.float64)
-    V = len(vocab_toks)
-    unk_id = V                      # OOV bucket
-    alphabet = np.int64(V + 1)
-    # unigram probs: OOV mass = everything outside the vocab, floored
-    oov_mass = max(float(total) - float(uni_n.sum()), 1.0)
-    p_uni = np.concatenate((uni_n, [oov_mass])) / float(total)
-    vref = ray.put(vocab_toks)
-
-    def _ids(batch: pa.Table):
-        lists = _lower_token_lists(batch[text_col])
-        flat = pc.list_flatten(lists)
-        parent = pc.list_parent_indices(lists).to_numpy(zero_copy_only=False)
-        keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-        flat = flat.filter(pa.array(keep))
-        parent = parent[keep]
-        idx = (
-            pc.fill_null(pc.index_in(flat, value_set=ray.get(vref)), -1)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        ids = np.where(idx >= 0, idx, unk_id)
-        return ids, idx, parent
-
-    # --- pass 2: bigram + context counts ---------------------------------------
-    def bigram_partials(batch: pa.Table) -> pa.Table:
-        ids, _, parent = _ids(batch)
-        if len(ids) < 2:
-            return pa.table({"key": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        same_doc = parent[1:] == parent[:-1]
-        keys = ids[:-1][same_doc] * alphabet + ids[1:][same_doc]
-        uniq, cnt = np.unique(keys, return_counts=True)
-        return pa.table({"key": pa.array(uniq, pa.int64()),
-                         "n": pa.array(cnt, pa.int64())})
-
-    big = (
-        docs.map_batches(bigram_partials, batch_format="pyarrow",
-                         zero_copy_batch=True)
-        .groupby("key")
-        .aggregate(Sum("n", alias_name="n"))
-        .materialize()
-    )
-
-    def ctx_partials(batch: pa.Table) -> pa.Table:
-        ctx = pc.divide(batch["key"], pa.scalar(int(alphabet), pa.int64()))
-        df = pa.table({"ctx": ctx, "n": batch["n"]}).to_pandas()
-        g = df.groupby("ctx", as_index=False)["n"].sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    ctx_df = (
-        big.map_batches(ctx_partials, batch_format="pyarrow")
-        .groupby("ctx")
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()  # ≤ V+1 rows
-    )
-    ctx_counts = np.zeros(V + 1, np.float64)
-    if "ctx" in ctx_df.columns and len(ctx_df):  # empty tables lose columns
-        ctx_counts[ctx_df["ctx"].to_numpy(np.int64)] = ctx_df["n"].to_numpy(
-            np.float64
-        )
-
-    bcand = _exact_top(big, "key", "n", bigram_budget)
-    if len(bcand):
-        btop = bcand.sort_values("key")
-        bkeys = btop["key"].to_numpy(np.int64)
-        bns = btop["n"].to_numpy(np.float64)
-    else:  # budget 0 / bigram-free corpus: every pair takes the floor
-        bkeys = np.empty(0, np.int64)
-        bns = np.empty(0, np.float64)
-    sref = ray.put((bkeys, bns, ctx_counts, p_uni))
-
-    # --- pass 3: scoring --------------------------------------------------------
-    def score(batch: pa.Table) -> pa.Table:
-        keys_s, ns_s, ctx_s, puni_s = ray.get(sref)
-        ids, idx, parent = _ids(batch)
-        n_rows = batch.num_rows
-        n_tok = np.bincount(parent, minlength=n_rows).astype(np.int64)
-        n_oov = np.bincount(
-            parent, weights=(idx < 0).astype(np.float64), minlength=n_rows
-        ).astype(np.int64)
-        logp = np.log(puni_s[ids])  # default: unigram (first-token + floor base)
-        if len(ids) >= 2:
-            same_doc = parent[1:] == parent[:-1]
-            pos = np.flatnonzero(same_doc) + 1   # positions with a context
-            keys = ids[pos - 1] * alphabet + ids[pos]
-            loc = np.searchsorted(keys_s, keys)
-            if len(keys_s):
-                loc_c = np.minimum(loc, len(keys_s) - 1)
-                hit = keys_s[loc_c] == keys
-                bn = np.where(hit, ns_s[loc_c], 0.0)
-            else:
-                bn = np.zeros(len(keys), np.float64)
-            cn = ctx_s[ids[pos - 1]]
-            p_bi = np.divide(bn, cn, out=np.zeros_like(bn), where=cn > 0)
-            logp[pos] = np.log(lam * p_bi + (1.0 - lam) * puni_s[ids[pos]])
-        lp_sum = np.bincount(parent, weights=logp, minlength=n_rows)
-        ppl = np.where(n_tok > 0, np.exp(-lp_sum / np.maximum(n_tok, 1)), 1.0)
-        return pa.table(
-            {
-                id_col: batch[id_col].cast(pa.int64()),
-                "n_tokens": pa.array(n_tok, pa.int64()),
-                "n_oov": pa.array(n_oov, pa.int64()),
-                "perplexity": pa.array(ppl, pa.float64()),
-            }
-        )
-
-    return docs.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# --- Kneser-Ney trigram LM perplexity ------------------------------------------
-
-def kn_trigram_perplexity_ds(
-    docs,
-    *,
-    vocab_size: int = 4096,
-    trigram_budget: int = 262144,
-    context_budget: int = 131072,
-    bigram_budget: int = 131072,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-):
-    """Corpus-trained interpolated KNESER-NEY TRIGRAM perplexity — the
-    next fidelity step above ``bigram_perplexity_ds`` toward the
-    KenLM 5-gram CCNet uses (Kneser & Ney, ICASSP 1995; Chen & Goodman,
-    CSL 1999 — public literature). Model spec (fixed discount per
-    order, absolute discounting, continuation counts at lower orders):
-
-        p3(w|u,v) = (max(c(uvw)-D3, 0) + D3·N1+(uv·)·p2(w|v)) / c(uv·)
-        p2(w|v)   = (max(T(vw)-D2, 0) + D2·R(v)·p1(w)) / T(v)
-        p1(w)     = (U(w)+1) / (B+A)          [add-one continuation]
-
-    with T(vw)=|{u: c(uvw)>0}| (trigram-type continuation),
-    T(v)=Σ_w T(vw), R(v)=|{w: T(vw)>0}|, U(w)=|{v: c(vw)>0}| from raw
-    bigram types, B=Σ U, A=vocab+1; D_k = n1/(n1+2·n2) from each
-    order's count-of-counts (Ney estimate). A doc's first token scores
-    p1, its second p2, the rest p3; a context or n-gram outside the
-    kept budget backs off one order — the standard budgeted-LM
-    behavior, and with budgets ≥ the table sizes the model is exact
-    (the brute-force-parity pytest pins that case).
-
-    Distributed shape: text is read ONCE per pass and never shuffles;
-    the all-to-alls carry (int64 key, count) pairs only — trigram keys
-    pack as ``(u·A+v)·A+w`` (A ≤ 2²¹ keeps keys < 2⁶³). Every derived
-    table (context marginals, continuation counts, count-of-counts)
-    reaggregates the TRIGRAM TABLE, not the corpus. Driver/broadcast
-    state is budget-bounded: three top-K tables via the shared exact
-    nomination kernel plus four A-sized arrays. Deterministic and
-    layout-invariant (exact counts, (count desc, key asc) cuts).
-    Returns (id_col, n_tokens, n_oov, perplexity)."""
-    import ray
-
-    # --- pass 1: unigram vocab (same derivation as the bigram LM) -----------
-    def unigram_partials(batch: pa.Table) -> pa.Table:
-        flat = pc.list_flatten(_lower_token_lists(batch[text_col]))
-        flat = flat.filter(pc.not_equal(flat, ""))
-        vc = flat.value_counts()
-        return pa.table(
-            {"tok": vc.field("values"), "n": vc.field("counts").cast(pa.int64())}
-        )
-
-    counts = (
-        docs.map_batches(unigram_partials, batch_format="pyarrow",
-                         zero_copy_batch=True)
-        .groupby("tok")
-        .aggregate(Sum("n", alias_name="n"))
-        .materialize()
-    )
-    total = counts.sum("n") or 0
-    if total == 0:
-        def degenerate(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            return pa.table({
-                id_col: batch[id_col].cast(pa.int64()),
-                "n_tokens": pa.array(np.zeros(n, np.int64)),
-                "n_oov": pa.array(np.zeros(n, np.int64)),
-                "perplexity": pa.array(np.ones(n, np.float64)),
-            })
-
-        return docs.map_batches(
-            degenerate, batch_format="pyarrow", zero_copy_batch=True
-        )
-
-    vocab = _exact_top(counts, "tok", "n", vocab_size)
-    vocab_toks = pa.array(vocab["tok"].tolist(), pa.string())
-    V = len(vocab_toks)
-    unk_id = V
-    A = np.int64(V + 1)
-    if int(A) > (1 << 21):
-        raise ValueError("vocab_size too large for packed trigram keys")
-    A2 = A * A
-    vref = ray.put(vocab_toks)
-
-    def _ids(batch: pa.Table):
-        lists = _lower_token_lists(batch[text_col])
-        flat = pc.list_flatten(lists)
-        parent = pc.list_parent_indices(lists).to_numpy(zero_copy_only=False)
-        keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-        flat = flat.filter(pa.array(keep))
-        parent = parent[keep]
-        idx = (
-            pc.fill_null(pc.index_in(flat, value_set=ray.get(vref)), -1)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        ids = np.where(idx >= 0, idx, unk_id)
-        return ids, idx, parent
-
-    # --- pass 2: trigram + raw-bigram count tables ---------------------------
-    def tri_partials(batch: pa.Table) -> pa.Table:
-        ids, _, parent = _ids(batch)
-        if len(ids) < 3:
-            return pa.table({"key": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        same = (parent[2:] == parent[1:-1]) & (parent[1:-1] == parent[:-2])
-        keys = ids[:-2][same] * A2 + ids[1:-1][same] * A + ids[2:][same]
-        uniq, cnt = np.unique(keys, return_counts=True)
-        return pa.table({"key": pa.array(uniq, pa.int64()),
-                         "n": pa.array(cnt, pa.int64())})
-
-    def big_partials(batch: pa.Table) -> pa.Table:
-        ids, _, parent = _ids(batch)
-        if len(ids) < 2:
-            return pa.table({"key": pa.array([], pa.int64())})
-        same = parent[1:] == parent[:-1]
-        keys = np.unique(ids[:-1][same] * A + ids[1:][same])
-        return pa.table({"key": pa.array(keys, pa.int64())})
-
-    tri = (
-        docs.map_batches(tri_partials, batch_format="pyarrow",
-                         zero_copy_batch=True)
-        .groupby("key")
-        .aggregate(Sum("n", alias_name="n"))
-        .materialize()
-    )
-
-    # continuation-unigram from RAW bigram TYPES: U(w), B
-    bigu_df = (
-        docs.map_batches(big_partials, batch_format="pyarrow",
-                         zero_copy_batch=True)
-        .groupby("key")
-        .count()  # dedup across batches
-        .map_batches(
-            lambda b: pa.table(
-                {"w": pa.array(
-                    b["key"].to_numpy(zero_copy_only=False) % int(A), pa.int64()
-                )}
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("w")
-        .count()
-        .to_pandas()  # <= A rows
-    )
-    U = np.zeros(int(A), np.float64)
-    if "w" in bigu_df.columns and len(bigu_df):
-        U[bigu_df["w"].to_numpy(np.int64)] = bigu_df["count()"].to_numpy(np.float64)
-    B = float(U.sum())
-    p1 = (U + 1.0) / (B + float(A))
-
-    # --- derived trigram tables ----------------------------------------------
-    def ctx_partials(batch: pa.Table) -> pa.Table:
-        k = batch["key"].to_numpy(zero_copy_only=False)
-        n = batch["n"].to_numpy(zero_copy_only=False)
-        ctx = k // int(A)
-        u, inv = np.unique(ctx, return_inverse=True)
-        return pa.table({
-            "ctx": pa.array(u, pa.int64()),
-            "c": pa.array(np.bincount(inv, weights=n).astype(np.int64)),
-            "t": pa.array(np.bincount(inv).astype(np.int64)),
-        })
-
-    ctx3 = (
-        tri.map_batches(ctx_partials, batch_format="pyarrow")
-        .groupby("ctx")
-        .aggregate(Sum("c", alias_name="c"), Sum("t", alias_name="t"))
-        .materialize()
-    )
-
-    def cont_partials(batch: pa.Table) -> pa.Table:
-        k = batch["key"].to_numpy(zero_copy_only=False)
-        vw, cnt = np.unique(k % int(A2), return_counts=True)
-        return pa.table({"vw": pa.array(vw, pa.int64()),
-                         "t": pa.array(cnt, pa.int64())})
-
-    cont2 = (
-        tri.map_batches(cont_partials, batch_format="pyarrow")
-        .groupby("vw")
-        .aggregate(Sum("t", alias_name="t"))
-        .materialize()
-    )
-
-    def v_partials(batch: pa.Table) -> pa.Table:
-        vw = batch["vw"].to_numpy(zero_copy_only=False)
-        t = batch["t"].to_numpy(zero_copy_only=False)
-        v, inv = np.unique(vw // int(A), return_inverse=True)
-        return pa.table({
-            "v": pa.array(v, pa.int64()),
-            "tv": pa.array(np.bincount(inv, weights=t).astype(np.int64)),
-            "rv": pa.array(np.bincount(inv).astype(np.int64)),
-        })
-
-    v_df = (
-        cont2.map_batches(v_partials, batch_format="pyarrow")
-        .groupby("v")
-        .aggregate(Sum("tv", alias_name="tv"), Sum("rv", alias_name="rv"))
-        .to_pandas()  # <= A rows
-    )
-    T_v = np.zeros(int(A), np.float64)
-    R_v = np.zeros(int(A), np.float64)
-    if "v" in v_df.columns and len(v_df):
-        vv = v_df["v"].to_numpy(np.int64)
-        T_v[vv] = v_df["tv"].to_numpy(np.float64)
-        R_v[vv] = v_df["rv"].to_numpy(np.float64)
-
-    def _n1_n2(counts_ds, col: str) -> tuple:
-        def partial(batch: pa.Table) -> pa.Table:
-            n = batch[col].to_numpy(zero_copy_only=False)
-            return pa.table({
-                "n1": pa.array([int((n == 1).sum())], pa.int64()),
-                "n2": pa.array([int((n == 2).sum())], pa.int64()),
-            })
-
-        df = counts_ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-        if not len(df):
-            return 0, 0
-        return int(df["n1"].sum()), int(df["n2"].sum())
-
-    n1_3, n2_3 = _n1_n2(tri, "n")
-    n1_2, n2_2 = _n1_n2(cont2, "t")
-    D3 = n1_3 / (n1_3 + 2.0 * n2_3) if (n1_3 + 2 * n2_3) else 0.5
-    D2 = n1_2 / (n1_2 + 2.0 * n2_2) if (n1_2 + 2 * n2_2) else 0.5
-
-    tri_top = _exact_top(tri, "key", "n", trigram_budget)
-    tri_top = tri_top.sort_values("key") if len(tri_top) else tri_top
-    ctx_top = _exact_top(ctx3, "ctx", "c", context_budget)
-    ctx_top = ctx_top.sort_values("ctx") if len(ctx_top) else ctx_top
-    cont_top = _exact_top(cont2, "vw", "t", bigram_budget)
-    cont_top = cont_top.sort_values("vw") if len(cont_top) else cont_top
-
-    state = (
-        tri_top["key"].to_numpy(np.int64) if len(tri_top) else np.empty(0, np.int64),
-        tri_top["n"].to_numpy(np.float64) if len(tri_top) else np.empty(0, np.float64),
-        ctx_top["ctx"].to_numpy(np.int64) if len(ctx_top) else np.empty(0, np.int64),
-        ctx_top["c"].to_numpy(np.float64) if len(ctx_top) else np.empty(0, np.float64),
-        ctx_top["t"].to_numpy(np.float64) if len(ctx_top) else np.empty(0, np.float64),
-        cont_top["vw"].to_numpy(np.int64) if len(cont_top) else np.empty(0, np.int64),
-        cont_top["t"].to_numpy(np.float64) if len(cont_top) else np.empty(0, np.float64),
-        T_v, R_v, p1, D3, D2,
-    )
-    sref = ray.put(state)
-
-    def _lookup(sorted_keys: np.ndarray, vals: np.ndarray, keys: np.ndarray):
-        if not len(sorted_keys):
-            return np.zeros(len(keys), np.float64), np.zeros(len(keys), bool)
-        pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-        hit = sorted_keys[pos] == keys
-        return np.where(hit, vals[pos], 0.0), hit
-
-    # --- pass 3: scoring ------------------------------------------------------
-    def score(batch: pa.Table) -> pa.Table:
-        (tk, tn, ck, cc, ct, vwk, vwt, tv, rv, p1_, d3, d2) = ray.get(sref)
-        ids, idx, parent = _ids(batch)
-        n_rows = batch.num_rows
-        n_tok = np.bincount(parent, minlength=n_rows).astype(np.int64)
-        n_oov = np.bincount(
-            parent, weights=(idx < 0).astype(np.float64), minlength=n_rows
-        ).astype(np.int64)
-        logp = np.log(p1_[ids])  # default: first tokens
-        m = len(ids)
-        if m >= 2:
-            prev1 = np.zeros(m, bool)
-            prev1[1:] = parent[1:] == parent[:-1]
-            pos1 = np.flatnonzero(prev1)          # has w_{i-1}
-            w = ids[pos1]
-            v = ids[pos1 - 1]
-            t_vw, _ = _lookup(vwk, vwt, v * int(A) + w)
-            tv_v = tv[v]
-            p2 = np.where(
-                tv_v > 0,
-                (np.maximum(t_vw - d2, 0.0) + d2 * rv[v] * p1_[w])
-                / np.maximum(tv_v, 1.0),
-                p1_[w],
-            )
-            logp[pos1] = np.log(p2)
-            if m >= 3:
-                prev2 = np.zeros(m, bool)
-                prev2[2:] = prev1[2:] & (parent[2:] == parent[:-2])
-                sel = prev2[pos1]                  # trigram-path subset of pos1
-                if sel.any():
-                    p3pos = pos1[sel]
-                    u = ids[p3pos - 2]
-                    v3 = ids[p3pos - 1]
-                    w3 = ids[p3pos]
-                    ctx = u * int(A) + v3
-                    c_uv, ctx_hit = _lookup(ck, cc, ctx)
-                    t_uv, _ = _lookup(ck, ct, ctx)
-                    c3, _ = _lookup(tk, tn, ctx * int(A) + w3)
-                    p2b = p2[sel]
-                    p3 = np.where(
-                        ctx_hit & (c_uv > 0),
-                        (np.maximum(c3 - d3, 0.0) + d3 * t_uv * p2b)
-                        / np.maximum(c_uv, 1.0),
-                        p2b,
-                    )
-                    logp[p3pos] = np.log(p3)
-        lp_sum = np.bincount(parent, weights=logp, minlength=n_rows)
-        ppl = np.where(n_tok > 0, np.exp(-lp_sum / np.maximum(n_tok, 1)), 1.0)
-        return pa.table(
-            {
-                id_col: batch[id_col].cast(pa.int64()),
-                "n_tokens": pa.array(n_tok, pa.int64()),
-                "n_oov": pa.array(n_oov, pa.int64()),
-                "perplexity": pa.array(ppl, pa.float64()),
-            }
-        )
-
-    return docs.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# --- curriculum mixing schedule ----------------------------------------------
-
 def curriculum_mix_ds(
     docs,
     phases: list,
@@ -5621,123 +4180,3 @@ def curriculum_mix_ds(
     for p in parts[1:]:
         out = out.union(p)
     return out.sort(["phase_idx", "shuffle_key", id_col, "copy_idx"])
-
-
-def corpus_divergence_ds(
-    ds,
-    *,
-    group_col: str = "lang",
-    text_col: str = "text",
-    vocab_top: int = 20_000,
-    alpha: float = 0.5,
-) -> pd.DataFrame:
-    """Pairwise distribution divergence between corpus groups (sources,
-    dumps, langs) over their unigram token distributions — the mix-
-    debugging instrument `corpus_overlap_ds` (shared CONTENT) doesn't
-    give: two dumps can share zero documents yet have near-identical
-    token distributions (healthy resample), or share half their docs
-    yet diverge (one side's cleaner broke). Reports, per group pair,
-    KL(a‖b), KL(b‖a) and the symmetric bounded Jensen-Shannon
-    divergence (0 = identical, ln 2 ≈ 0.693 = disjoint support).
-
-    Scale shape — ONE corpus pass, keys-only shuffle: each batch emits
-    pre-combined (group, token, n) partials through the module's
-    shared lowercase tokenizer; the groupby output is bounded by
-    groups × vocabulary, never the corpus. The driver restricts to the
-    global top-``vocab_top`` tokens (exact, via the shared nomination
-    kernel) + one OOV bucket per group so every group's distribution
-    lives on the same support, applies add-``alpha`` smoothing (no
-    infinite KL from a single missing token), and does the
-    O(groups²·V) pair arithmetic locally. Deterministic and
-    layout-independent."""
-    def partials(batch: pa.Table) -> pa.Table:
-        lists = _lower_token_lists(batch[text_col])
-        flat = pc.list_flatten(lists)
-        parent = pc.list_parent_indices(lists).to_numpy(zero_copy_only=False)
-        keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-        toks = np.asarray(flat.filter(pa.array(keep)).to_pylist(), dtype=object)
-        grp = np.asarray(
-            pc.fill_null(batch[group_col], "").to_pylist(), dtype=object
-        )[parent[keep]]
-        if not len(toks):
-            return pa.table(
-                {
-                    group_col: pa.array([], pa.string()),
-                    "tok": pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
-        # factorized integer pair key (string concat via numpy U-dtype
-        # would treat a NUL separator as a terminator and drop it)
-        gu, gi = np.unique(grp, return_inverse=True)
-        tu, ti = np.unique(toks, return_inverse=True)
-        key = gi.astype(np.int64) * np.int64(len(tu)) + ti
-        uk, cnt = np.unique(key, return_counts=True)
-        return pa.table(
-            {
-                group_col: pa.array(gu[uk // len(tu)].astype(str), pa.string()),
-                "tok": pa.array(tu[uk % len(tu)].astype(str), pa.string()),
-                "n": pa.array(cnt, pa.int64()),
-            }
-        )
-
-    counts = (
-        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby([group_col, "tok"])
-        .aggregate(Sum("n", alias_name="n"))
-        .materialize()  # groups×vocab-sized; reused for vocab cut + vectors
-    )
-    # global top-V tokens by total count (exact nomination over the
-    # token-marginal reaggregate)
-    tok_totals = counts.groupby("tok").aggregate(Sum("n", alias_name="n"))
-    top = _exact_top(tok_totals, "tok", "n", vocab_top)
-    vocab = sorted(top["tok"])
-
-    # support cut applied DISTRIBUTIVELY: tail tokens collapse to the
-    # OOV sentinel inside the batch and reaggregate, so the driver pull
-    # is O(groups·(V+1)) rows — never the full vocabulary
-    vset = pa.array(vocab, pa.string())
-
-    def to_support(batch: pa.Table) -> pa.Table:
-        known = pc.is_in(batch["tok"], value_set=vset)
-        tok = pc.if_else(known, batch["tok"], pa.scalar("OOV"))
-        return pa.table(
-            {group_col: batch[group_col], "tok": tok, "n": batch["n"]}
-        )
-
-    df = (
-        counts.map_batches(to_support, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby([group_col, "tok"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-    )
-    if not len(df):
-        return pd.DataFrame(
-            columns=["group_a", "group_b", "kl_ab", "kl_ba", "js"]
-        )
-    vidx = {t: i for i, t in enumerate(vocab)}
-    groups = sorted(df[group_col].unique())
-    V = len(vocab) + 1  # + OOV bucket
-    mat = np.zeros((len(groups), V), dtype=np.float64)
-    gidx = {g: i for i, g in enumerate(groups)}
-    for g, t, n in zip(df[group_col], df["tok"], df["n"]):
-        mat[gidx[g], vidx.get(t, V - 1)] += n
-    p = (mat + alpha) / (mat + alpha).sum(axis=1, keepdims=True)
-    rows = []
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            a, b = p[i], p[j]
-            m = 0.5 * (a + b)
-            kl_ab = float(np.sum(a * np.log(a / b)))
-            kl_ba = float(np.sum(b * np.log(b / a)))
-            js = float(0.5 * np.sum(a * np.log(a / m)) + 0.5 * np.sum(b * np.log(b / m)))
-            rows.append(
-                {
-                    "group_a": groups[i],
-                    "group_b": groups[j],
-                    "kl_ab": round(kl_ab, 6),
-                    "kl_ba": round(kl_ba, 6),
-                    "js": round(js, 6),
-                }
-            )
-    return pd.DataFrame(rows)

@@ -312,8 +312,8 @@ def read_pages(paths, columns=None) -> rd.Dataset:
 def expand_shards(paths, suffixes: tuple) -> list:
     """Shared str-or-list → sorted shard-path list: a directory expands
     to its suffix-matching files, files pass through. One copy of the
-    idiom (``extract_files``, ``read_warc``, ``read_jsonl``,
-    ``read_arrow_shards``) so the sorting/error contracts don't drift.
+    idiom (``extract_files``, ``read_jsonl``, ``read_arrow_shards``) so
+    the sorting/error contracts don't drift.
 
     URI entries: ``http(s)://`` passes through untouched (bare HTTP has
     no listing — pass explicit shard urls); any other scheme resolves
@@ -361,15 +361,13 @@ def expand_shards(paths, suffixes: tuple) -> list:
     return shard_list
 
 
-def warc_pages_chunks(
-    path: str, *, keep_text_placeholder: bool = True, rows_per_chunk: int = 4096
-):
+def warc_pages_chunks(path: str, *, rows_per_chunk: int = 4096):
     """One ``.warc.gz`` archive -> pages-schema Arrow tables of at most
-    ``rows_per_chunk`` rows each (worker-side building block shared by
-    ``read_warc`` and the fused ``extract_files`` path): stream the
-    archive record-at-a-time, keep 200-status ``response`` records,
-    split the HTTP payload, flush a table per chunk so memory stays
-    bounded regardless of archive size."""
+    ``rows_per_chunk`` rows each (the WARC decoder of the fused
+    ``extract_files`` path): stream the archive record-at-a-time, keep
+    200-status ``response`` records, split the HTTP payload, flush a
+    table per chunk so memory stays bounded regardless of archive
+    size."""
     import datetime
 
     import pyarrow as pa
@@ -404,7 +402,7 @@ def warc_pages_chunks(
         ).replace(tzinfo=datetime.timezone.utc)
         tss.append(int(ts.timestamp() * 1_000_000))
         htmls.append(body)
-        texts.append("" if keep_text_placeholder else None)
+        texts.append("")
         langs.append(headers.get("WARC-Identified-Content-Language", ""))
         if len(urls) >= rows_per_chunk:
             yield flush()
@@ -412,41 +410,6 @@ def warc_pages_chunks(
             urls, tss, htmls, texts, langs = [], [], [], [], []
     if urls or not emitted:
         yield flush()
-
-
-def warc_pages_table(path: str, *, keep_text_placeholder: bool = True):
-    """One ``.warc.gz`` archive -> ONE pages-schema Arrow table (the
-    whole-archive convenience over ``warc_pages_chunks``)."""
-    import pyarrow as pa
-
-    return pa.concat_tables(
-        warc_pages_chunks(path, keep_text_placeholder=keep_text_placeholder)
-    )
-
-
-def read_warc(paths, *, keep_text_placeholder: bool = True) -> rd.Dataset:
-    """Common Crawl-native source: ``.warc.gz`` shards -> the pages
-    schema (url, warc_ts, html, text, lang). One shard per block; each
-    read TASK streams its own archive record-at-a-time (stdlib gzip,
-    own WARC framing — textextract_ray.warc), keeps ``response``
-    records, splits the HTTP payload, and emits Arrow rows — bounded
-    memory per record, parse work fully distributed. Non-response
-    records are skipped by type, exactly as a crawl consumer would."""
-    import pyarrow as pa
-
-    shard_list = expand_shards(paths, (".warc.gz",))
-    if not shard_list:
-        raise ValueError("read_warc: no .warc.gz shards found")
-
-    def parse(batch: pa.Table):
-        for path in batch["path"].to_pylist():
-            yield warc_pages_table(
-                path, keep_text_placeholder=keep_text_placeholder
-            )
-
-    return rd.from_items(
-        [{"path": p} for p in shard_list], override_num_blocks=max(1, len(shard_list))
-    ).map_batches(parse, batch_format="pyarrow")
 
 
 def read_jsonl(paths, *, schema=None) -> rd.Dataset:

@@ -11,8 +11,7 @@ near-dup), each built from map_batches + groupby primitives:
   * minhash: shingle→signature per batch → explode to (band, key, id)
              (signatures do NOT ride the shuffle) → groupby(band, key)
              → candidate pairs → signatures recomputed for candidate
-             ids only → agreement verify → winner assignment →
-             hash-join filter.
+             ids only → agreement verify → winner assignment.
   * simhash: 64-bit fingerprint, 4×16-bit band buckets, Hamming
              verification within buckets.
   * embedding: random-hyperplane LSH buckets → within-bucket cosine.
@@ -34,7 +33,6 @@ from ..functions.text import (
     lsh_band_keys,
     md5_hex,
     minhash_params,
-    minhash_signature,
 )
 
 
@@ -143,8 +141,6 @@ def _exact_dedup_bucketed(ds, text_col: str, id_col: str, *, num_buckets: int = 
         .map_groups(min_per_hash, batch_format="pandas")
     )
     return out
-
-
 
 
 GROUP_APPLY_FOLD_BUDGET_ROWS = 5_000_000
@@ -499,181 +495,6 @@ def minhash_duplicate_assignments(
     return _min_keep_per_id_df(cand_df[agree >= threshold])
 
 
-def minhash_dedup(ds, text_col: str, id_col: str, **kwargs):
-    """Drop near-duplicates (MinHash-LSH). Returns the surviving rows.
-
-    The drop-set is joined back as a broadcast filter when small (the
-    common case: dup fraction ≪ 1); callers at extreme dup rates should
-    use the pair table directly with a hash join.
-    """
-    import ray
-
-    pairs = minhash_duplicate_assignments(ds, text_col, id_col, **kwargs)
-    # small side: duplicates only; ship once as an Arrow array and probe
-    # each batch with the vectorized pc.is_in kernel (same pattern as
-    # the denylist filter in stages/validate.py). The drop set keeps the
-    # id column's native type — string ids work as well as ints.
-    pairs_df = pairs.to_pandas()
-    # an empty pair dataset can round-trip with no columns at all
-    if "id" not in pairs_df.columns or len(pairs_df) == 0:
-        return ds
-    drop_series = pairs_df["id"]
-    drop_ref = ray.put(pa.Array.from_pandas(drop_series))
-
-    def keep(batch: pa.Table) -> pa.Table:
-        drops = ray.get(drop_ref)
-        col = batch[id_col]
-        vs = drops if drops.type == col.type else drops.cast(col.type)
-        hit = pc.is_in(col, value_set=vs)
-        return batch.filter(pc.invert(pc.fill_null(hit, False)))
-
-    return ds.map_batches(keep, batch_format="pyarrow")
-
-
-def fuzzy_decontaminate_against(
-    ds,
-    bench_ds,
-    text_col: str,
-    id_col: str,
-    *,
-    num_perm: int = 64,
-    bands: int = 16,
-    k_shingle: int = 3,
-    threshold: float = 0.8,
-    max_bench_rows: int = 2_000_000,
-):
-    """Fuzzy test-set decontamination: flag corpus documents that are
-    NEAR-duplicates of any benchmark document (MinHash-LSH candidacy +
-    signature-agreement verification), not just exact n-gram sharers.
-    The near-dup complement of ``pipelines.textops.decontaminate`` —
-    a lightly paraphrased eval question shares few exact 5-grams but
-    agrees on most MinHash permutations (Lee et al. 2021,
-    arXiv:2107.06499 §4 use exactly this shape for fuzzy overlap).
-
-    Scale shape — ZERO shuffle, one corpus pass: the benchmark side is
-    small by nature (eval sets are thousands of docs), so its
-    signatures (n_bench × num_perm × 8 B) and band-key index build
-    once on the driver and broadcast via ``ray.put``; each corpus
-    batch computes its own signatures (the same per-batch kernel the
-    MinHash dedup stage uses), probes the broadcast band index for
-    candidate bench rows, and verifies agreement with one vectorized
-    signature comparison. Nothing corpus-scale moves; cost is
-    O(corpus shingles + candidate pairs). ``max_bench_rows`` guards
-    the broadcast (past it, use ``decontaminate(bloom_fpr=...)`` —
-    a previously-trained-corpus-sized reference set is a membership
-    problem, not a near-dup one).
-
-    Returns a Dataset of (id, n_candidates, max_agreement,
-    contaminated): n_candidates = distinct bench docs sharing ≥1 LSH
-    band, max_agreement = best signature-agreement fraction over them
-    (an unbiased Jaccard estimate), contaminated = max_agreement ≥
-    threshold. Empty/whitespace-only docs are never contaminated
-    (no shingles → no candidacy; exact dedup owns the empty case).
-    Deterministic and layout-independent: every value is a pure
-    function of the doc's text and the benchmark set.
-    """
-    import ray
-
-    from ..functions.text import batch_shingle_hashes
-
-    a, b = minhash_params(num_perm)
-
-    def bench_sigs(batch: pa.Table) -> pa.Table:
-        texts = batch[text_col].to_pylist()
-        sigs = [
-            minhash_signature(h, a, b).tolist()
-            for h in batch_shingle_hashes(texts, k_shingle)
-            if len(h)
-        ]
-        return pa.table({"sig": pa.array(sigs, pa.list_(pa.uint64()))})
-
-    mats = []
-    n_bench = 0
-    for blk in bench_ds.map_batches(
-        bench_sigs, batch_format="pyarrow", zero_copy_batch=True
-    ).iter_batches(batch_size=4096, batch_format="pyarrow"):
-        if blk.num_rows == 0:
-            continue
-        m = np.array(blk["sig"].to_pylist(), dtype=np.uint64)
-        n_bench += len(m)
-        if n_bench > max_bench_rows:
-            raise ValueError(
-                f"benchmark side exceeds max_bench_rows={max_bench_rows}; "
-                "a reference set this large is a membership problem — use "
-                "decontaminate(bloom_fpr=...) instead"
-            )
-        mats.append(m)
-
-    def clean_all(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "id": batch[id_col],
-                "n_candidates": pa.array(np.zeros(n, np.int64)),
-                "max_agreement": pa.array(np.zeros(n, np.float64)),
-                "contaminated": pa.array(np.zeros(n, bool)),
-            }
-        )
-
-    if not mats:
-        return ds.map_batches(clean_all, batch_format="pyarrow")
-
-    bench_mat = np.concatenate(mats)
-    band_map: dict = {}
-    for row in range(len(bench_mat)):
-        for bi, key in enumerate(lsh_band_keys(bench_mat[row], bands)):
-            band_map.setdefault((bi, key), []).append(row)
-    band_map = {k: np.array(v, dtype=np.int64) for k, v in band_map.items()}
-    bref = ray.put((bench_mat, band_map))
-
-    def probe(batch: pa.Table) -> pa.Table:
-        bmat, bmap = ray.get(bref)
-        texts = batch[text_col].to_pylist()
-        hashes = batch_shingle_hashes(texts, k_shingle)
-        doc_rows, cand_rows, doc_sigs, local_to_batch = [], [], [], []
-        for d, h in enumerate(hashes):
-            if len(h) == 0:
-                continue
-            sig = minhash_signature(h, a, b)
-            cands = [
-                bmap[(bi, key)]
-                for bi, key in enumerate(lsh_band_keys(sig, bands))
-                if (bi, key) in bmap
-            ]
-            if not cands:
-                continue
-            cand = np.unique(np.concatenate(cands))
-            doc_rows.append(np.full(len(cand), len(doc_sigs), dtype=np.int64))
-            cand_rows.append(cand)
-            doc_sigs.append(sig)
-            local_to_batch.append(d)
-        n = batch.num_rows
-        n_cand = np.zeros(n, np.int64)
-        max_agree = np.zeros(n, np.float64)
-        if doc_sigs:
-            sig_local = np.stack(doc_sigs)
-            dr = np.concatenate(doc_rows)
-            cr = np.concatenate(cand_rows)
-            # one vectorized verify for every (doc, bench) candidate pair
-            agree = (sig_local[dr] == bmat[cr]).mean(axis=1)
-            counts = np.array([len(c) for c in cand_rows], np.int64)
-            offs = np.cumsum(counts)[:-1]
-            maxes = np.maximum.reduceat(agree, np.concatenate([[0], offs]))
-            lb = np.array(local_to_batch, np.int64)
-            n_cand[lb] = counts
-            max_agree[lb] = maxes
-        return pa.table(
-            {
-                "id": batch[id_col],
-                "n_candidates": pa.array(n_cand),
-                "max_agreement": pa.array(max_agree),
-                "contaminated": pa.array(max_agree >= threshold),
-            }
-        )
-
-    return ds.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
-
-
 # --- SimHash near-dup --------------------------------------------------------
 
 def add_simhash(text_col: str):
@@ -686,23 +507,15 @@ def add_simhash(text_col: str):
 
 
 def hamming64_duplicate_assignments(
-    hashed, hash_col: str, id_col: str, max_hamming: int = 3, *, rank_col: str = None
+    hashed, hash_col: str, id_col: str, max_hamming: int = 3
 ):
     """(id, keep_id) pairs by pigeonhole banding over ANY 64-bit
     locality hash column: two hashes within Hamming distance d must
     agree exactly on at least one of d+1 disjoint bit bands, so
     bucketing by each band finds all such pairs; Hamming distance
     verifies inside the bucket. Shared back end for text SimHash
-    (`simhash_duplicate_assignments`), image dHash
-    (`image_duplicate_assignments`), and the cross-run incremental
-    variant (`incremental_simhash_near_dups`).
-
-    ``rank_col`` (optional int column, lower = higher precedence)
-    changes the keep order from smallest-id to (rank, id) — the
-    incremental case: prior-run survivors carry rank 0 and ALWAYS win
-    against new docs, and only rows with rank > 0 may be dropped (a
-    rank-0 row is already shipped; assigning it a keep would be a
-    correctness bug, so it is structurally impossible here).
+    (`simhash_duplicate_assignments`) and image dHash
+    (`image_duplicate_assignments`).
 
     Band count is DERIVED from max_hamming (n_bands = max_hamming + 1)
     so recall is complete for any accepted value. Bands narrower than
@@ -734,39 +547,29 @@ def hamming64_duplicate_assignments(
             cols["band_key"][bi * len(ids) : (bi + 1) * len(ids)] = key.astype(
                 np.int64
             )
-        out = {
-            "id": pa.array(cols["id"], pa.int64()),
-            "band_id": pa.array(cols["band_id"], pa.int32()),
-            "band_key": pa.array(cols["band_key"], pa.int64()),
-            hash_col: pa.array(cols[hash_col], pa.uint64()),
-        }
-        if rank_col is not None:
-            rank = batch[rank_col].to_numpy(zero_copy_only=False).astype(np.int32)
-            out[rank_col] = pa.array(np.tile(rank, n_bands), pa.int32())
-        return pa.table(out)
+        return pa.table(
+            {
+                "id": pa.array(cols["id"], pa.int64()),
+                "band_id": pa.array(cols["band_id"], pa.int32()),
+                "band_key": pa.array(cols["band_key"], pa.int64()),
+                hash_col: pa.array(cols[hash_col], pa.uint64()),
+            }
+        )
 
     exploded = hashed.map_batches(explode, batch_format="pyarrow")
-    order = ([rank_col] if rank_col is not None else []) + ["id"]
 
     def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
         from ..functions.text import popcount64
 
         if len(group) < 2:
             return pd.DataFrame({"id": [], "keep_id": []}).astype("int64")
-        g = group.sort_values(order).drop_duplicates("id").head(4096)
+        g = group.sort_values("id").drop_duplicates("id").head(4096)
         ids = g["id"].to_numpy()
         sh = g[hash_col].to_numpy().astype(np.uint64)
-        droppable = (
-            g[rank_col].to_numpy() > 0
-            if rank_col is not None
-            else np.ones(len(ids), bool)
-        )
         ham = popcount64(sh[:, None] ^ sh[None, :])
         match = ham <= max_hamming
         out_id, out_keep = [], []
         for j in range(1, len(ids)):
-            if not droppable[j]:
-                continue
             hits = np.where(match[:j, j])[0]
             if len(hits):
                 out_id.append(ids[j])
@@ -1082,609 +885,3 @@ def ngram_jaccard_pairs(ds, text_col: str, id_col: str, *, k: int = 3, threshold
     if not ra:
         return rd.from_pandas(empty)
     return rd.from_pandas(pd.DataFrame({"id_a": ra, "id_b": rb, "jaccard": rj}))
-
-
-# --- cluster resolution (connected components over near-dup pairs) -----------
-
-
-def _union_find_reps(df: pd.DataFrame, id_a: str, id_b: str) -> pd.DataFrame:
-    """Driver union-find (path-halving + union-by-index) over a pair
-    table; returns (id, rep) with rep = component minimum. O(pairs α)."""
-    ids = pd.unique(pd.concat([df[id_a], df[id_b]], ignore_index=True))
-    ids = np.sort(ids.astype(np.int64))
-    index = {int(v): i for i, v in enumerate(ids)}
-    parent = np.arange(len(ids), dtype=np.int64)
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]  # path halving
-            i = parent[i]
-        return i
-
-    for a, b in zip(df[id_a].to_numpy(), df[id_b].to_numpy()):
-        ra, rb = find(index[int(a)]), find(index[int(b)])
-        if ra != rb:
-            # union toward the smaller index == smaller id (ids sorted)
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-    reps = ids[[find(i) for i in range(len(ids))]]
-    return pd.DataFrame({"id": ids, "rep": reps})
-
-
-def resolve_clusters(
-    pairs_ds,
-    *,
-    id_a: str = "id_a",
-    id_b: str = "id_b",
-    driver_budget_rows: int = 2_000_000,
-    max_rounds: int = 20,
-    num_buckets: int = 64,
-):
-    """Connected components over a near-dup PAIR table -> (id, rep)
-    cluster assignment, rep = smallest id in the component. Pairwise
-    keep lists (``_min_keep_per_id``) are not transitive — a chain
-    a~b, b~c leaves c pointing at b; downstream "keep one per cluster"
-    needs the closure this computes. Only ids that appear in a pair
-    come back (singletons are their own rep by definition).
-
-    Pair tables are O(duplicate pairs) — a vanishing corpus fraction —
-    so under ``driver_budget_rows`` the resolve is one driver
-    union-find pass. Past the budget it switches to distributed
-    hash-to-min (Rastogi et al. 2013): relation R(u, v) = "v is in
-    u's cluster view", each round every u sends min(view) to its view
-    and its view to min(view) — one bucketed groupby per round,
-    converges in O(log diameter) rounds (near-dup clusters are
-    star-like, so 2-3 in practice; ``max_rounds`` bounds adversarial
-    chains). The relation stays keys-only: two int64s per row."""
-    import ray.data as rd
-
-    pairs_df_or_none = None
-    n_pairs = pairs_ds.count()
-    if n_pairs == 0:
-        return rd.from_pandas(
-            pd.DataFrame(
-                {"id": pd.Series(dtype="int64"), "rep": pd.Series(dtype="int64")}
-            )
-        )
-    if n_pairs <= driver_budget_rows:
-        pairs_df_or_none = pairs_ds.to_pandas()
-        if id_a not in pairs_df_or_none.columns:
-            return rd.from_pandas(
-                pd.DataFrame(
-                    {"id": pd.Series(dtype="int64"), "rep": pd.Series(dtype="int64")}
-                )
-            )
-        return rd.from_pandas(_union_find_reps(pairs_df_or_none, id_a, id_b))
-
-    # distributed hash-to-min over keys-only rows. NOTE: not
-    # _bucketed_group_apply — that helper skips singleton groups (right
-    # for pair emission, wrong here: a converged loser node's view is
-    # exactly one row and must survive every round). Buckets here are
-    # applied whole-bucket; propagate/to_rep group internally.
-    from ..functions.scalar import stable_bucket
-
-    def _bucketed(rel_ds, fn):
-        def add_bucket(batch: pa.Table) -> pa.Table:
-            b = stable_bucket(batch["u"].to_pylist(), num_buckets)
-            return batch.append_column("_bucket", pa.array(b, pa.int32()))
-
-        def apply_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            return fn(df.drop(columns=["_bucket"]))
-
-        return (
-            rel_ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("_bucket")
-            .map_groups(apply_bucket, batch_format="pandas")
-        )
-
-    def symmetrize(batch: pa.Table) -> pa.Table:
-        a = batch[id_a].cast(pa.int64())
-        b = batch[id_b].cast(pa.int64())
-        u = pa.chunked_array([a, b, a, b])
-        v = pa.chunked_array([b, a, a, b])
-        return pa.table({"u": u, "v": v})
-
-    def propagate(df: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for u, g in df.groupby("u", sort=False):
-            view = np.unique(g["v"].to_numpy())
-            m = min(int(view[0]), int(u))
-            # min -> everyone in the view, view -> min
-            outs.append(pd.DataFrame({"u": view, "v": m}))
-            outs.append(pd.DataFrame({"u": m, "v": view}))
-        return pd.concat(outs, ignore_index=True).drop_duplicates()
-
-    rel = pairs_ds.map_batches(symmetrize, batch_format="pyarrow")
-    prev_n = -1
-    for _ in range(max_rounds):
-        rel = _bucketed(rel, propagate).materialize()
-        n = rel.count()
-        if n == prev_n:
-            break  # fixpoint: views stable
-        prev_n = n
-
-    def to_rep(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("u", as_index=False)["v"].min()
-        return g.rename(columns={"u": "id", "v": "rep"})
-
-    return _bucketed(rel, to_rep)
-
-
-def drop_cluster_duplicates(ds, clusters_ds, id_col: str):
-    """Keep one row per near-dup cluster: broadcast the LOSER id set
-    (ids whose rep != id — O(duplicate rows), tiny vs the corpus, the
-    same budget argument as every keep-list broadcast in this module)
-    and stream-filter with vectorized ``is_in``. Rows never shuffle."""
-    import ray as _ray
-
-    losers_df = clusters_ds.to_pandas()
-    if len(losers_df) == 0 or "id" not in losers_df.columns:
-        return ds
-    losers = losers_df.loc[losers_df["id"] != losers_df["rep"], "id"].to_numpy()
-    if losers.size == 0:
-        return ds
-    losers_ref = _ray.put(pa.array(losers.astype("int64"), pa.int64()))
-
-    def keep(batch: pa.Table) -> pa.Table:
-        drop = pc.is_in(batch[id_col].cast(pa.int64()), _ray.get(losers_ref))
-        return batch.filter(pc.invert(drop))
-
-    return ds.map_batches(keep, batch_format="pyarrow")
-
-
-# --- winnowing substring-overlap detection ------------------------------------
-
-
-def winnow_overlap_pairs(
-    ds,
-    text_col: str,
-    id_col: str,
-    *,
-    k: int = 4,
-    w: int = 8,
-    min_shared: int = 2,
-    num_buckets: int = 64,
-    bucket_cap: int = 1024,
-):
-    """Substring-level overlap pairs via full winnowing fingerprints
-    (Schleimer et al. SIGMOD 2003 — functions.text.winnow_fingerprints):
-    docs sharing >= ``min_shared`` window-min fingerprints, i.e. at
-    least that many disjoint shared token runs of length >= w + k - 1.
-    Catches partial copying (a quoted paragraph, a syndicated intro)
-    that whole-document Jaccard/MinHash dilutes away.
-
-    Shuffle discipline matches the module: the explode ships
-    (id, fingerprint) int64/uint64 rows ONLY (16 B/row, ~n_tokens/w
-    rows per doc — same keys-only class as the MinHash band shuffle);
-    fingerprint groups are coarsened into ``num_buckets`` hash buckets
-    (O(buckets) dispatch) with ``bucket_cap`` bounding any degenerate
-    fingerprint (boilerplate shared by thousands of docs: capped,
-    documented recall trade, same knob as the LSH buckets). The pair
-    table that comes back is O(overlapping pairs); the exact shared
-    count per pair is its size after a driver groupby. Output:
-    (id_a, id_b, n_shared, overlap) with overlap = n_shared /
-    min(|F_a|, |F_b|) (containment in fingerprint space), computed by
-    recomputing fingerprint counts for CANDIDATE ids only via the
-    broadcast is_in probe — the module's deferred-fetch idiom."""
-    import ray
-    import ray.data as rd
-
-    from ..functions.scalar import stable_bucket
-    from ..functions.text import winnow_fingerprints
-
-    def explode(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        fps = winnow_fingerprints(batch[text_col].to_pylist(), k, w)
-        counts = [len(f) for f in fps]
-        return pa.table(
-            {
-                "id": pa.array(np.repeat(ids, counts), pa.int64()),
-                "fp": pa.array(
-                    np.concatenate(fps) if fps else np.empty(0, np.uint64),
-                    pa.uint64(),
-                ),
-            }
-        )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch["fp"], num_buckets)
-        return batch.append_column("_bucket", pa.array(b, pa.int32()))
-
-    def fp_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        outs_a, outs_b = [], []
-        for _, g in df.groupby("fp", sort=True):
-            ids = np.sort(g["id"].unique())[:bucket_cap]
-            if len(ids) < 2:
-                continue
-            lo, hi = np.triu_indices(len(ids), k=1)
-            outs_a.append(ids[lo])
-            outs_b.append(ids[hi])
-        if not outs_a:
-            return pd.DataFrame(
-                {"id_a": pd.Series(dtype="int64"), "id_b": pd.Series(dtype="int64")}
-            )
-        return pd.DataFrame(
-            {"id_a": np.concatenate(outs_a), "id_b": np.concatenate(outs_b)}
-        )
-
-    cand = (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(fp_pairs, batch_format="pandas")
-    )
-    empty = pd.DataFrame(
-        {
-            "id_a": pd.Series(dtype="int64"),
-            "id_b": pd.Series(dtype="int64"),
-            "n_shared": pd.Series(dtype="int64"),
-            "overlap": pd.Series(dtype="float64"),
-        }
-    )
-    cand_df = cand.to_pandas()  # O(overlapping pairs)
-    if "id_a" not in cand_df.columns or len(cand_df) == 0:
-        return rd.from_pandas(empty)
-    shared = (
-        cand_df.groupby(["id_a", "id_b"], as_index=False)
-        .size()
-        .rename(columns={"size": "n_shared"})
-    )
-    shared = shared[shared["n_shared"] >= min_shared].reset_index(drop=True)
-    if len(shared) == 0:
-        return rd.from_pandas(empty)
-
-    # deferred fetch: fingerprint COUNTS for candidate ids only
-    cand_ids = pd.unique(pd.concat([shared["id_a"], shared["id_b"]]))
-    cand_ref = ray.put(pa.array(cand_ids.astype("int64"), pa.int64()))
-
-    def counts(batch: pa.Table) -> pa.Table:
-        mask = pc.is_in(batch[id_col].cast(pa.int64()), ray.get(cand_ref))
-        sub = batch.filter(mask)
-        if sub.num_rows == 0:
-            return pa.table(
-                {"id": pa.array([], pa.int64()), "n_fp": pa.array([], pa.int64())}
-            )
-        fps = winnow_fingerprints(sub[text_col].to_pylist(), k, w)
-        return pa.table(
-            {
-                "id": sub[id_col].combine_chunks().cast(pa.int64()),
-                "n_fp": pa.array([len(f) for f in fps], pa.int64()),
-            }
-        )
-
-    cnt = ds.map_batches(counts, batch_format="pyarrow").to_pandas()
-    n_fp = dict(zip(cnt["id"], cnt["n_fp"]))
-    denom = np.minimum(
-        shared["id_a"].map(n_fp).to_numpy(), shared["id_b"].map(n_fp).to_numpy()
-    )
-    shared["overlap"] = shared["n_shared"] / np.maximum(1, denom)
-    return rd.from_pandas(shared.astype({"n_shared": "int64"}))
-
-
-# --- incremental cross-run near-dup ------------------------------------------
-
-def incremental_simhash_near_dups(
-    new_docs,
-    index_dir: str,
-    *,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    max_hamming: int = 3,
-):
-    """Cross-RUN near-dup: today's increment dedups against every
-    prior run WITHOUT re-reading prior text — the near-dup counterpart
-    of the exact ``state.seen_index`` story. ``index_dir`` persists
-    one (id, simhash) row per previously-ACCEPTED doc (8+8 bytes ≈
-    0.02% of corpus bytes); prior rows enter the shared pigeonhole
-    banding at rank 0 so they always win, and only NEW ids can appear
-    in the drop column (structurally — rank-0 rows are never emitted).
-
-    Returns ``(assignments, new_index)``: assignments = (id, keep_id)
-    for new docs that near-dup a prior survivor or an earlier new doc;
-    new_index = (id, simhash) of the SURVIVING new docs — append it
-    with ``append_simhash_index`` to complete the increment. By
-    induction the index only holds mutual non-dups at the radius, so
-    prior-vs-prior pairs cannot occur.
-
-    Scale shape: prior text never moves (only its 16-byte sketch rows
-    re-enter one banding shuffle per increment); at very large index
-    sizes, shard ``index_dir`` by band key so an increment reads only
-    the shards its band keys touch."""
-    import os as _os
-
-    import ray.data as rd
-
-    def keyed(rank: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    id_col: batch[id_col].cast(pa.int64()),
-                    "simhash": batch["simhash"],
-                    "_rank": pa.array(
-                        np.full(batch.num_rows, rank, np.int32), pa.int32()
-                    ),
-                }
-            )
-
-        return fn
-
-    new_hashed = new_docs.map_batches(
-        add_simhash(text_col), batch_format="pyarrow"
-    ).map_batches(keyed(1), batch_format="pyarrow").materialize()
-
-    have_index = _os.path.isdir(index_dir) and any(
-        f.endswith(".parquet") for f in _os.listdir(index_dir)
-    )
-    union = new_hashed
-    if have_index:
-        old = rd.read_parquet(index_dir).map_batches(
-            keyed(0), batch_format="pyarrow"
-        )
-        union = union.union(old)
-
-    assignments = hamming64_duplicate_assignments(
-        union, "simhash", id_col, max_hamming, rank_col="_rank"
-    ).materialize()
-
-    # survivors: new rows not assigned a keep (assignment table is
-    # O(dups) — broadcast its ids, probe with a sorted-member filter)
-    import ray as _ray
-
-    drop_ids = np.sort(
-        assignments.to_pandas()["id"].to_numpy().astype(np.int64)
-    ) if assignments.count() else np.empty(0, np.int64)
-    ref = _ray.put(drop_ids)
-
-    def survivors(batch: pa.Table) -> pa.Table:
-        dropped = _ray.get(ref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = ~_sorted_member_mask(dropped, ids)
-        return pa.table(
-            {
-                id_col: pa.array(ids[keep], pa.int64()),
-                "simhash": batch["simhash"].filter(pa.array(keep)),
-            }
-        )
-
-    new_index = new_hashed.map_batches(survivors, batch_format="pyarrow")
-    return assignments, new_index
-
-
-def _sorted_member_mask(members: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Boolean membership of ``ids`` in the SORTED int64 ``members``
-    array — the broadcast-probe kernel both incremental indexes use."""
-    if not len(members):
-        return np.zeros(len(ids), bool)
-    pos = np.searchsorted(members, ids)
-    pos[pos == len(members)] = 0
-    return members[pos] == ids
-
-
-def _append_sketch_index(index_rows, index_dir: str) -> int:
-    """Shared incremental-index appender: one content-hash-named
-    parquet shard per block (atomic tmp+rename, rewrite-idempotent —
-    the write_jsonl naming contract). Returns rows appended."""
-    import hashlib
-    import os as _os
-
-    import pyarrow.parquet as pq
-
-    _os.makedirs(index_dir, exist_ok=True)
-
-    def write_block(batch: pa.Table) -> pa.Table:
-        import io
-
-        buf = io.BytesIO()
-        pq.write_table(batch, buf)
-        data = buf.getvalue()
-        name = f"index-{hashlib.sha1(data).hexdigest()[:16]}.parquet"
-        final = _os.path.join(index_dir, name)
-        tmp = final + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(data)
-            f.flush()
-            _os.fsync(f.fileno())
-        _os.replace(tmp, final)
-        return pa.table({"rows": pa.array([batch.num_rows], pa.int64())})
-
-    out = index_rows.map_batches(
-        write_block, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()
-    return int(out["rows"].sum()) if len(out) else 0
-
-
-def append_simhash_index(index_rows, index_dir: str) -> int:
-    """Append an increment's surviving (id, simhash) rows to the
-    persisted index (see `_append_sketch_index`)."""
-    return _append_sketch_index(index_rows, index_dir)
-
-
-def incremental_minhash_near_dups(
-    new_docs,
-    index_dir: str,
-    *,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    num_perm: int = 64,
-    bands: int = 16,
-    k_shingle: int = 3,
-    threshold: float = 0.8,
-):
-    """Cross-RUN MinHash near-dup — the Jaccard-radius counterpart of
-    ``incremental_simhash_near_dups``: today's increment dedups against
-    every prior run WITHOUT re-reading prior text. ``index_dir``
-    persists one (id, sig) row per previously-ACCEPTED doc
-    (num_perm × 8 B ≈ 512 B at the defaults — the signature IS the
-    verification state, so prior docs need neither text nor recompute);
-    prior rows enter the shared LSH banding at rank 0 so they always
-    win, and only NEW ids can be dropped (structurally: rank-0 rows are
-    never emitted on the drop side).
-
-    Returns ``(assignments, new_index)``: assignments = (id, keep_id)
-    for new docs that near-dup a prior survivor or an earlier new doc
-    (keep preference: prior first, then smaller id — so a new doc
-    duplicating a prior one always maps to the PRIOR id, preserving
-    the induction that the index holds mutual non-dups at the
-    threshold); new_index = (id, sig) of the surviving new docs —
-    append with ``append_minhash_index`` to complete the increment.
-    Empty/whitespace-only docs carry no signature and never appear
-    (exact dedup owns the empty case, same as the one-shot path).
-
-    Scale shape: signatures do NOT ride the banding shuffle — bands
-    explode to (id, band_id, band_key, _rank) rows exactly like the
-    one-shot path; verification fetches signatures for candidate ids
-    only, via a broadcast probe over the (already materialized)
-    signature table. Prior text never moves; per increment the index
-    contributes one sketch-row scan plus its band rows."""
-    import os as _os
-
-    import ray
-    import ray.data as rd
-
-    from ..functions.text import batch_shingle_hashes
-
-    a, b = minhash_params(num_perm)
-
-    def sigs(rank: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            if rank == 0:  # index rows already carry (id, sig)
-                return pa.table(
-                    {
-                        "id": batch["id"].cast(pa.int64()),
-                        "sig": batch["sig"],
-                        "_rank": pa.array(
-                            np.zeros(batch.num_rows, np.int32), pa.int32()
-                        ),
-                    }
-                )
-            ids = batch[id_col].to_pylist()
-            texts = batch[text_col].to_pylist()
-            out_ids, out_sigs = [], []
-            for i, h in zip(ids, batch_shingle_hashes(texts, k_shingle)):
-                if len(h) == 0:
-                    continue
-                out_ids.append(i)
-                out_sigs.append(minhash_signature(h, a, b).tolist())
-            return pa.table(
-                {
-                    "id": pa.array(out_ids, pa.int64()),
-                    "sig": pa.array(out_sigs, pa.list_(pa.uint64())),
-                    "_rank": pa.array(np.full(len(out_ids), 1, np.int32)),
-                }
-            )
-
-        return fn
-
-    new_sigs = new_docs.map_batches(
-        sigs(1), batch_format="pyarrow"
-    ).materialize()
-
-    have_index = _os.path.isdir(index_dir) and any(
-        f.endswith(".parquet") for f in _os.listdir(index_dir)
-    )
-    union_sigs = new_sigs
-    if have_index:
-        old = rd.read_parquet(index_dir).map_batches(
-            sigs(0), batch_format="pyarrow"
-        )
-        union_sigs = union_sigs.union(old).materialize()
-
-    def band_rows(batch: pa.Table) -> pa.Table:
-        ids = batch["id"].to_numpy(zero_copy_only=False)
-        rank = batch["_rank"].to_numpy(zero_copy_only=False)
-        sig_list = batch["sig"].to_pylist()  # one conversion per batch
-        out_id, out_band, out_key, out_rank = [], [], [], []
-        for r in range(batch.num_rows):
-            sig = np.asarray(sig_list[r], dtype=np.uint64)
-            for bi, key in enumerate(lsh_band_keys(sig, bands)):
-                out_id.append(ids[r])
-                out_band.append(bi)
-                out_key.append(key)
-                out_rank.append(rank[r])
-        return pa.table(
-            {
-                "id": pa.array(out_id, pa.int64()),
-                "band_id": pa.array(out_band, pa.int32()),
-                "band_key": pa.array(out_key, pa.string()),
-                "_rank": pa.array(out_rank, pa.int32()),
-            }
-        )
-
-    exploded = union_sigs.map_batches(band_rows, batch_format="pyarrow")
-
-    def bucket_candidates(df: pd.DataFrame) -> pd.DataFrame:
-        # (rank, id) order puts index rows first so the later (hi) side
-        # of every pair is the drop side; rows with _rank == 0 (already
-        # indexed) are never droppable but still anchor as keepers
-        return _group_all_pairs(
-            df,
-            ["band_id", "band_key"],
-            cap=1024,
-            order=["_rank", "id"],
-            droppable_col="_rank",
-            log_label="incremental minhash",
-        )
-
-    cand = _bucketed_group_apply(exploded, ["band_id", "band_key"],
-                                 None, frame_fn=bucket_candidates)
-    cand_df = cand.to_pandas()
-    empty_assign = pd.DataFrame(
-        {"id": pd.Series(dtype="int64"), "keep_id": pd.Series(dtype="int64")}
-    )
-    if "id" not in cand_df.columns or len(cand_df) == 0:
-        return rd.from_pandas(empty_assign), new_sigs.drop_columns(["_rank"])
-    cand_df = cand_df.drop_duplicates(["id", "keep_id"])
-
-    # verify: fetch signatures for candidate ids only (broadcast probe)
-    cand_ids = pd.unique(pd.concat([cand_df["id"], cand_df["keep_id"]]))
-    cref = ray.put(np.sort(cand_ids.astype(np.int64)))
-
-    def fetch(batch: pa.Table) -> pa.Table:
-        members = ray.get(cref)
-        ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.filter(pa.array(_sorted_member_mask(members, ids)))
-
-    sig_df = union_sigs.map_batches(fetch, batch_format="pyarrow").to_pandas()
-    sig_mat = np.array(sig_df["sig"].tolist(), dtype=np.uint64)
-    row_of = {i: r for r, i in enumerate(sig_df["id"])}
-    a_rows = cand_df["id"].map(row_of).to_numpy()
-    b_rows = cand_df["keep_id"].map(row_of).to_numpy()
-    agree = (sig_mat[a_rows] == sig_mat[b_rows]).mean(axis=1)
-    verified = cand_df[agree >= threshold]
-    if len(verified) == 0:
-        return rd.from_pandas(empty_assign), new_sigs.drop_columns(["_rank"])
-
-    # keep preference (prior first, then smaller id): rank-0 keeps sort
-    # before every new id regardless of magnitude
-    keep_rank = verified["keep_id"].map(dict(zip(sig_df["id"], sig_df["_rank"])))
-    verified = verified.assign(_keep_rank=keep_rank.to_numpy())
-    assignments = (
-        verified.sort_values(["id", "_keep_rank", "keep_id"])
-        .groupby("id", as_index=False)
-        .first()[["id", "keep_id"]]
-    )
-
-    drop_ids = np.sort(assignments["id"].to_numpy().astype(np.int64))
-    dref = ray.put(drop_ids)
-
-    def survivors(batch: pa.Table) -> pa.Table:
-        dropped = ray.get(dref)
-        ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = ~_sorted_member_mask(dropped, ids)
-        return pa.table(
-            {
-                "id": pa.array(ids[keep], pa.int64()),
-                "sig": batch["sig"].filter(pa.array(keep)),
-            }
-        )
-
-    new_index = new_sigs.map_batches(survivors, batch_format="pyarrow")
-    return rd.from_pandas(assignments), new_index
-
-
-def append_minhash_index(index_rows, index_dir: str) -> int:
-    """Append an increment's surviving (id, sig) rows to the persisted
-    MinHash index (see `_append_sketch_index`)."""
-    return _append_sketch_index(index_rows, index_dir)

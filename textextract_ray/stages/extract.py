@@ -160,73 +160,6 @@ def extract_chunk(
         yield extractor(t.slice(off, batch_size))
 
 
-# --- groupby-host locality (A3: parser-cache locality) -----------------------
-
-class _HostRules:
-    """Stand-in for per-host parser state (the reference's TTL release
-    cache A3, update_routes.py:55-60: expensive-to-build, reusable).
-    Building is the cacheable unit; here it compiles a host-scoped
-    pattern once per host."""
-
-    def __init__(self, host: str):
-        import re
-
-        self.host = host
-        self.pattern = re.compile(re.escape(host))
-
-
-def extract_pages_host_locality(
-    pages_ds,
-    *,
-    num_buckets: int = 64,
-    max_output_bytes: int = DEFAULT_MAX_OUTPUT_BYTES,
-):
-    """Extraction with groupby-host locality (north_star: "groupby-host
-    locality for parser cache hits"): pages are shuffled ONCE on
-    host-hash buckets so every document of a host lands in the same
-    group; inside the group, rows are processed host-ordered with a
-    per-host rules cache — state builds once per host instead of once
-    per (host, batch) occurrence.
-
-    Costs a full input shuffle; worth it when per-host state is
-    expensive (layout templates, per-site models). ``extract_files``
-    and ``extract_dataset`` skip the shuffle. Output additionally
-    carries ``host_cache_hit`` so the locality win is measurable.
-    """
-    import pyarrow.compute as pc
-
-    from ..functions.scalar import stable_bucket, url_host
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        hosts = url_host(batch["url"])
-        b = stable_bucket(hosts, num_buckets)
-        return batch.append_column("host", hosts).append_column(
-            "host_bucket", pa.array(b, pa.int32())
-        )
-
-    extractor = ExtractBatch(max_output_bytes=max_output_bytes)
-
-    def extract_bucket(group: pa.Table) -> pa.Table:
-        order = pc.sort_indices(group, sort_keys=[("host", "ascending")])
-        g = group.take(order)
-        out = extractor(g)
-        hosts = g["host"].to_pylist()
-        cache: dict = {}
-        hits = []
-        for h in hosts:
-            if h in cache:
-                hits.append(True)
-            else:
-                cache[h] = _HostRules(h)
-                hits.append(False)
-        return out.append_column("host_cache_hit", pa.array(hits, pa.bool_()))
-
-    bucketed = pages_ds.map_batches(bucketize, batch_format="pyarrow")
-    return bucketed.groupby("host_bucket").map_groups(
-        extract_bucket, batch_format="pyarrow"
-    )
-
-
 # --- per-language extraction models (A1/A2 + the `language` field) -----------
 
 # public basic stopword heads per language; zh has no word boundaries
@@ -303,7 +236,7 @@ class LangDispatchExtract:
         )
 
 
-# --- PDF / layout-parser actor path (stubbed parser, real routing) -----------
+# --- PDF / layout-parser actor path ------------------------------------------
 
 class PdfExtract:
     """Actor-pool stage hosting the stateful PDF/layout parser (the
@@ -366,43 +299,3 @@ class PdfExtract:
             ],
             schema=EXTRACTED_SCHEMA,
         )
-
-
-def extract_pages_with_pdf_routing(
-    pages_ds,
-    *,
-    batch_size: int = 64,
-    max_output_bytes: int = DEFAULT_MAX_OUTPUT_BYTES,
-):
-    """One task stage that routes each row on the PDF magic number
-    inside its batch: ``%PDF-`` rows go to ``PdfExtract(strict=False)``,
-    every other row (null html included) to ``ExtractBatch``, and the
-    two halves concatenate. Vectorized prefix test, no Python rows;
-    every input row comes out once, in EXTRACTED_SCHEMA."""
-    import pyarrow.compute as pc
-
-    html_ex = ExtractBatch(max_output_bytes=max_output_bytes)
-    pdf_ex = PdfExtract(max_output_bytes=max_output_bytes)
-
-    def route(t: pa.Table) -> pa.Table:
-        # fill_null(False): null html is NOT pdf — it must stay on the
-        # html side (where the extractor flags it invalid), not vanish
-        # from both sides via a null mask
-        is_pdf = pc.fill_null(
-            pc.equal(
-                pc.binary_slice(t["html"], start=0, stop=5),
-                pa.scalar(b"%PDF-", pa.binary()),
-            ),
-            False,
-        )
-        return pa.concat_tables(
-            [html_ex(t.filter(pc.invert(is_pdf))), pdf_ex(t.filter(is_pdf))]
-        )
-
-    return pages_ds.map_batches(
-        route,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        **TASK_RETRY_ARGS,
-    )
