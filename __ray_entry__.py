@@ -27,7 +27,7 @@ def entry() -> Any:
     )
 
     return extract_dataset(
-        _documents_as_pages("/root/testdata/sf0.001"), dedup=False
+        _documents_as_pages("/root/testdata/sf0.001")
     ).drop_columns(["spans"])
 
 

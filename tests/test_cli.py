@@ -88,3 +88,30 @@ def test_cli_extract_table_mode(tmp_path, fixture_pages):
         cwd="/root/repo", env=env, capture_output=True, text=True, timeout=60,
     )
     assert r3.returncode == 2 and "--table" in r3.stderr
+
+
+def test_cli_extract_warc_directory(tmp_path, fixture_pages, ray_session):
+    """A directory of ``.warc.gz`` shards is a valid --input (extract_files
+    reads both formats): in --table mode it commits the same urls as the
+    parquet directory of the same corpus."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from textextract_ray.datagen import generate_warc
+    from textextract_ray.pipelines.tablelog import read_table_at
+
+    warc_dir = str(tmp_path / "warc")
+    generate_warc(warc_dir, 200, 4, giant_bytes=1 << 18)
+    tdir = str(tmp_path / "tbl")
+    env = dict(os.environ, RAY_GRAFT_CPUS="4")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    r = subprocess.run(
+        [sys.executable, "-m", "textextract_ray", "extract",
+         "--input", warc_dir, "--table", tdir, "--shards-per-partition", "2"],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=240,
+    )
+    assert r.returncode == 0, r.stderr[-2000:]
+    got = read_table_at(tdir, columns=["url"]).to_pandas()["url"]
+    want = pa.concat_tables(pq.read_table(f, columns=["url"]) for f in fixture_pages)
+    assert got.is_unique
+    assert set(got) == set(want["url"].to_pylist())

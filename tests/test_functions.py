@@ -273,83 +273,6 @@ def test_hash_family_pinned_values():
     assert (hash_utf8(big.slice(500, 2000), seed=7) == h[500:2500]).all()
 
 
-def test_canonicalize_url_parity_and_dedup():
-    """Crawl-style URL canonicalization: spot-pinned expected values,
-    and byte parity with the identical RE2 replace chain run by DuckDB
-    (both engines are RE2, so the kernel is exactly reproducible in
-    SQL — the same guarantee the PII/quality oracles rely on).
-    Expects absolute http(s) urls (the engine's input contract)."""
-    import duckdb
-    import pyarrow as pa
-
-    from textextract_ray.functions.scalar import canonicalize_url
-
-    urls = [
-        "HTTPS://Example.COM:443/a//b/c/?utm_source=x&q=1&fbclid=zz#frag",
-        "http://example.com:80/",
-        "http://example.com//x//y//",
-        "https://h.example/path?utm_a=1&utm_b=2",
-        "https://h.example/path?gclid=1&keep=2&utm_c=3&z=4",
-        "https://h.example/p?#",
-        "https://h.example/CaseKept/Path?Q=UPPER",
-        "https://h.example",
-        "http://h.example/?utm_only=1",
-        "https://A.B/x?msclkid=9&mc_eid=8&ref_src=t",
-    ]
-    got = canonicalize_url(pa.array(urls)).to_pylist()
-    # non-absolute inputs pass through unchanged (no doubled garbage)
-    odd = ["www.example.com/Page?x=1", "mailto:Foo@Bar", "/rel/path", ""]
-    assert canonicalize_url(pa.array(odd)).to_pylist() == odd
-    assert got[0] == "https://example.com/a/b/c?q=1"
-    assert got[1] == "http://example.com/"
-    assert got[3] == "https://h.example/path"
-    assert got[4] == "https://h.example/path?keep=2&z=4"
-    assert got[9] == "https://a.b/x"
-
-    # two variants of one logical page collapse to one dedup key
-    assert (
-        canonicalize_url(
-            pa.array(
-                [
-                    "https://Site.example/art/1?utm_campaign=x",
-                    "https://site.example:443/art//1/",
-                ]
-            )
-        ).to_pylist()
-        == ["https://site.example/art/1"] * 2
-    )
-
-    track = r"(utm_[a-z]+|fbclid|gclid|msclkid|mc_eid|ref_src)=[^&#]*"
-    sql = f"""
-        WITH s1 AS (
-            SELECT regexp_replace(u, '#.*$', '', 'g') AS c FROM t
-        ), s2 AS (
-            SELECT
-                regexp_replace(regexp_replace(
-                    lower(regexp_replace(c, '^([^:/?#]+://[^/?#]*).*$', '\\1')),
-                    '^(https://[^/?#:]+):443$', '\\1'),
-                    '^(http://[^/?#:]+):80$', '\\1') AS head,
-                regexp_replace(c, '^[^:/?#]+://[^/?#]*', '') AS tail
-            FROM s1
-        ), s3 AS (
-            SELECT head,
-                regexp_replace(regexp_replace(
-                    regexp_replace(tail, '\\?.*$', ''),
-                    '/{{2,}}', '/', 'g'), '^(/.+)/$', '\\1') AS path,
-                regexp_replace(regexp_replace(regexp_replace(regexp_replace(
-                    regexp_replace(tail, '^[^?]*', ''),
-                    '^\\?', '&'), '&{track}', '', 'g'),
-                    '^&', '?'), '^\\?$', '') AS query
-            FROM s2
-        )
-        SELECT head || path || query FROM s3
-    """
-    con = duckdb.connect()
-    con.register("t", pa.table({"u": urls}))
-    want = [r[0] for r in con.execute(sql).fetchall()]
-    assert got == want
-
-
 def test_bloom_filter_bounds_and_merge():
     """Bloom sketch: zero false negatives, FPR within 2x of the sizing
     target, OR-merge equals single-build, string and uint64 inputs."""

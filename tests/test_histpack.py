@@ -1,78 +1,5 @@
-"""Histogram-based best-fit packing plan (Krell et al. 2021 SPFHP-style:
-driver plan over the length histogram) and sequence packing's bucket
-count. Plan: constraints, worked examples, conservation, bad lengths.
-Packer: the caller's ``num_buckets`` is a floor, and the packed output
-does not depend on the bucket count."""
-
-import numpy as np
-import pytest
-
-from textextract_ray.pipelines.textops import histogram_pack_plan
-
-
-def _plan_packs(classes):
-    """Expand a plan into per-pack length multisets (sorted tuples)."""
-    packs = []
-    for comp, cnt in classes:
-        lengths = tuple(sorted((L for L, m in comp.items() for _ in range(m))))
-        packs.extend([lengths] * cnt)
-    return packs
-
-
-def test_plan_worked_example():
-    # 2x400 + 3x100 at capacity 512: each 400 pairs with one 100 (best
-    # fit; remaining 112 admits it, then only 12 is left), the third
-    # 100 opens its own pack. Next-fit in doc order (100s first) would
-    # have used 3 packs too but wasted the 400s' space; with 412: 1 the
-    # best-fit pairing matters — see the uniform test for the fill case.
-    classes, n_packs = histogram_pack_plan({400: 2, 100: 3}, 512)
-    packs = sorted(_plan_packs(classes))
-    assert n_packs == 3
-    assert packs == [(100,), (100, 400), (100, 400)]
-    for p in packs:
-        assert sum(p) <= 512
-    # pairing proper: 412 + 100 fits exactly once per pack
-    classes, n_packs = histogram_pack_plan({412: 2, 100: 2}, 512)
-    assert n_packs == 2
-    assert sorted(_plan_packs(classes)) == [(100, 412), (100, 412)]
-
-
-def test_plan_uniform_lengths_fill_packs():
-    # only 100s: best-fit fills floor(512/100)=5 per pack
-    classes, n_packs = histogram_pack_plan({100: 12}, 512)
-    packs = sorted(_plan_packs(classes), key=len)
-    assert n_packs == 3
-    assert [len(p) for p in packs] == [2, 5, 5]
-
-
-def test_plan_conservation_and_capacity_random():
-    rng = np.random.RandomState(7)
-    for _ in range(20):
-        lengths = rng.randint(1, 513, size=rng.randint(1, 40))
-        counts = rng.randint(1, 50, size=len(lengths))
-        hist = {}
-        for L, n in zip(lengths, counts):
-            hist[int(L)] = hist.get(int(L), 0) + int(n)
-        classes, n_packs = histogram_pack_plan(hist, 512)
-        packs = _plan_packs(classes)
-        assert len(packs) == n_packs
-        placed = {}
-        for p in packs:
-            assert sum(p) <= 512
-            for L in p:
-                placed[L] = placed.get(L, 0) + 1
-        assert placed == hist
-        # never worse than one pack per doc, never better than the
-        # fractional lower bound
-        total = sum(L * n for L, n in hist.items())
-        assert -(-total // 512) <= n_packs <= sum(hist.values())
-
-
-def test_plan_rejects_bad_lengths():
-    with pytest.raises(ValueError):
-        histogram_pack_plan({0: 3}, 512)
-    with pytest.raises(ValueError):
-        histogram_pack_plan({600: 1}, 512)
+"""Sequence packing's bucket count: the caller's ``num_buckets`` is a
+floor, and the packed output does not depend on the bucket count."""
 
 
 def test_packer_bucket_count_autoscales(ray_session, monkeypatch):

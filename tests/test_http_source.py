@@ -75,7 +75,7 @@ def test_http_extract_write_e2e(ray_session, http_fixture_server, tmp_path):
     from textextract_ray.sources import read_pages
 
     out = str(tmp_path / "http_out")
-    extracted = extract_dataset(read_pages(http_fixture_server), dedup=False)
+    extracted = extract_dataset(read_pages(http_fixture_server))
     extracted.write_parquet(out)
 
     written = (

@@ -121,77 +121,3 @@ def test_paragraph_dedup_noop_corpus(ray_session):
         got = _run(None, df, **kw)
         assert got["text"].tolist() == df["text"].tolist()
         assert got["n_dropped"].tolist() == [0, 0]
-
-
-# --- bottom-k deterministic sampling -------------------------------------
-
-
-def test_sample_bottomk_exact_and_layout_invariant(ray_session, sf_dir):
-    import numpy as np
-    import pyarrow as pa
-
-    from textextract_ray.functions.scalar import hash_utf8
-    from textextract_ray.pipelines.textops import sample_bottomk
-    from textextract_ray.sources import read_table
-
-    got = sample_bottomk(sf_dir, k=25, seed=3)
-    assert len(got) == 25
-
-    # brute-force oracle: hash every doc_id, take the 25 smallest
-    ids = read_table(sf_dir, "documents", columns=["doc_id"]).to_pandas()["doc_id"]
-    keys = hash_utf8(pa.array(ids.astype(str)), seed=3).astype(np.uint64)
-    import pandas as pd
-
-    want = (
-        pd.DataFrame({"doc_id": ids, "sample_key": keys})
-        .sort_values(["sample_key", "doc_id"])
-        .head(25)
-        .reset_index(drop=True)
-    )
-    assert got["doc_id"].tolist() == want["doc_id"].tolist()
-    assert got["sample_key"].tolist() == want["sample_key"].tolist()
-
-    # different seed -> different sample; same seed -> identical
-    other = sample_bottomk(sf_dir, k=25, seed=4)
-    assert other["doc_id"].tolist() != got["doc_id"].tolist()
-    again = sample_bottomk(sf_dir, k=25, seed=3)
-    assert again["doc_id"].tolist() == got["doc_id"].tolist()
-
-
-def test_sample_bottomk_per_group(ray_session, sf_dir):
-    from textextract_ray.pipelines.textops import sample_bottomk
-
-    got = sample_bottomk(sf_dir, k=5, seed=1, per_lang=True)
-    sizes = got.groupby("lang").size()
-    assert (sizes <= 5).all() and len(sizes) >= 2
-    # layout invariance through the batch-local nomination
-    import ray.data as rd
-
-    from textextract_ray.pipelines.textops import sample_bottomk_ds
-    from textextract_ray.sources import read_table
-
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "lang"]).repartition(11)
-    other = sample_bottomk_ds(ds, k=5, seed=1, group_col="lang")
-    assert other["doc_id"].tolist() == got["doc_id"].tolist()
-
-
-def test_sample_bottomk_null_group_not_dropped(ray_session):
-    """A null group value is a stratum too (review finding): rows with
-    a null group column must still be sampled, not silently excluded."""
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
-
-    from textextract_ray.pipelines.textops import sample_bottomk_ds
-
-    df = pd.DataFrame(
-        {
-            "doc_id": list(range(20)),
-            "lang": ["en"] * 8 + [None] * 12,
-        }
-    )
-    ds = rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
-    out = sample_bottomk_ds(ds, k=3, seed=0, group_col="lang")
-    null_rows = out[out["lang"].isna()]
-    assert len(null_rows) == 3  # the null stratum contributed k rows
-    assert len(out[out["lang"] == "en"]) == 3

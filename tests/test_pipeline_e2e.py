@@ -25,11 +25,14 @@ def golden():
 
 @pytest.fixture(scope="module")
 def pipeline_df(ray_session, fixture_pages):
-    from textextract_ray.pipelines.extract_pipeline import extract_dataset
+    from textextract_ray.pipelines.extract_pipeline import (
+        dedup_by_url,
+        extract_dataset,
+    )
     from textextract_ray.sources import read_pages
 
     ds = read_pages(fixture_pages)
-    return extract_dataset(ds).to_pandas()
+    return dedup_by_url(extract_dataset(ds)).to_pandas()
 
 
 def test_row_sets_match_exactly(pipeline_df, golden):
@@ -60,11 +63,14 @@ def test_sizes_and_version_recorded(pipeline_df):
 def test_repartitioning_invariance(ray_session, fixture_pages, golden):
     """Byte-identity must not depend on batch composition: run with a
     different shard order + batch size and compare."""
-    from textextract_ray.pipelines.extract_pipeline import extract_dataset
+    from textextract_ray.pipelines.extract_pipeline import (
+        dedup_by_url,
+        extract_dataset,
+    )
     from textextract_ray.sources import read_pages
 
     ds = read_pages(list(reversed(fixture_pages))).repartition(7)
-    df = extract_dataset(ds, batch_size=17).to_pandas()
+    df = dedup_by_url(extract_dataset(ds, batch_size=17)).to_pandas()
     assert set(df["url"]) == set(golden)
     for _, row in df.iterrows():
         assert row["extracted_text"] == golden[row["url"]].text
@@ -174,7 +180,7 @@ def test_null_html_rows_not_dropped(ray_session):
         {"url": "https://h/null", "warc_ts": EPOCH_US, "html": None, "text": "", "lang": "en"},
     ]
     ds = rd.from_arrow(pa.Table.from_pylist(rows, schema=PAGES_SCHEMA))
-    out = extract_dataset(ds, dedup=False).to_pandas()
+    out = extract_dataset(ds).to_pandas()
     assert set(out["url"]) == {"https://h/ok", "https://h/null"}
     assert out.set_index("url").loc["https://h/null", "status"] == "invalid"
 
@@ -209,86 +215,48 @@ def test_per_language_dispatch_observable(ray_session):
     assert kept["en"] == out["n_tokens"][0].as_py() - 3
 
 
+@pytest.mark.parametrize(
+    "budget",
+    ["SCAN_FOLD_BUDGET_ROWS", "DEDUP_DRIVER_BUDGET_ROWS", "DEDUP_DRIVER_BUDGET_BYTES"],
+)
 def test_dedup_by_url_distributed_fallback_matches_driver_path(
-    ray_session, fixture_pages
+    ray_session, fixture_pages, monkeypatch, budget
 ):
-    """dedup_by_url has two dup-resolution arms (driver Arrow pass vs
-    bucketed groupby past the row budget); they must agree exactly."""
-    from textextract_ray.pipelines.extract_pipeline import (
-        dedup_by_url,
-        extract_dataset,
-    )
+    """dedup_by_url has a driver arm and a past-budget distributed arm
+    at two steps: the key scan (driver fold vs coalesced groupby, past
+    SCAN_FOLD_BUDGET_ROWS) and the dup-row resolve (driver Arrow pass
+    vs bucketed groupby, past either DEDUP_DRIVER_BUDGET_*). Zeroing
+    one budget forces its arm; each must equal the driver arm row for
+    row."""
+    from textextract_ray.pipelines import extract_pipeline as ep
     from textextract_ray.sources import read_pages
 
-    def run(budget):
-        ds = extract_dataset(read_pages(fixture_pages), dedup=False)
-        out = dedup_by_url(ds, driver_budget_rows=budget).to_pandas()
+    import pandas as pd
+
+    def run():
+        ds = ep.extract_dataset(read_pages(fixture_pages))
+        out = ep.dedup_by_url(ds).to_pandas().drop(columns=["processing_time_ms"])
         return out.sort_values("url").reset_index(drop=True)
 
-    driver = run(200_000)
-    distributed = run(0)  # forces the bucketed-groupby arm
-    assert len(driver) == len(distributed)
-    assert driver["url"].tolist() == distributed["url"].tolist()
-    assert driver["extracted_text"].tolist() == distributed["extracted_text"].tolist()
+    driver = run()
+    monkeypatch.setattr(ep, budget, 0)
+    forced = run()
+    assert driver["url"].is_unique
+    pd.testing.assert_frame_equal(driver, forced)
     # dups actually existed in the fixture (else this test is vacuous)
-    raw = extract_dataset(read_pages(fixture_pages), dedup=False).count()
+    raw = ep.extract_dataset(read_pages(fixture_pages)).count()
     assert raw > len(driver)
-
-
-def test_dedup_by_url_canonicalize_mode(ray_session):
-    """Opt-in canonical-url dedup: tracking-param/case/port variants of
-    one logical page collapse to a single winner (first per canonical
-    key), while the default raw-url mode keeps them apart and golden
-    behavior unchanged."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from textextract_ray.pipelines.extract_pipeline import dedup_by_url
-
-    tbl = pa.table(
-        {
-            "url": [
-                "https://site.example/art/1?utm_campaign=x",
-                "https://Site.example:443/art//1/",
-                "https://site.example/art/2",
-            ],
-            "extracted_text": ["a", "a", "b"],
-        }
-    )
-    ds = rd.from_arrow(tbl)
-    raw = dedup_by_url(ds).to_pandas()
-    assert len(raw) == 3  # raw keys differ → nothing deduped
-
-    canon = dedup_by_url(ds, canonicalize=True).to_pandas().sort_values("url")
-    assert len(canon) == 2
-    # winner keeps its ORIGINAL url; both variants map to one key
-    assert (canon["extracted_text"].tolist()) == ["a", "b"] or (
-        canon["extracted_text"].tolist()
-    ) == ["b", "a"]
-
-    # deterministic winner: min raw url per canonical key, regardless
-    # of block arrival order and in BOTH resolution arms (canonical-key
-    # duplicates can differ in content, so arrival-order winners would
-    # make output layout-dependent)
-    rev = rd.from_arrow(tbl.take([2, 1, 0]))
-    win = "https://Site.example:443/art//1/"  # 'S' < 's' lexicographically
-    for d in (ds, rev):
-        for budget in (10_000, 0):  # driver fast path / bucketed arm
-            got = dedup_by_url(
-                d, canonicalize=True, driver_budget_rows=budget
-            ).to_pandas()
-            assert len(got) == 2
-            assert win in set(got["url"]), (budget, got["url"].tolist())
-            assert "_ckey" not in got.columns
 
 
 def test_fused_matches_dataset_path(ray_session, fixture_pages):
     """extract_files (parquet decode inside the extract task) must be
-    byte-identical to extract_dataset(read_pages(...)) — same stages,
-    different data motion. Timing column excluded (wall-clock)."""
+    byte-identical to dedup_by_url(extract_dataset(read_pages(...))) —
+    same stages, different data motion. Timing column excluded
+    (wall-clock)."""
     import pandas as pd
 
     from textextract_ray.pipelines.extract_pipeline import (
+        dedup_by_url,
         extract_dataset,
         extract_files,
     )
@@ -303,7 +271,7 @@ def test_fused_matches_dataset_path(ray_session, fixture_pages):
         .reset_index(drop=True)
     )
     b = (
-        extract_dataset(read_pages(fixture_pages))
+        dedup_by_url(extract_dataset(read_pages(fixture_pages)))
         .to_pandas()
         .drop(columns=drop)
         .sort_values("url")

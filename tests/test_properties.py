@@ -67,44 +67,6 @@ def test_popcount_matches_bin(vals):
     assert tx.popcount64(arr).tolist() == expect
 
 
-_URL_PATH = st.text(
-    alphabet="abcXYZ019-._~/%", max_size=40
-)
-_URL_QUERY = st.lists(
-    st.tuples(
-        st.sampled_from(
-            ["q", "page", "id", "utm_source", "utm_medium", "fbclid", "gclid", "X"]
-        ),
-        st.text(alphabet="abc019", max_size=8),
-    ),
-    max_size=6,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.sampled_from(["http", "https", "HTTP", "HtTpS"]),
-    st.text(alphabet="abcDEF019.-", min_size=1, max_size=20),
-    st.sampled_from(["", ":80", ":443", ":8080"]),
-    _URL_PATH,
-    _URL_QUERY,
-    st.text(alphabet="abc#?&=", max_size=10),
-)
-def test_canonicalize_url_idempotent(scheme, host, port, path, query, frag):
-    """canonicalize(canonicalize(u)) == canonicalize(u) for any
-    absolute http(s) url — the property that makes the canonical key
-    safe to store and re-canonicalize across runs/versions."""
-    import pyarrow as pa
-
-    from textextract_ray.functions.scalar import canonicalize_url
-
-    qs = "&".join(f"{k}={v}" for k, v in query)
-    u = f"{scheme}://{host}{port}/{path}" + (f"?{qs}" if qs else "") + (f"#{frag}" if frag else "")
-    once = canonicalize_url(pa.array([u])).to_pylist()[0]
-    twice = canonicalize_url(pa.array([once])).to_pylist()[0]
-    assert once == twice, (u, once, twice)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=800))
 def test_split_sentences_total_and_lossless_tokens(s):

@@ -23,7 +23,10 @@ def test_release_recipe_end_to_end(ray_session, fixture_pages, tmp_path):
         standard_taggers,
         tag_attributes_ds,
     )
-    from textextract_ray.pipelines.extract_pipeline import extract_dataset
+    from textextract_ray.pipelines.extract_pipeline import (
+        dedup_by_url,
+        extract_dataset,
+    )
     from textextract_ray.pipelines.textops import (
         filter_noindex_ds,
         line_frequency_filter_ds,
@@ -35,7 +38,7 @@ def test_release_recipe_end_to_end(ray_session, fixture_pages, tmp_path):
     n_pages = pages.count()
 
     compliant = filter_noindex_ds(pages)
-    extracted = extract_dataset(compliant).materialize()
+    extracted = dedup_by_url(extract_dataset(compliant)).materialize()
     ok = extracted.filter(expr="status == 'ok'")
 
     def to_docs(batch: pa.Table) -> pa.Table:

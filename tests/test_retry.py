@@ -132,10 +132,18 @@ def test_task_mode_transient_retry(ray_session, tmp_path, monkeypatch):
                 raise OSError("simulated transient I/O failure")
             return super().__call__(batch)
 
+    # full PAGES_SCHEMA rows: the task stage validates every block
+    from textextract_ray.datagen import EPOCH_US
+    from textextract_ray.schemas import PAGES_SCHEMA
+
+    rows = [
+        {"url": page_url(i), "warc_ts": EPOCH_US, "html": make_page(i),
+         "text": "", "lang": "en"}
+        for i in range(32)
+    ]
+    pages = ray.data.from_arrow(pa.Table.from_pylist(rows, schema=PAGES_SCHEMA))
     monkeypatch.setattr(ex, "ExtractBatch", FlakyTaskExtract)
-    out = extract_dataset(
-        _pages_ds(), batch_size=16, dedup=False, validate_schema=False
-    ).to_pandas()
+    out = extract_dataset(pages, batch_size=16).to_pandas()
     assert len(out) == 32
     assert os.path.exists(marker)  # the injected failure actually fired
 

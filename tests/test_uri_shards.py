@@ -47,6 +47,7 @@ def test_fused_matches_dataset_path_uri(ray_session, small_pages):
     lists is byte-identical to the plain local-path fused run AND to
     the unfused Dataset path."""
     from textextract_ray.pipelines.extract_pipeline import (
+        dedup_by_url,
         extract_dataset,
         extract_files,
     )
@@ -60,7 +61,7 @@ def test_fused_matches_dataset_path_uri(ray_session, small_pages):
         extract_files(["local://" + p for p in small_pages], batch_size=32)
     )
     unfused = _norm(
-        extract_dataset(read_pages(small_pages))
+        dedup_by_url(extract_dataset(read_pages(small_pages)))
     )
     pd.testing.assert_frame_equal(local, via_file)
     pd.testing.assert_frame_equal(local, via_fsspec)

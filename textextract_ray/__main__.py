@@ -38,20 +38,14 @@ def _init_ray():
 
 def cmd_extract(args) -> int:
     from .pipelines.extract_pipeline import run_job, run_job_versioned
+    from .sources import expand_shards
 
-    files = sorted(glob.glob(args.input)) if any(c in args.input for c in "*?[") else None
-    if files is None:
-        files = (
-            sorted(
-                os.path.join(args.input, f)
-                for f in os.listdir(args.input)
-                if f.endswith(".parquet")
-            )
-            if os.path.isdir(args.input)
-            else [args.input]
-        )
+    if any(c in args.input for c in "*?["):
+        files = sorted(glob.glob(args.input))
+    else:
+        files = expand_shards([args.input], (".parquet", ".warc.gz"))
     if not files:
-        print(f"error: no parquet shards under {args.input!r}", file=sys.stderr)
+        print(f"error: no parquet/warc shards under {args.input!r}", file=sys.stderr)
         return 2
     if not args.table and not args.out:
         print("error: pass --out (manifest mode) or --table (versioned mode)", file=sys.stderr)

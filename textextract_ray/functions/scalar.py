@@ -98,56 +98,6 @@ def url_host(url_col: pa.ChunkedArray | pa.Array) -> pa.Array:
     return pc.replace_substring_regex(url_col, pattern=_HOST_RE + r".*$", replacement=r"\1")
 
 
-# tracking params stripped by canonicalize_url: utm_* plus the common
-# click ids — the standard crawl-pipeline canonicalization set
-_TRACKING_RE = r"(utm_[a-z]+|fbclid|gclid|msclkid|mc_eid|ref_src)=[^&#]*"
-
-
-def canonicalize_url(url_col: pa.ChunkedArray | pa.Array) -> pa.Array:
-    """Crawl-style URL canonicalization, fully vectorized in Arrow
-    regex kernels (RE2 — so DuckDB's regexp_replace reproduces every
-    step exactly; pinned by a parity pytest):
-
-    1. drop the fragment (``#...``),
-    2. lowercase scheme and host (path/query case preserved),
-    3. strip the default port (``:80``/``:443``),
-    4. remove tracking query params (utm_*, fbclid, gclid, ...),
-       tidying the separators they leave behind,
-    5. drop a trailing ``?``, collapse duplicate slashes in the path,
-    6. drop one trailing slash from a non-root path.
-
-    Two urls that differ only in these respects dedup to the same key;
-    used ahead of url-dedup to lift its recall on real crawls. RE2 has
-    no lookaround, so the url splits into scheme://host, path, and
-    query with anchored regexes and each part canonicalizes
-    independently — every step is a plain replace both engines run
-    identically. Inputs without a ``scheme://host`` shape (relative
-    paths, mailto:, garbage) pass through UNCHANGED — the head/tail
-    split would otherwise fall through to the whole string twice and
-    emit a doubled nonsense key."""
-    absolute = pc.match_substring_regex(url_col, r"^[a-zA-Z][a-zA-Z0-9+.-]*://")
-    c = pc.replace_substring_regex(url_col, pattern=r"#.*$", replacement="")
-    head = pc.utf8_lower(
-        pc.replace_substring_regex(c, pattern=r"^([^:/?#]+://[^/?#]*).*$", replacement=r"\1")
-    )
-    head = pc.replace_substring_regex(head, pattern=r"^(https://[^/?#:]+):443$", replacement=r"\1")
-    head = pc.replace_substring_regex(head, pattern=r"^(http://[^/?#:]+):80$", replacement=r"\1")
-    tail = pc.replace_substring_regex(c, pattern=r"^[^:/?#]+://[^/?#]*", replacement="")
-    path = pc.replace_substring_regex(tail, pattern=r"\?.*$", replacement="")
-    path = pc.replace_substring_regex(path, pattern=r"/{2,}", replacement="/")
-    path = pc.replace_substring_regex(path, pattern=r"^(/.+)/$", replacement=r"\1")
-    query = pc.replace_substring_regex(tail, pattern=r"^[^?]*", replacement="")
-    # '?' → '&' so every param owns its leading separator, strip the
-    # tracking params (each match consumes its own '&', so runs of
-    # them strip in one pass), restore '?', drop an emptied query
-    query = pc.replace_substring_regex(query, pattern=r"^\?", replacement="&")
-    query = pc.replace_substring_regex(query, pattern=r"&" + _TRACKING_RE, replacement="")
-    query = pc.replace_substring_regex(query, pattern=r"^&", replacement="?")
-    query = pc.replace_substring_regex(query, pattern=r"^\?$", replacement="")
-    canon = pc.binary_join_element_wise(head, path, query, "")
-    return pc.if_else(pc.fill_null(absolute, False), canon, url_col)
-
-
 EMAIL_RE = r"^[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}$"
 
 def is_valid_email(col: pa.ChunkedArray | pa.Array) -> pa.Array:
@@ -335,10 +285,6 @@ def stable_hash64(values) -> "np.ndarray":
             [v if isinstance(v, str) else repr(v) for v in vals], pa.string()
         )
     return hash_utf8(arr, seed=0)
-
-
-# Back-compat alias for the pre-round-2 name; same contract.
-crc32_bucket = stable_bucket
 
 
 def surt_host_key(url_col: "pa.ChunkedArray | pa.Array") -> pa.Array:

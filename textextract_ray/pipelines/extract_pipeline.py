@@ -19,46 +19,30 @@ from ..stages.metrics import aggregate_counters, counters_report
 from ..state import checkpoint
 
 
-def extract_dataset(
-    pages_ds,
-    *,
-    batch_size: int = 256,
-    dedup: bool = True,
-    canonicalize_urls: bool = False,
-    validate_schema: bool = True,
-):
-    """pages Dataset -> extracted Dataset, optionally url-deduped
-    (``canonicalize_urls=True`` keys the dedup on the canonical url —
-    see dedup_by_url).
+def extract_dataset(pages_ds, *, batch_size: int = 256):
+    """pages Dataset -> extracted Dataset (no dedup: pipe the result
+    through ``dedup_by_url`` for that).
 
     One task stage: each input block runs through the same per-chunk
-    kernel as ``extract_files`` (``stages.extract.extract_chunk``), with
-    the same bounded transient-retry remote args.
-
-    ``validate_schema`` casts every batch to PAGES_SCHEMA at the
-    pipeline boundary (explicit DDL-style validation — no inference at
-    10^12 rows; a wrong column type fails fast with the stage name,
-    not deep inside the extractor)."""
+    kernel as ``extract_files`` (``stages.extract.extract_chunk``:
+    validate → annotate → extract), with the same bounded
+    transient-retry remote args."""
     from ..stages.extract import TASK_RETRY_ARGS, ExtractBatch, extract_chunk
 
     extractor = ExtractBatch()
 
     def extract_block(t: pa.Table):
         yield from extract_chunk(
-            t, extractor, batch_size=batch_size,
-            validate_schema=validate_schema, where="extract_dataset input",
+            t, extractor, batch_size=batch_size, where="extract_dataset input"
         )
 
-    extracted = pages_ds.map_batches(
+    return pages_ds.map_batches(
         extract_block,
         batch_size=None,  # one whole block per call; the kernel slices it
         batch_format="pyarrow",
         zero_copy_batch=True,
         **TASK_RETRY_ARGS,
     )
-    if dedup:
-        extracted = dedup_by_url(extracted, canonicalize=canonicalize_urls)
-    return extracted
 
 
 class _CommitOverlap:
@@ -138,15 +122,7 @@ def _http_size_ok(url: str) -> bool:
     return ok
 
 
-def extract_files(
-    paths,
-    *,
-    batch_size: int = 64,
-    dedup: bool = True,
-    canonicalize_urls: bool = False,
-    validate_schema: bool = True,
-    max_output_bytes: int | None = None,
-):
+def extract_files(paths, *, batch_size: int = 64, dedup: bool = True):
     """Fused read+extract: ONE task per parquet shard decodes the shard
     worker-side and extracts in the same process — the html payload
     never enters the object store.
@@ -168,8 +144,10 @@ def extract_files(
     ~10×-smaller extracted rows are ever stored. Both entry
     points run one per-chunk kernel (``stages.extract.extract_chunk``:
     validate → annotate → ``ExtractBatch`` per ``batch_size`` slice), so
-    output is byte-identical to ``extract_dataset(read_pages(paths))``
-    (pinned by ``test_pipeline_e2e.test_fused_matches_dataset_path``).
+    with ``dedup=False`` output is byte-identical to
+    ``extract_dataset(read_pages(paths))``, and with the default to
+    ``dedup_by_url`` of it (pinned by
+    ``test_pipeline_e2e.test_fused_matches_dataset_path``).
 
     Giant documents need no pool of their own: they run inside their
     shard's task, which the scheduler interleaves with the others, and
@@ -207,18 +185,13 @@ def extract_files(
     """
     import ray.data as rd
 
-    from ..oracle import DEFAULT_MAX_OUTPUT_BYTES
     from ..sources import expand_shards
     from ..stages.extract import TASK_RETRY_ARGS, ExtractBatch, extract_chunk
 
     shard_list = expand_shards(paths, (".parquet", ".warc.gz"))
     if not shard_list:
         raise ValueError("extract_files: no parquet/warc shards")
-    extractor = ExtractBatch(
-        max_output_bytes=DEFAULT_MAX_OUTPUT_BYTES
-        if max_output_bytes is None
-        else max_output_bytes
-    )
+    extractor = ExtractBatch()
     decode_rows = max(batch_size, 4096)
     # http(s) shards: the whole-shard fetch (no Range support → one
     # buffered GET) would otherwise serialize with extraction inside
@@ -281,7 +254,6 @@ def extract_files(
                     for t in chunks(path, src):
                         yield from extract_chunk(
                             t, extractor, batch_size=batch_size,
-                            validate_schema=validate_schema,
                             where="extract_files input",
                         )
             finally:
@@ -309,26 +281,21 @@ def extract_files(
         **TASK_RETRY_ARGS,
     )
     if dedup:
-        extracted = dedup_by_url(extracted, canonicalize=canonicalize_urls)
+        extracted = dedup_by_url(extracted)
     return extracted
 
 
+# Budgets of dedup_by_url, read at call time. The dup-row subset
+# resolves on the driver while it fits both DEDUP_DRIVER_BUDGET_*;
+# the key scan folds its (8-byte hash, count) partials on the driver
+# while they fit SCAN_FOLD_BUDGET_ROWS (~1.6 GB transient), past which
+# the distributed coalesce+groupby arm engages (the 10^12-url regime).
 DEDUP_DRIVER_BUDGET_ROWS = 200_000
 DEDUP_DRIVER_BUDGET_BYTES = 1 << 30  # payload cap for the driver pull
-# key-scan second-level combine: fold (8-byte hash, count) partials on
-# the driver while they fit this many rows (~1.6 GB transient); past it
-# the distributed coalesce+groupby arm engages (the 10^12-url regime)
 SCAN_FOLD_BUDGET_ROWS = 100_000_000
 
 
-def dedup_by_url(
-    extracted_ds,
-    *,
-    num_buckets: int = 256,
-    driver_budget_rows: int = DEDUP_DRIVER_BUDGET_ROWS,
-    driver_budget_bytes: int = DEDUP_DRIVER_BUDGET_BYTES,
-    canonicalize: bool = False,
-):
+def dedup_by_url(extracted_ds):
     """Exact dedup by url — the shuffle carries KEYS, not payloads.
 
     The naive shape (bucket every extracted row by url hash, shuffle
@@ -341,22 +308,24 @@ def dedup_by_url(
     1. materialize the extracted partition once (partition-scale, not
        corpus-scale — this is what bounds it; it also stops the
        consumers below from re-executing the extract),
-    2. key scan: find url-hash keys with count > 1 fully distributed —
-       each batch pre-aggregates (hash, count) partials (8-byte keys,
-       deduped within the batch), a small groupby sums them, and only
-       the O(dup keys) result reaches the driver. No O(rows)
-       ``to_pandas`` anywhere: a caller invoking this on an
-       unpartitioned full corpus is safe, not just a partition-sized
-       job,
+    2. key scan: each block pre-aggregates (8-byte url hash, count)
+       partials; ``stages.fold.fold_partials`` sums them on the driver
+       while they fit ``SCAN_FOLD_BUDGET_ROWS``, else a coalesced
+       distributed groupby does. Either way only the O(dup keys)
+       result is kept — no O(rows) ``to_pandas`` anywhere, so a caller
+       invoking this on an unpartitioned full corpus is safe,
     3. stream-filter the unique-url rows with the broadcast dup-hash
        set (vectorized ``is_in``, no shuffle — the overwhelming
        majority of the data takes this path),
     4. resolve only the rare duplicate rows: pulled to the driver and
-       deduped in Arrow when they fit BOTH ``driver_budget_rows`` and
-       ``driver_budget_bytes`` (the byte budget guards against few-but-
-       giant duplicate documents blowing the driver heap), else a
-       bucketed groupby over just that subset (still key-partitioned,
-       never the full payload).
+       deduped in Arrow when they fit BOTH ``DEDUP_DRIVER_BUDGET_ROWS``
+       and ``DEDUP_DRIVER_BUDGET_BYTES`` (the byte budget guards
+       against few-but-giant duplicate documents blowing the driver
+       heap), else a url-bucketed groupby over just that subset (still
+       key-partitioned, never the full payload).
+
+    Both arms of steps 2 and 4 are exact and give the same rows. The
+    budgets are module globals read at call time.
 
     A hash collision routes a unique url into the dup path, where
     first-per-URL (the real string) keeps it — collisions cost a few
@@ -367,96 +336,21 @@ def dedup_by_url(
     column varies) and ANY occurrence is a valid winner — content
     determinism does not depend on block arrival order. Stays in Arrow
     end-to-end (pandas would mangle the ``spans`` list column).
-
-    ``canonicalize=True`` keys the dedup on ``canonicalize_url(url)``
-    (tracking params / fragments / case / default ports stripped —
-    functions.scalar) instead of the raw url, catching the
-    same-page-different-tracking duplicates real crawls are full of.
-    Opt-in: the output rows keep their original urls, raw-key behavior —
-    including every golden fixture — is unchanged at the default, and
-    the canonical key is computed ONCE into a materialized helper
-    column (dropped before returning), not re-derived per filter pass.
-    Unlike raw-key duplicates (byte-identical rows from the pure
-    extractor), canonical-key duplicates can carry different content —
-    so the winner is the MIN-RAW-URL row per key, deterministic under
-    any block arrival order.
     """
-    import numpy as np
-
-    from ..functions.scalar import canonicalize_url
-
-    key_col = "_ckey" if canonicalize else "url"
-
-    def strip(dset):
-        return dset.drop_columns(["_ckey"]) if canonicalize else dset
-
-    if canonicalize:
-
-        def add_key(batch: pa.Table) -> pa.Table:
-            return batch.append_column("_ckey", canonicalize_url(batch["url"]))
-
-        ds = extracted_ds.map_batches(
-            add_key, batch_format="pyarrow", zero_copy_batch=True
-        ).materialize()
-    else:
-        ds = extracted_ds.materialize()
-
-    def first_per_url(tbl: pa.Table) -> pa.Table:
-        # winner per key = the min-raw-url row (within equal urls, any
-        # row: they are byte-identical up to timing) — deterministic
-        # regardless of block arrival order in BOTH key modes
-        keys = np.asarray(tbl[key_col].to_pylist(), dtype=object)
-        urls = np.asarray(tbl["url"].to_pylist(), dtype=object)
-        order = np.lexsort((urls, keys))
-        _, first_idx = np.unique(keys[order], return_index=True)
-        return tbl.take(np.sort(order[first_idx]))
-
-    return strip(
-        _dedup_with_winner(
-            ds,
-            key_col,
-            first_per_url,
-            num_buckets=num_buckets,
-            driver_budget_rows=driver_budget_rows,
-            driver_budget_bytes=driver_budget_bytes,
-        )
-    )
-
-
-def _dedup_with_winner(
-    ds,
-    key_col: str,
-    winner_fn,
-    *,
-    num_buckets: int = 256,
-    driver_budget_rows: int = DEDUP_DRIVER_BUDGET_ROWS,
-    driver_budget_bytes: int = DEDUP_DRIVER_BUDGET_BYTES,
-):
-    """Keys-only dedup scaffold of ``dedup_by_url``: a distributed
-    (8-byte hash, count) partial scan finds the duplicate KEYS;
-    unique-key rows — the
-    overwhelming majority — stream through a vectorized ``is_in``
-    filter untouched; only the rare duplicate rows resolve through
-    ``winner_fn(table) -> table`` (one winner row per key), driver-side
-    when the subset fits BOTH budgets, else via a key-bucketed groupby
-    over just that subset. The corpus payload never rides a shuffle.
-
-    A hash collision routes a unique key into the winner path, where
-    ``winner_fn`` sees the real key string and keeps it — collisions
-    cost a few extra resolved rows, never correctness. ``ds`` must be
-    materialized by the caller (bounds the scan and stops the two
-    consumers from re-executing the upstream pipeline)."""
     import ray as _ray
     import ray.data as rd
 
     from ray.data.aggregate import Sum
 
     from ..functions.scalar import stable_bucket, stable_hash64
+    from ..stages.fold import fold_partials
+
+    ds = extracted_ds.materialize()
 
     def key_hash_partials(batch: pa.Table) -> pa.Table:
-        # per-batch partial counts: the shuffle ships (8-byte key,
-        # count) rows already deduped within the batch
-        hh = stable_hash64(batch[key_col])
+        # per-batch partial counts: the scan ships (8-byte key, count)
+        # rows already deduped within the batch
+        hh = stable_hash64(batch["url"])
         uh, cnt = np.unique(hh, return_counts=True)
         return pa.table(
             {
@@ -467,42 +361,22 @@ def _dedup_with_winner(
             }
         )
 
-    def only_dups(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.greater(batch["n_rows"], 1))
-
-    # Second-level combine ladder. The partials are already pre-combined
-    # per block, so their total is ~O(distinct keys) 16-byte rows — but
-    # a Ray groupby over MANY tiny partial blocks pays the all-to-all's
-    # fixed cost per block (measured 6.7s for 24k keys in 256 blocks at
-    # the bench config, vs 1.2s for a driver fold). So: stream the
-    # partials to the driver and fold in numpy while they fit
-    # SCAN_FOLD_BUDGET_ROWS (a ~1.6 GB bound on driver transients);
-    # past the budget — the 10^12-distinct-url regime — fall back to
-    # the distributed groupby, coalesced first so the shuffle sees few
-    # large blocks instead of thousands of tiny ones. Both arms are
-    # exact; results are identical.
+    # Second-level combine. The partials are pre-combined per block, so
+    # their total is ~O(distinct keys) 16-byte rows — but a Ray groupby
+    # over MANY tiny partial blocks pays the all-to-all's fixed cost per
+    # block (measured 6.7s for 24k keys in 256 blocks at the bench
+    # config, vs 1.2s for a driver fold). Past the fold budget the
+    # partials are coalesced first, so the shuffle sees few large
+    # blocks instead of thousands of tiny ones.
     parts = ds.map_batches(key_hash_partials, batch_format="pyarrow")
-    folded_h: list = []
-    folded_n: list = []
-    seen_rows = 0
-    for b in parts.iter_batches(
-        batch_size=None, batch_format="pyarrow", prefetch_batches=16
-    ):
-        folded_h.append(b["h"].to_numpy(zero_copy_only=False))
-        folded_n.append(b["n"].to_numpy(zero_copy_only=False))
-        seen_rows += b.num_rows
-        if seen_rows > SCAN_FOLD_BUDGET_ROWS:
-            break
-    if seen_rows <= SCAN_FOLD_BUDGET_ROWS:
-        if seen_rows == 0:
+    folded = fold_partials(parts, budget_rows=SCAN_FOLD_BUDGET_ROWS)
+    if folded is not None:
+        if folded.empty:
             return ds
-        h_all = np.concatenate(folded_h)
-        uh, inv = np.unique(h_all, return_inverse=True)
-        tot = np.bincount(inv, weights=np.concatenate(folded_n))
-        dup_h = uh[tot > 1].astype(np.uint64)
-        n_dup_rows_est = int(tot[tot > 1].sum())
+        uh, inv = np.unique(folded["h"].to_numpy(), return_inverse=True)
+        tot = np.bincount(inv, weights=folded["n"].to_numpy())
+        dup_h, dup_n = uh[tot > 1], tot[tot > 1]
     else:
-        folded_h = folded_n = None  # release before the distributed arm
 
         def combine(batch: pa.Table) -> pa.Table:
             h = batch["h"].to_numpy(zero_copy_only=False)
@@ -517,6 +391,9 @@ def _dedup_with_winner(
                 }
             )
 
+        def only_dups(batch: pa.Table) -> pa.Table:
+            return batch.filter(pc.greater(batch["n_rows"], 1))
+
         parts_m = parts.materialize()
         dup_df = (
             parts_m.repartition(max(32, parts_m.num_blocks() // 32))
@@ -527,16 +404,15 @@ def _dedup_with_winner(
             .to_pandas()  # O(dup keys), not O(rows)
         )
         # an all-filtered map_batches output can round-trip with no columns
-        if "h" not in dup_df.columns or len(dup_df) == 0:
+        if "h" not in dup_df.columns:
             return ds
-        dup_h = dup_df["h"].to_numpy().astype(np.uint64)
-        n_dup_rows_est = int(dup_df["n_rows"].sum())
+        dup_h, dup_n = dup_df["h"].to_numpy(), dup_df["n_rows"].to_numpy()
     if len(dup_h) == 0:
         return ds
-    dup_ref = _ray.put(pa.array(dup_h, pa.uint64()))
+    dup_ref = _ray.put(pa.array(dup_h.astype(np.uint64), pa.uint64()))
 
     def dup_mask(batch: pa.Table):
-        hh = pa.array(stable_hash64(batch[key_col]), pa.uint64())
+        hh = pa.array(stable_hash64(batch["url"]), pa.uint64())
         return pc.fill_null(pc.is_in(hh, value_set=_ray.get(dup_ref)), False)
 
     def keep_unique(batch: pa.Table) -> pa.Table:
@@ -545,26 +421,34 @@ def _dedup_with_winner(
     def keep_dup(batch: pa.Table) -> pa.Table:
         return batch.filter(dup_mask(batch))
 
+    def first_per_url(tbl: pa.Table) -> pa.Table:
+        # winner per url = its first row (equal urls are byte-identical
+        # up to timing); np.unique's stable sort makes the pick
+        # deterministic for a given block order
+        urls = np.asarray(tbl["url"].to_pylist(), dtype=object)
+        _, first_idx = np.unique(urls, return_index=True)
+        return tbl.take(np.sort(first_idx))
+
     uniq = ds.map_batches(keep_unique, batch_format="pyarrow")
     # materialized so the byte size is known up front AND the past-
     # budget arm reads these blocks instead of re-filtering ds
     dups = ds.map_batches(keep_dup, batch_format="pyarrow").materialize()
-    if n_dup_rows_est <= driver_budget_rows and (
-        (dups.size_bytes() or 0) <= driver_budget_bytes
+    if int(dup_n.sum()) <= DEDUP_DRIVER_BUDGET_ROWS and (
+        (dups.size_bytes() or 0) <= DEDUP_DRIVER_BUDGET_BYTES
     ):
         # rare-duplicate fast path: the subset fits the driver; one
         # Arrow pass picks the winners, re-shipped as a single block
         tables = [t for t in _ray.get(dups.to_arrow_refs()) if len(t)]
-        winners = winner_fn(pa.concat_tables(tables).combine_chunks())
+        winners = first_per_url(pa.concat_tables(tables).combine_chunks())
         return uniq.union(rd.from_arrow(winners))
 
     def winner_per_bucket(bucket: pa.Table) -> pa.Table:
-        return winner_fn(bucket.drop_columns(["url_bucket"]))
+        return first_per_url(bucket.drop_columns(["url_bucket"]))
 
     def bucketize(batch: pa.Table) -> pa.Table:
         return batch.append_column(
             "url_bucket",
-            pa.array(stable_bucket(batch[key_col], num_buckets), pa.int32()),
+            pa.array(stable_bucket(batch["url"], 256), pa.int32()),
         )
 
     resolved = (
@@ -661,14 +545,12 @@ def run_job_versioned(
     table_dir: str,
     *,
     shards_per_partition: int | None = 4,
-    batch_size: int = 256,
-    key_col: str = "url",
     fail_at_partition: int | None = None,
     tag: str | None = None,
 ) -> pd.DataFrame:
     """The resumable extraction job committing INTO the versioned table
     log: each partition publishes as one atomic table version (first as
-    an append, later ones as copy-on-write MERGE by ``key_col``), so
+    an append, later ones as copy-on-write MERGE by url), so
     extraction output gets time travel, change feeds, compaction and
     retention GC for free — ``ingest_dumps_versioned`` proved the
     composition per dump; this is the same contract at the primary
@@ -687,7 +569,7 @@ def run_job_versioned(
     pre-upgrade snapshot stays time-travelable) — the versioned-path
     analogue of ``run_job``'s is_committed extractor-version check.
 
-    Cross-partition semantics: merge-by-``key_col`` makes the table
+    Cross-partition semantics: merge-by-url makes the table
     exactly-once per url GLOBALLY (latest partition wins), not just per
     partition — stronger than ``run_job``'s per-partition dedup, and
     each pre-merge snapshot stays time-travelable. Bloom sidecars ride
@@ -802,7 +684,7 @@ def run_job_versioned(
             commits.join_all()  # earlier commits land; THIS one does not
             raise RuntimeError(f"fault injection: killed before partition {pid}")
         extracted = extract_files(
-            shards, batch_size=batch_size, dedup=True
+            shards, batch_size=256, dedup=True
         ).materialize()  # pin: counters + stage both read the same blocks
 
         def commit_one(pid=pid, shards=shards, note=note, extracted=extracted):
@@ -815,13 +697,13 @@ def run_job_versioned(
             }
             if _head_version(table_dir) == 0:
                 table_append(
-                    table_dir, extracted, stats_cols=[key_col], note=note,
-                    bloom_key=key_col, meta=meta,
+                    table_dir, extracted, stats_cols=["url"], note=note,
+                    bloom_key="url", meta=meta,
                 )
             else:
                 table_merge(
-                    table_dir, extracted, key_col, stats_cols=[key_col],
-                    note=note, bloom_key=key_col, meta=meta,
+                    table_dir, extracted, "url", stats_cols=["url"],
+                    note=note, bloom_key="url", meta=meta,
                 )
             results[pid] = counters
 
@@ -857,7 +739,6 @@ def run_job(
     out_dir: str,
     *,
     shards_per_partition: int | None = 4,
-    batch_size: int = 256,
     fail_at_partition: int | None = None,
 ) -> pd.DataFrame:
     """Resumable extraction job over Parquet shards.
@@ -981,7 +862,7 @@ def run_job(
             commits.join_all()  # earlier commits land; THIS one does not
             raise RuntimeError(f"fault injection: killed before partition {pid}")
         checkpoint.clean_uncommitted(out_dir, pid)
-        extracted = extract_files(shards, batch_size=batch_size, dedup=True)
+        extracted = extract_files(shards, batch_size=256, dedup=True)
         pdir = checkpoint.partition_dir(out_dir, pid)
         extracted.write_parquet(pdir)
         # commit barrier off the critical path: next partition's read +
@@ -1037,7 +918,7 @@ def extract_documents(sf_dir: str):
     read → validate → annotate → extract. The DuckDB oracle asserts
     extracted_text == the original document text, byte-for-byte —
     the north_rule invariant expressed as SQL."""
-    extracted = extract_dataset(_documents_as_pages(sf_dir), dedup=False)
+    extracted = extract_dataset(_documents_as_pages(sf_dir))
     df = extracted.to_pandas()[["url", "extracted_text", "status"]]
     return df.sort_values("url").reset_index(drop=True)
 
@@ -1098,7 +979,7 @@ def extract_pdf_documents(sf_dir: str):
 def extract_spans(sf_dir: str):
     """Span offsets of the extraction (first/only span per synthesized
     page): start, end in characters of the extracted text."""
-    extracted = extract_dataset(_documents_as_pages(sf_dir), dedup=False)
+    extracted = extract_dataset(_documents_as_pages(sf_dir))
 
     def flatten(batch: pa.Table) -> pa.Table:
         # vectorized 1->N explode: list_flatten yields every span struct,

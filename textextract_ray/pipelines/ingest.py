@@ -84,11 +84,8 @@ def ingest_increment(
     # while it presents a byte-identical batch — see streaming_dedup).
     # Blocks spill to disk if they outgrow memory.
     fresh = streaming_dedup(ds, index, run_id=f"increment-{increment_id}").materialize()
-    extracted = extract_dataset(
-        fresh,
-        batch_size=batch_size,
-        dedup=False,  # the index already guarantees per-url uniqueness
-    )
+    # no url dedup: the index already guarantees per-url uniqueness
+    extracted = extract_dataset(fresh, batch_size=batch_size)
     pdir = checkpoint.partition_dir(out_dir, increment_id)
     extracted.write_parquet(pdir)
     from .extract_pipeline import _ensure_partition_dir

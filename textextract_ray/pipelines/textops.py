@@ -1575,80 +1575,6 @@ def pack_bins_ds(ds, *, capacity: int = 512, num_buckets: int = 64):
     )
 
 
-def histogram_pack_plan(hist: dict, capacity: int):
-    """Driver-side histogram packer (Krell et al. 2021, "Efficient
-    Sequence Packing without Cross-contamination", arXiv:2107.02027 —
-    the SPFHP insight: the packing problem over a corpus collapses to a
-    problem over the LENGTH HISTOGRAM, ≤``capacity`` classes, so the
-    solve is corpus-size-independent driver arithmetic, exactly like
-    the BPE merge loop over the word histogram).
-
-    Deterministic shortest-remaining-first over length classes,
-    longest length first: each length class places its docs into the
-    open pack class with the LEAST remaining space that still fits
-    (ties: oldest class), splitting pack classes when only part of a
-    class receives a doc; lengths with no open fit start fresh packs
-    filled to ``capacity // L`` docs each (what per-doc best-fit would
-    do with only that length left). Classes are (composition, count)
-    pairs — `count` identical pack instances — so the loop runs
-    O(distinct_lengths x classes), never O(docs).
-
-    Returns ``(classes, n_packs)``: ``classes`` is a list of
-    ``(comp: {length: multiplicity}, count)`` in deterministic order;
-    pack ids are assigned contiguously class by class. Every length in
-    ``hist`` must satisfy ``1 <= L <= capacity``.
-    """
-    if any(L < 1 or L > capacity for L in hist):
-        raise ValueError("histogram_pack_plan: lengths must be in [1, capacity]")
-    # [comp dict, remaining, count]; count==0 marks a consumed split.
-    # `open_idx` holds indices of live classes (count>0, remaining>=1)
-    # in ascending order, so the best-fit scan never re-visits consumed
-    # splits and the oldest-class tie-break is index order as before.
-    classes: list = []
-    open_idx: list = []
-
-    def add(comp, rem, cnt):
-        classes.append([comp, rem, cnt])
-        if rem >= 1:  # rem 0 can never fit any length >= 1
-            open_idx.append(len(classes) - 1)
-
-    for L in sorted(hist, reverse=True):
-        n = int(hist[L])
-        while n > 0:
-            best = None
-            for i in open_idx:
-                c = classes[i]
-                if c[1] >= L and (best is None or c[1] < classes[best][1]):
-                    best = i
-            if best is not None:
-                comp, rem, cnt = classes[best]
-                take = min(n, cnt)
-                classes[best][2] = cnt - take
-                if take == cnt:
-                    open_idx.remove(best)
-                newc = dict(comp)
-                newc[L] = newc.get(L, 0) + 1
-                add(newc, rem - L, take)
-                n -= take
-            else:
-                k = capacity // L  # >=1 since L <= capacity
-                full, r = divmod(n, k)
-                if full:
-                    add({L: k}, capacity - k * L, full)
-                if r:
-                    add({L: r}, capacity - r * L, 1)
-                n = 0
-    final = [(c[0], c[2]) for c in classes if c[2] > 0]
-    # conservation: every histogram slot appears in exactly one class
-    placed: dict = {}
-    for comp, cnt in final:
-        for L, m in comp.items():
-            placed[L] = placed.get(L, 0) + m * cnt
-    if placed != {L: int(n) for L, n in hist.items() if n}:
-        raise AssertionError("histogram_pack_plan lost or duplicated slots")
-    return final, sum(cnt for _, cnt in final)
-
-
 def epoch_stream(sf_dir: str, *, seed: int = 0, weights=None):
     """Training-epoch assembly — the composition the mixing and
     shuffle operators exist for: corpus_mix expands each doc to its
@@ -2340,217 +2266,6 @@ def c4_clean_ds(
     return docs.map_batches(clean, batch_format="pyarrow", zero_copy_batch=True)
 
 
-BLOCKLIST_MAX_LABELS = 8  # deepest suffix checked (hosts rarely exceed this)
-
-
-def filter_blocked_hosts_ds(
-    pages,
-    blocklist,
-    *,
-    url_col: str = "url",
-    invert: bool = False,
-    max_labels: int = BLOCKLIST_MAX_LABELS,
-):
-    """Domain-blocklist filtering — the UT1-blocklist stage every
-    crawl pipeline runs first (RefinedWeb §3.1, Dolma's URL filter): a
-    page is BLOCKED when its host (lowercased) equals a blocked domain
-    or is a subdomain of one (``ads.example.com`` matches blocked
-    ``example.com``; ``notexample.com`` does not). ``invert=True``
-    returns the blocked rows instead (audit mode).
-
-    Scale shape: NO shuffle. The blocklist broadcasts ONCE via
-    ``ray.put`` as a sorted Arrow string array (zero-copy per batch,
-    never re-shipped); each batch extracts hosts with the shared RE2
-    kernel (``functions.scalar.url_host``) and tests membership of the
-    host and each of its ≤ ``max_labels`` parent-domain suffixes with
-    vectorized ``is_in`` — suffix generation is one regex strip per
-    level, so the whole match is O(max_labels) C passes per batch,
-    no Python loop over rows.
-
-    The blocklist side is assumed driver-resident (UT1 is ~4M lines,
-    ~100 MB — broadcastable by design); a corpus-sized deny set would
-    use the bucketed co-group join pattern instead (see
-    ``_patch_docs_with_drops``)."""
-    import ray
-
-    blocked = pa.array(
-        sorted({d.strip().lower().rstrip(".") for d in blocklist if d.strip()}),
-        pa.string(),
-    )
-    ref = ray.put(blocked)
-
-    def keep(batch: pa.Table) -> pa.Table:
-        from ..functions.scalar import url_host
-
-        bl = ray.get(ref)
-        host = pc.utf8_lower(
-            url_host(pc.fill_null(batch[url_col].combine_chunks(), ""))
-        )
-        # url_host keeps the authority verbatim — drop userinfo@ and
-        # :port so suffix equality is on the registrable name only
-        host = pc.replace_substring_regex(host, pattern=r"^[^/]*@", replacement="")
-        host = pc.replace_substring_regex(host, pattern=r":\d+$", replacement="")
-        hit = np.zeros(len(batch), dtype=bool)
-        suffix = host
-        for _ in range(max_labels):
-            hit |= pc.is_in(suffix, value_set=bl).to_numpy(zero_copy_only=False)
-            stripped = pc.replace_substring_regex(
-                suffix, pattern=r"^[^.]*\.", replacement="", max_replacements=1
-            )
-            # no label left to strip anywhere -> done early
-            changed = pc.any(pc.not_equal(stripped, suffix)).as_py()
-            suffix = stripped
-            if not changed:
-                break
-        mask = hit if invert else ~hit
-        return batch.filter(pa.array(mask))
-
-    return pages.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def sample_bottomk_ds(ds, *, k: int, seed: int = 0, id_col: str = "doc_id",
-                      group_col=None):
-    """Uniform sample of EXACTLY k rows without replacement, with no
-    randomness: the sample is the k smallest values of
-    ``hash64(id, seed)`` (the repo-owned family) — a fixed order
-    statistic, so it is layout-invariant, retry-stable, and
-    reproducible from the seed alone (the bottom-k-by-hash estimator
-    of Cohen & Kaplan 2007; the same trick behind MinHash). The
-    rate-based ``stratified_sample`` cannot promise an exact count;
-    this cannot promise a per-batch rate — they are complements.
-
-    Scale shape: each batch nominates its local bottom-k (ties on the
-    id) — the true global bottom-k is necessarily inside the union of
-    local bottom-ks, so the driver merge sees O(blocks·k) candidate
-    rows, never the corpus. With ``group_col``, nomination is
-    per-group bottom-k within each batch and the merge keeps k per
-    group: candidates are O(blocks·groups·k), the usual
-    dimension-sized pull (same budget class as ann_topk's merge).
-
-    Returns a pandas frame of the sampled rows' (id[, group], key),
-    sorted by key then id.
-    """
-    import pyarrow.compute as pc
-
-    from ..functions.scalar import hash_utf8
-
-    gcols = [group_col] if group_col else []
-
-    def nominate(batch: pa.Table) -> pa.Table:
-        key = hash_utf8(
-            pc.fill_null(batch[id_col].cast(pa.string()), "None"), seed=seed
-        ).astype(np.uint64)
-        df = pd.DataFrame({id_col: batch[id_col].to_pandas(), "_key": key})
-        for g in gcols:
-            df[g] = batch[g].to_pandas()
-        df = df.sort_values(["_key", id_col], kind="mergesort")
-        # dropna=False: a null group value is a stratum too — silently
-        # excluding those rows would bias the sample
-        top = (
-            df.groupby(gcols, sort=False, dropna=False).head(k) if gcols else df.head(k)
-        )
-        return pa.Table.from_pandas(top, preserve_index=False)
-
-    cand = ds.map_batches(
-        nominate, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()
-    out = cand.sort_values(["_key", id_col], kind="mergesort")
-    out = (
-        out.groupby(gcols, sort=False, dropna=False).head(k) if gcols else out.head(k)
-    )
-    return (
-        out.rename(columns={"_key": "sample_key"})
-        .sort_values(["sample_key", id_col])
-        .reset_index(drop=True)
-    )
-
-
-def sample_weighted_bottomk_ds(ds, *, k: int, weight_col: str, seed: int = 0,
-                               id_col: str = "doc_id", group_col=None):
-    """Weighted sample of EXACTLY k rows without replacement,
-    deterministic (Efraimidis & Spirakis 2006, IPL — the exponential
-    race): each row draws ``u = (hash64(id, seed)+1) / 2^64`` and
-    races with key ``-ln(u) / w`` (an Exp(w) arrival time); the k
-    SMALLEST keys win, which selects each row with the E-S
-    weighted-without-replacement distribution. No RNG state: u is the
-    repo-owned hash of the id, so the sample is layout-invariant,
-    retry-stable, and a new seed is an independent draw — the weighted
-    complement of ``sample_bottomk_ds`` (w ≡ 1 reduces to it up to key
-    transform). The importance-sampling front-end for data mixing:
-    w = quality score, domain weight, or DSIR importance.
-
-    Weight contract: w > 0 races; w = 0 or null NEVER samples (the
-    correct limit); negative weights raise (no meaning in E-S).
-
-    Scale shape: identical to ``sample_bottomk_ds`` — per-batch
-    bottom-k nomination (the global winners are necessarily inside the
-    union of local winners), O(blocks·k) (or ·groups·k with
-    ``group_col``) candidate rows to the driver merge, corpus never
-    moves. Returns (id[, group], weight, sample_key) sorted by key."""
-    import pyarrow.compute as pc
-
-    from ..functions.scalar import hash_utf8
-
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    gcols = [group_col] if group_col else []
-
-    def nominate(batch: pa.Table) -> pa.Table:
-        w = pc.fill_null(batch[weight_col].cast(pa.float64()), 0.0).to_numpy(
-            zero_copy_only=False
-        )
-        if (w < 0).any():
-            bad = batch[id_col].to_pylist()[int(np.flatnonzero(w < 0)[0])]
-            raise ValueError(
-                f"sample_weighted_bottomk: negative weight for id {bad!r}"
-            )
-        h = hash_utf8(
-            pc.fill_null(batch[id_col].cast(pa.string()), "None"), seed=seed
-        ).astype(np.uint64)
-        u = (h.astype(np.float64) + 1.0) / 18446744073709551616.0  # (0, 1]
-        with np.errstate(divide="ignore"):
-            key = np.where(w > 0, -np.log(u) / np.maximum(w, 1e-300), np.inf)
-        df = pd.DataFrame(
-            {id_col: batch[id_col].to_pandas(), "_w": w, "_key": key}
-        )
-        for g in gcols:
-            df[g] = batch[g].to_pandas()
-        df = df[np.isfinite(df["_key"])]
-        df = df.sort_values(["_key", id_col], kind="mergesort")
-        top = (
-            df.groupby(gcols, sort=False, dropna=False).head(k)
-            if gcols
-            else df.head(k)
-        )
-        return pa.Table.from_pandas(top, preserve_index=False)
-
-    cand = ds.map_batches(
-        nominate, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()
-    if len(cand) == 0:
-        cols = [id_col, *gcols, "weight", "sample_key"]
-        return pd.DataFrame({c: pd.Series(dtype="float64") for c in cols})
-    out = cand.sort_values(["_key", id_col], kind="mergesort")
-    out = (
-        out.groupby(gcols, sort=False, dropna=False).head(k) if gcols else out.head(k)
-    )
-    return (
-        out.rename(columns={"_key": "sample_key", "_w": "weight"})
-        .sort_values(["sample_key", id_col])
-        .reset_index(drop=True)[[id_col, *gcols, "weight", "sample_key"]]
-    )
-
-
-def sample_bottomk(sf_dir: str, *, k: int = 100, seed: int = 0, per_lang: bool = False):
-    """sample_bottomk_ds over the documents table (optionally k docs
-    per language)."""
-    cols = ["doc_id", "lang"] if per_lang else ["doc_id"]
-    ds = read_table(sf_dir, "documents", columns=cols)
-    return sample_bottomk_ds(
-        ds, k=k, seed=seed, group_col="lang" if per_lang else None
-    )
-
-
 # --- leakage-free train/val/test splits ---------------------------------------
 
 SPLIT_FRACTIONS = (("train", 0.9), ("val", 0.05), ("test", 0.05))
@@ -3005,324 +2720,6 @@ def pretraining_prep(
     for name in stages:
         rows.append((name, _read(name).count()))
     return pd.DataFrame(rows, columns=["stage", "rows"])
-
-
-def source_token_counts_ds(
-    ds, *, key_col: str = "source", text_col: str = "text"
-) -> dict[str, int]:
-    """Per-source whitespace-token totals in ONE streaming pass: each
-    batch ships only (key, n_tokens) partial sums (≤ distinct keys per
-    batch rows), the groupby reaggregates partials, and the driver
-    pulls O(sources) rows — the standard pre-combined aggregate shape
-    (`SCALE.md` "groupby aggregates" row)."""
-
-    def partials(batch: pa.Table) -> pa.Table:
-        nt = token_count(batch[text_col]).cast(pa.int64())
-        t = pa.table({key_col: batch[key_col], "n_tokens": nt})
-        return t.group_by(key_col).aggregate([("n_tokens", "sum")]).rename_columns(
-            [key_col, "n_tokens"]
-        )
-
-    out = (
-        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(key_col)
-        .aggregate(Sum("n_tokens", alias_name="n_tokens"))
-        .to_pandas()
-    )
-    return dict(zip(out[key_col], out["n_tokens"].astype(int)))
-
-
-def unimax_allocation(
-    token_counts: dict[str, int], budget_tokens: int, *, max_epochs: float = 4.0
-) -> dict[str, float]:
-    """UniMax budget allocation (Chung et al. 2023, arXiv:2304.09151
-    alg. 1): distribute a total token budget across sources as
-    UNIFORMLY as possible subject to a per-source epoch cap — visit
-    sources smallest-first; each takes min(remaining/remaining_sources,
-    max_epochs·n_s). Returns per-source epoch weights b_s/n_s (the
-    repeat factor the mix expansion consumes). Driver-side arithmetic
-    over O(sources) numbers — the corpus never participates."""
-    if budget_tokens < 0:
-        raise ValueError("budget_tokens must be >= 0")
-    items = sorted(
-        ((k, int(n)) for k, n in token_counts.items() if n > 0),
-        key=lambda kv: (kv[1], kv[0]),
-    )
-    weights = {k: 0.0 for k in token_counts}
-    remaining = float(budget_tokens)
-    m = len(items)
-    for k, n in items:
-        share = remaining / m
-        alloc = min(share, max_epochs * n)
-        weights[k] = alloc / n
-        remaining -= alloc
-        m -= 1
-    return weights
-
-
-def temperature_allocation(
-    token_counts: dict[str, int], budget_tokens: int, *, alpha: float = 0.3
-) -> dict[str, float]:
-    """mT5-style temperature sampling (Xue et al. 2021,
-    arXiv:2010.11934 §3.1): sample sources with p_s ∝ n_s^alpha
-    (alpha<1 upweights the tail), so source s receives
-    budget·p_s tokens = w_s epochs with w_s = budget·p_s/n_s.
-    Driver-side over O(sources) numbers."""
-    pos = {k: int(n) for k, n in token_counts.items() if n > 0}
-    z = sum(n**alpha for n in pos.values())
-    if not pos or z == 0:
-        return {k: 0.0 for k in token_counts}
-    return {
-        k: (budget_tokens * (pos[k] ** alpha) / z) / pos[k] if k in pos else 0.0
-        for k in token_counts
-    }
-
-
-def mix_by_weights_ds(
-    ds,
-    weights: dict[str, float],
-    *,
-    key_col: str = "source",
-    default_weight: float = 0.0,
-    id_col: str = "doc_id",
-):
-    """Generic per-key weighted expansion — the corpus_mix recipe
-    (floor(w) full copies + one md5-threshold fractional copy, pure
-    per-row decision, no shuffle, retry/layout-stable) keyed on an
-    arbitrary column so UniMax / temperature allocations plug straight
-    in. Emits (id, key, copy_idx)."""
-    from ..functions.text import md5_hex
-
-    def params(w: float) -> tuple[int, str]:
-        if w < 0:
-            raise ValueError("mix weights must be >= 0")
-        full = int(np.floor(w))
-        return full, format(int(round((w - full) * 16**8)), "08x")
-
-    table = {k: params(w) for k, w in weights.items()}
-    default = params(default_weight)
-
-    def mix(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        keys = np.asarray(batch[key_col].to_pylist(), dtype=object)
-        full = np.array([table.get(k, default)[0] for k in keys], dtype=np.int64)
-        thr = np.array([table.get(k, default)[1] for k in keys], dtype=object)
-        rep_ids = np.repeat(ids, full)
-        rep_keys = np.repeat(keys, full)
-        starts = np.repeat(np.cumsum(full) - full, full)
-        rep_idx = np.arange(len(rep_ids), dtype=np.int64) - starts
-        hx = np.array(
-            [
-                h[:8]
-                for h in md5_hex([f"{int(i)}:{int(c)}" for i, c in zip(ids, full)])
-            ],
-            dtype=object,
-        )
-        fmask = hx < thr  # fixed-width lowercase hex: lexicographic == numeric
-        return pa.table(
-            {
-                id_col: pa.array(np.concatenate([rep_ids, ids[fmask]]), pa.int64()),
-                key_col: pa.array(
-                    np.concatenate([rep_keys, keys[fmask]]), pa.string()
-                ),
-                "copy_idx": pa.array(
-                    np.concatenate([rep_idx, full[fmask]]), pa.int64()
-                ),
-            }
-        )
-
-    return ds.map_batches(mix, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def unimax_mix_ds(
-    ds,
-    *,
-    budget_tokens: int,
-    max_epochs: float = 4.0,
-    key_col: str = "source",
-    text_col: str = "text",
-    id_col: str = "doc_id",
-):
-    """End-to-end UniMax mixing: one counting pass → driver allocation
-    → one shuffle-free expansion pass. The returned Dataset carries
-    (id, key, copy_idx); feed it to `training_order`/`epoch_stream`
-    for epoch assembly."""
-    counts = source_token_counts_ds(ds, key_col=key_col, text_col=text_col)
-    weights = unimax_allocation(counts, budget_tokens, max_epochs=max_epochs)
-    return mix_by_weights_ds(
-        ds, weights, key_col=key_col, default_weight=0.0, id_col=id_col
-    )
-
-
-OVERLAP_SKETCH_K = 256
-
-
-def corpus_overlap_ds(
-    ds,
-    *,
-    group_col: str = "source",
-    text_col: str = "text",
-    k: int = OVERLAP_SKETCH_K,
-    seed: int = 0x0B0E,
-) -> pd.DataFrame:
-    """Pairwise content overlap between corpus groups (sources, crawl
-    dumps, shards) as bottom-k MinHash sketches of each group's
-    distinct document-content hashes (Broder 1997 resemblance; the
-    bottom-k estimator of Cohen & Kaplan 2007: with X = the k smallest
-    hashes of S_A ∪ S_B, Ĵ = |X ∩ S_A ∩ S_B| / |X|). When k reaches a
-    group-union's distinct-hash count the sketch IS the set and the
-    estimate is exact.
-
-    Scale shape: each batch ships ≤ k (group, hash) rows per group it
-    touches — documents never move; a groupby over those keys-only
-    partials merges per-group bottom-k; the driver pulls O(groups·k)
-    uint64s and does the O(groups²·k) pair arithmetic. Deterministic
-    (repo hash family), layout/retry-stable.
-
-    Returns (group_a, group_b, est_jaccard, sketch_a, sketch_b) with
-    group_a < group_b, sorted."""
-    from ..functions.scalar import hash_utf8
-
-    def partials(batch: pa.Table) -> pa.Table:
-        h = hash_utf8(pc.fill_null(batch[text_col], ""), seed=seed)
-        groups = np.asarray(batch[group_col].to_pylist(), dtype=object)
-        out_g, out_h = [], []
-        for g in np.unique(groups):
-            hh = np.unique(h[groups == g])  # distinct, ascending
-            hh = hh[:k]
-            out_g.append(np.full(len(hh), g, dtype=object))
-            out_h.append(hh)
-        if not out_g:
-            return pa.table(
-                {group_col: pa.array([], pa.string()), "h": pa.array([], pa.uint64())}
-            )
-        return pa.table(
-            {
-                group_col: pa.array(np.concatenate(out_g), pa.string()),
-                "h": pa.array(np.concatenate(out_h), pa.uint64()),
-            }
-        )
-
-    def merge_bottomk(group: pd.DataFrame) -> pd.DataFrame:
-        hh = np.unique(group["h"].to_numpy(np.uint64))[:k]
-        return pd.DataFrame({group_col: group[group_col].iloc[: len(hh)], "h": hh})
-
-    sketches = (
-        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(group_col)
-        .map_groups(merge_bottomk)
-        .to_pandas()
-    )
-    cols = ["group_a", "group_b", "est_jaccard", "sketch_a", "sketch_b"]
-    if sketches.empty:
-        return pd.DataFrame(columns=cols)
-    out_rows = []
-    by_group = {
-        g: np.sort(sub["h"].to_numpy(np.uint64))
-        for g, sub in sketches.groupby(group_col)
-    }
-    names = sorted(by_group)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            sa, sb = by_group[a], by_group[b]
-            union = np.union1d(sa, sb)[:k]
-            in_both = np.isin(union, sa) & np.isin(union, sb)
-            est = float(in_both.sum()) / len(union) if len(union) else 0.0
-            out_rows.append((a, b, round(est, 6), len(sa), len(sb)))
-    return pd.DataFrame(out_rows, columns=cols)
-
-
-def quantile_thresholds_ds(
-    ds,
-    *,
-    score_col: str,
-    group_col: str | None = None,
-    q: float = 0.5,
-) -> dict[str, float]:
-    """Per-group score quantiles from ONE streaming pass of mergeable
-    DDSketch-style partials (the approx_quantiles machinery, reused):
-    each batch ships one log-binned sketch per group it touches, the
-    driver folds O(batches·groups·bins) counters. Group key '' when
-    group_col is None (global threshold). Within alpha=0.5% relative
-    error of the exact order statistic; independent of batch
-    boundaries and merge order."""
-    import json
-
-    from ..functions.sketch import (
-        quantile_sketch,
-        quantile_sketch_merge,
-        quantile_sketch_value,
-    )
-
-    cols = [score_col] + ([group_col] if group_col else [])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.select(cols).to_pandas()
-        keys, sks = [], []
-        if group_col is None:
-            keys.append("")
-            sks.append(json.dumps(quantile_sketch(df[score_col].to_numpy())))
-        else:
-            for g, sub in df.groupby(group_col, sort=True):
-                keys.append(str(g))
-                sks.append(json.dumps(quantile_sketch(sub[score_col].to_numpy())))
-        return pa.table(
-            {"k": pa.array(keys, pa.string()), "sketch": pa.array(sks, pa.string())}
-        )
-
-    merged: dict[str, dict] = {}
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    for b in parts.iter_batches(batch_size=256, batch_format="pyarrow"):
-        for key, blob in zip(b["k"].to_pylist(), b["sketch"].to_pylist()):
-            sk = json.loads(blob)
-            sk["pos"] = {int(x): v for x, v in sk["pos"].items()}
-            sk["neg"] = {int(x): v for x, v in sk.get("neg", {}).items()}
-            merged[key] = quantile_sketch_merge(merged[key], sk) if key in merged else sk
-    return {key: float(quantile_sketch_value(sk, q)) for key, sk in merged.items()}
-
-
-def quantile_filter_ds(
-    ds,
-    *,
-    score_col: str,
-    group_col: str | None = None,
-    keep_frac: float = 0.5,
-    side: str = "top",
-):
-    """Adaptive quality filtering: keep the top (or bottom) keep_frac
-    of rows BY GROUP, with thresholds calibrated from the data itself —
-    the 'keep the best X% per language/source' recipe (CCNet keeps the
-    head perplexity bucket per language; classifier-filter pipelines
-    keep a score quantile) without anyone hand-tuning per-group
-    cutoffs. One sketch pass computes per-group thresholds (never
-    shuffling rows), then one shuffle-free vectorized filter pass
-    applies them; the threshold dict is O(groups) and rides the task
-    closure. Returns (filtered_ds, thresholds)."""
-    if not 0.0 < keep_frac <= 1.0:
-        raise ValueError("keep_frac must be in (0, 1]")
-    if side not in ("top", "bottom"):
-        raise ValueError("side must be 'top' or 'bottom'")
-    q = (1.0 - keep_frac) if side == "top" else keep_frac
-    thresholds = quantile_thresholds_ds(
-        ds, score_col=score_col, group_col=group_col, q=q
-    )
-
-    def apply(batch: pa.Table) -> pa.Table:
-        scores = batch[score_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        if group_col is None:
-            thr = np.full(len(scores), thresholds.get("", np.inf))
-        else:
-            keys = batch[group_col].to_pylist()
-            thr = np.array(
-                [thresholds.get(str(g), np.inf) for g in keys], dtype=np.float64
-            )
-        mask = scores >= thr if side == "top" else scores <= thr
-        return batch.filter(pa.array(mask))
-
-    return (
-        ds.map_batches(apply, batch_format="pyarrow", zero_copy_batch=True),
-        thresholds,
-    )
 
 
 # --- frequent-line boilerplate removal (CCNet §2.1 / RefinedWeb line-wise) ----
@@ -4111,72 +3508,3 @@ def gopher_filter_ds(docs, *, text_col: str = "text", audit: bool = False):
     return docs.map_batches(kernel, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def curriculum_mix_ds(
-    docs,
-    phases: list,
-    *,
-    key_col: str = "source",
-    id_col: str = "doc_id",
-    seed: int = 0xC0DE,
-):
-    """Phase-wise curriculum data mixing: training proceeds through
-    ``phases`` (e.g. broad web early, high-quality/rare sources
-    up-weighted late — the staged-mixture recipe used by several
-    published pretraining runs); each phase is
-    ``{"name": str, "weights": {source: w}, "default_weight": float}``
-    and expands the corpus with ITS OWN weight table, stamping
-    ``phase_idx``/``phase`` columns. Each (phase, doc, copy) gets an
-    independent shuffle key ``hash64(phase:doc:copy, seed)`` so
-    sorting by (phase_idx, shuffle_key) IS the training order: phases
-    stay contiguous, order within a phase is seed-reproducible and
-    decorrelated across copies and phases.
-
-    Scale shape: the expansion per phase is the shuffle-free
-    ``mix_by_weights_ds`` kernel (pure per-row md5 decision); the one
-    deliberate all-to-all is the final keys-only sort — identical to
-    ``epoch_stream``'s. Returns a Dataset of (id_col, key_col,
-    copy_idx, phase_idx, phase, shuffle_key) sorted into training
-    order; consume with write_parquet / iter_batches."""
-    from ..functions.scalar import hash_utf8
-
-    if not phases:
-        raise ValueError("curriculum_mix_ds: need at least one phase")
-
-    parts = []
-    for pi, phase in enumerate(phases):
-        name = phase.get("name", f"phase{pi}")
-        mixed = mix_by_weights_ds(
-            docs,
-            phase["weights"],
-            key_col=key_col,
-            default_weight=phase.get("default_weight", 0.0),
-            id_col=id_col,
-        )
-
-        def stamp(batch: pa.Table, _pi=pi, _name=name) -> pa.Table:
-            joined = pc.binary_join_element_wise(
-                pa.array([str(_pi)] * batch.num_rows),
-                batch[id_col].cast(pa.string()),
-                batch["copy_idx"].cast(pa.string()),
-                ":",
-            )
-            k = hash_utf8(joined, seed=seed)
-            return pa.table(
-                {
-                    id_col: batch[id_col],
-                    key_col: batch[key_col],
-                    "copy_idx": batch["copy_idx"],
-                    "phase_idx": pa.array(
-                        np.full(batch.num_rows, _pi, np.int32), pa.int32()
-                    ),
-                    "phase": pa.array([_name] * batch.num_rows, pa.string()),
-                    "shuffle_key": pa.array(k.view(np.int64), pa.int64()),
-                }
-            )
-
-        parts.append(mixed.map_batches(stamp, batch_format="pyarrow"))
-
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
-    return out.sort(["phase_idx", "shuffle_key", id_col, "copy_idx"])

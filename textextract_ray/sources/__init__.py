@@ -42,10 +42,6 @@ def _pin_fsspec_http_import() -> None:
 
 _pin_fsspec_http_import()
 
-TABLES = (
-    "region nation customer supplier part orders lineitem events documents embeddings"
-).split()
-
 
 def is_http(path: str) -> bool:
     """One copy of the whole-file-fetch scheme predicate (http(s) has
@@ -156,77 +152,6 @@ def open_shard(path: str):
         return io.BytesIO(_http_get(path))
     f, sp = _fs_from_uri(path)
     return f.open_input_file(sp)
-
-
-def map_parquet_fused(
-    paths, fn, *, columns=None, batch_size: int = 4096, min_tasks: int = 1
-) -> rd.Dataset:
-    """Fused parquet map at ROW-GROUP granularity: ``fn(batch: pa.Table)
-    -> pa.Table`` runs in the task that decodes its bytes, so wide input
-    columns that ``fn`` reduces never enter the object store.
-
-    This generalizes the engine's round-4 data-motion rule (SCALE.md:
-    the corpus' dominant bytes should cross process boundaries ZERO
-    times before they shrink — Ray 2.49 does not fuse ``ReadParquet``
-    into a downstream ``map_batches``, so the classic read→map pays a
-    corpus-scale plasma round-trip) into a reusable primitive for any
-    reducing corpus pass: signatures, token counts, quality features,
-    fingerprints. ``extract_files`` is the extraction-specialized
-    sibling (whole-shard granularity + WARC support).
-
-    Parallelism == total row groups across ``paths`` — the right unit
-    for production shards (100-500 MB files, ~128 MB row groups), and
-    the reason for the ``min_tasks`` guard: when the layout has fewer
-    row groups than ``min_tasks`` (e.g. the sf test tables are ONE
-    group per file), this falls back to the classic
-    ``read_parquet(columns=...) → map_batches`` path rather than
-    silently serializing the pass to a handful of tasks. Footers only
-    are read on the driver (cheap); ``columns`` prunes at decode.
-    """
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    shard_list = expand_shards(paths, (".parquet",))
-    if not shard_list:
-        raise ValueError("map_parquet_fused: no parquet shards")
-    uris = [p for p in shard_list if "://" in p]
-    if uris:
-        raise ValueError(
-            f"map_parquet_fused takes plain local paths, got {uris[0]!r}"
-        )
-    items = []
-    for p in shard_list:
-        for rg in range(pq.ParquetFile(p).metadata.num_row_groups):
-            items.append({"path": p, "rg": rg})
-    if len(items) < min_tasks:
-        from ..stages.extract import TASK_RETRY_ARGS
-
-        kwargs = {"columns": list(columns)} if columns is not None else {}
-        # same transient-retry semantics as the fused branch — failure
-        # behavior must not depend on how many row groups the layout has
-        return rd.read_parquet(shard_list, **kwargs).map_batches(
-            fn,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            zero_copy_batch=True,
-            **TASK_RETRY_ARGS,
-        )
-
-    cols = list(columns) if columns is not None else None
-
-    def run(batch: pa.Table):
-        for path, rg in zip(
-            batch["path"].to_pylist(), batch["rg"].to_pylist()
-        ):
-            t = pq.ParquetFile(path).read_row_group(rg, columns=cols)
-            for off in range(0, t.num_rows, batch_size):
-                yield fn(t.slice(off, batch_size))
-
-    from ..stages.extract import TASK_RETRY_ARGS
-
-    return rd.from_items(items, override_num_blocks=len(items)).map_batches(
-        run, batch_format="pyarrow", **TASK_RETRY_ARGS
-    )
 
 
 def read_table(sf_dir: str, name: str, columns=None, filter=None) -> rd.Dataset:

@@ -142,19 +142,22 @@ def extract_chunk(
     extractor: ExtractBatch,
     *,
     batch_size: int,
-    validate_schema: bool,
     where: str,
 ):
     """The one per-chunk extraction kernel: validate → annotate →
     ``extractor`` per ``batch_size`` slice, yielded slice by slice so
     extracted rows stream downstream (Ray coalesces yields into
     target-size output blocks). ``extract_files`` runs it per decode
-    chunk inside its shard task, ``extract_dataset`` per input block."""
+    chunk inside its shard task, ``extract_dataset`` per input block.
+
+    Validation casts every chunk to PAGES_SCHEMA at the pipeline
+    boundary (explicit DDL-style validation, no inference at 10^12
+    rows): a wrong column type fails fast, naming ``where``, not deep
+    inside the extractor."""
     from ..schemas import PAGES_SCHEMA, validate_table
     from .validate import annotate_batch
 
-    if validate_schema:
-        t = validate_table(t, PAGES_SCHEMA, where=where)
+    t = validate_table(t, PAGES_SCHEMA, where=where)
     t = annotate_batch(t)
     for off in range(0, t.num_rows, batch_size):
         yield extractor(t.slice(off, batch_size))

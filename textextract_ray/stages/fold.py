@@ -7,8 +7,10 @@ one vectorized pandas pass replaces a Ray all-to-all whose fixed
 overhead (~1 s per few hundred blocks, SCALE.md round-4 audit) dwarfs
 aggregate-sized work — and past the budget the caller falls back to
 the distributed groupby over the SAME partials lineage. Used by the
-relational fold queries (q1/q3/usage_rollup/token_stats), exact
-dedup's keys-only loser scan, and `_bucketed_group_apply`.
+relational fold queries (q1/q3/usage_rollup/token_stats), exact text
+dedup's keys-only loser scan and `_bucketed_group_apply`
+(`stages.dedup`), and the url-hash key scan of
+`pipelines.extract_pipeline.dedup_by_url`.
 """
 
 from __future__ import annotations
