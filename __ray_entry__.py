@@ -455,12 +455,12 @@ def oracle_sql() -> dict[str, str]:
         """,
         "clean_corpus": """
             -- dedup is GLOBAL by text (winner = min doc_id, whose lang
-            -- is kept) to match exact_dedup; token count uses \S+ runs
+            -- is kept) to match exact_dedup; token count uses \\S+ runs
             -- to match functions.text.token_count exactly
             SELECT lang, count(*) AS n_docs FROM (
                 SELECT arg_min(lang, doc_id) AS lang
                 FROM documents
-                WHERE len(regexp_extract_all(text, '\S+')) >= 40
+                WHERE len(regexp_extract_all(text, '\\S+')) >= 40
                   AND length(text) >= 200
                 GROUP BY text
             ) GROUP BY lang ORDER BY lang
@@ -515,14 +515,14 @@ def oracle_sql() -> dict[str, str]:
             FROM final ORDER BY doc_id
         """,
         "token_stats": """
-            -- \S+ runs == the pipeline's token_count (string_split on
+            -- \\S+ runs == the pipeline's token_count (string_split on
             -- a single space would diverge on any doubled/leading
             -- whitespace); the BPE proxy column is the GPT-2-style
             -- pre-tokenizer shape (letter runs, single digits,
             -- punctuation marks)
             SELECT lang, count(*) AS n_docs,
-                   CAST(sum(len(regexp_extract_all(text, '\S+'))) AS BIGINT) AS total_tokens,
-                   round(avg(len(regexp_extract_all(text, '\S+'))), 4) AS avg_tokens,
+                   CAST(sum(len(regexp_extract_all(text, '\\S+'))) AS BIGINT) AS total_tokens,
+                   round(avg(len(regexp_extract_all(text, '\\S+'))), 4) AS avg_tokens,
                    CAST(sum(len(regexp_extract_all(text, '[A-Za-z]+|[0-9]|[^A-Za-z0-9[:space:]]'))) AS BIGINT) AS total_bpe_tokens
             FROM documents GROUP BY lang ORDER BY lang
         """,

@@ -248,6 +248,97 @@ def test_dedup_by_url_distributed_fallback_matches_driver_path(
     assert raw > len(driver)
 
 
+def _recount(ds, partition_id: int) -> dict:
+    """Counters of ``ds``'s rows, summed on the driver in one batch."""
+    import pyarrow as pa
+    import ray
+
+    from textextract_ray.stages.metrics import counter_totals
+
+    # a groupby can leave zero-row blocks without columns
+    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    return {"partition_id": partition_id} | counter_totals(pa.concat_tables(tables))
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [None, "SCAN_FOLD_BUDGET_ROWS", "DEDUP_DRIVER_BUDGET_ROWS", "DEDUP_DRIVER_BUDGET_BYTES"],
+)
+def test_dedup_by_url_counters_equal_recount(
+    ray_session, fixture_pages, monkeypatch, budget
+):
+    """dedup_by_url(partition_id=) returns the counters of the rows it
+    returns, exactly (processing_time_ms_total included, so the dropped
+    duplicates must be the very rows subtracted), in the driver arm
+    (None) and with each budget zeroed to force its distributed arm."""
+    from textextract_ray.pipelines import extract_pipeline as ep
+    from textextract_ray.sources import read_pages
+
+    if budget is not None:
+        monkeypatch.setattr(ep, budget, 0)
+    ds = ep.extract_dataset(read_pages(fixture_pages)).materialize()
+    out, counters = ep.dedup_by_url(ds, partition_id=3)
+    out = out.materialize()
+    assert out.count() == 184 < ds.count()  # the F9 duplicates dropped
+    assert counters == _recount(out, 3)
+    assert counters == ep.aggregate_counters(out, 3)
+
+
+class _Executions:
+    """Records the plan of every Dataset execution started (the
+    executions Ray Data logs as "Starting execution of Dataset")."""
+
+    def __init__(self, monkeypatch):
+        from ray.data._internal.execution.operators.input_data_buffer import (
+            InputDataBuffer,
+        )
+        from ray.data._internal.execution.streaming_executor import (
+            StreamingExecutor,
+        )
+
+        self.plans: list = []
+        orig = StreamingExecutor.execute
+
+        def execute(executor, dag, *args, **kwargs):
+            if not isinstance(dag, InputDataBuffer):
+                self.plans.append(dag.dag_str)
+            return orig(executor, dag, *args, **kwargs)
+
+        monkeypatch.setattr(StreamingExecutor, "execute", execute)
+
+    def since(self, n: int) -> list:
+        return self.plans[n:]
+
+
+def test_job_partition_execution_ratchet(
+    ray_session, fixture_pages, monkeypatch, tmp_path
+):
+    """A run_job_versioned partition holding duplicate urls starts 3
+    Dataset executions (extract, key+counters scan, stage write; the
+    dup pull and the loser drop are plain tasks) and no all-to-all; the
+    past-budget key-scan arm of one dedup_by_url call starts no more
+    executions than its driver arm."""
+    from textextract_ray.pipelines import extract_pipeline as ep
+    from textextract_ray.sources import read_pages
+
+    runs = _Executions(monkeypatch)
+    ep.run_job_versioned(
+        fixture_pages, str(tmp_path / "t"), shards_per_partition=len(fixture_pages)
+    )
+    assert len(runs.plans) <= 3, runs.plans
+    assert not any("AllToAllOperator" in p for p in runs.plans), runs.plans
+
+    ds = ep.extract_dataset(read_pages(fixture_pages)).materialize()
+    n = len(runs.plans)
+    ep.dedup_by_url(ds)
+    driver = runs.since(n)
+    assert not any("AllToAllOperator" in p for p in driver), driver
+    monkeypatch.setattr(ep, "SCAN_FOLD_BUDGET_ROWS", 0)
+    n = len(runs.plans)
+    ep.dedup_by_url(ds)
+    assert len(runs.since(n)) <= len(driver), (runs.since(n), driver)
+
+
 def test_fused_matches_dataset_path(ray_session, fixture_pages):
     """extract_files (parquet decode inside the extract task) must be
     byte-identical to dedup_by_url(extract_dataset(read_pages(...))) —

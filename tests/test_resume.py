@@ -84,6 +84,30 @@ def test_counters_in_manifest(ray_session, fixture_pages, tmp_path):
     assert row["parse_failures"] == 0
 
 
+def test_versioned_job_counters_equal_head_recount(
+    ray_session, fixture_pages, tmp_path
+):
+    """A one-partition run_job_versioned job records in its manifest
+    meta exactly the counters of the rows it committed."""
+    import pyarrow as pa
+    import ray
+
+    from textextract_ray.pipelines.extract_pipeline import run_job_versioned
+    from textextract_ray.pipelines.tablelog import (
+        _head_version,
+        _read_manifest,
+        read_table_at,
+    )
+    from textextract_ray.stages.metrics import counter_totals
+
+    t = str(tmp_path / "tbl")
+    run_job_versioned(fixture_pages, t, shards_per_partition=len(fixture_pages))
+    meta = _read_manifest(t, _head_version(t))["meta"]
+    head = pa.concat_tables(ray.get(read_table_at(t).to_arrow_refs()))
+    assert head.num_rows == 184
+    assert meta["counters"] == {"partition_id": 0} | counter_totals(head)
+
+
 def test_url_partitioned_layout_global_dedup(ray_session, fixture_pages, tmp_path):
     """Layout pass + partition-local dedup is GLOBALLY exact: F9
     cross-shard duplicates collapse even though extraction never does a

@@ -2,9 +2,10 @@
 
 Lifecycle mapping (SURVEY.md §3.4): shard decode [the request queue]
 → validate/annotate (M1/M7) → extract (M4/A1), one task per shard →
-exact dedup by url (D2, the one true shuffle) → partitioned write with
-manifest commit (S3/D1/S8 rename idiom) → counters aggregation
-(G1-G6) → driver-side report join (J2).
+exact dedup by url (D2: a driver fold of url-hash keys, losers dropped
+in place; its key scan also meters the partition) → partitioned write
+with manifest commit (S3/D1/S8 rename idiom) → counters (G1-G6) →
+driver-side report join (J2).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..sources import read_pages
 from ..stages.metrics import aggregate_counters, counters_report
@@ -288,15 +290,17 @@ def extract_files(paths, *, batch_size: int = 64, dedup: bool = True):
 # Budgets of dedup_by_url, read at call time. The dup-row subset
 # resolves on the driver while it fits both DEDUP_DRIVER_BUDGET_*;
 # the key scan folds its (8-byte hash, count) partials on the driver
-# while they fit SCAN_FOLD_BUDGET_ROWS (~1.6 GB transient), past which
-# the distributed coalesce+groupby arm engages (the 10^12-url regime).
+# while the partition's rows fit SCAN_FOLD_BUDGET_ROWS (~1.6 GB
+# transient), past which the distributed coalesce+groupby arm engages
+# (the 10^12-url regime).
 DEDUP_DRIVER_BUDGET_ROWS = 200_000
 DEDUP_DRIVER_BUDGET_BYTES = 1 << 30  # payload cap for the driver pull
 SCAN_FOLD_BUDGET_ROWS = 100_000_000
 
 
-def dedup_by_url(extracted_ds):
-    """Exact dedup by url — the shuffle carries KEYS, not payloads.
+def dedup_by_url(extracted_ds, *, partition_id: int | None = None):
+    """Exact dedup by url — in place: no rows move but the duplicates'
+    url and counter columns, and nothing is shuffled under the budgets.
 
     The naive shape (bucket every extracted row by url hash, shuffle
     ALL of them, first-per-url inside the bucket) moves the entire
@@ -308,28 +312,44 @@ def dedup_by_url(extracted_ds):
     1. materialize the extracted partition once (partition-scale, not
        corpus-scale — this is what bounds it; it also stops the
        consumers below from re-executing the extract),
-    2. key scan: each block pre-aggregates (8-byte url hash, count)
-       partials; ``stages.fold.fold_partials`` sums them on the driver
-       while they fit ``SCAN_FOLD_BUDGET_ROWS``, else a coalesced
-       distributed groupby does. Either way only the O(dup keys)
-       result is kept — no O(rows) ``to_pandas`` anywhere, so a caller
-       invoking this on an unpartitioned full corpus is safe,
-    3. stream-filter the unique-url rows with the broadcast dup-hash
-       set (vectorized ``is_in``, no shuffle — the overwhelming
-       majority of the data takes this path),
-    4. resolve only the rare duplicate rows: pulled to the driver and
-       deduped in Arrow when they fit BOTH ``DEDUP_DRIVER_BUDGET_ROWS``
-       and ``DEDUP_DRIVER_BUDGET_BYTES`` (the byte budget guards
-       against few-but-giant duplicate documents blowing the driver
-       heap), else a url-bucketed groupby over just that subset (still
-       key-partitioned, never the full payload).
+    2. key scan, ONE pass: each block emits its (8-byte url hash,
+       count) partials and, with ``partition_id``, its counters row
+       (``stages.metrics.partial_counters``). While the partition's
+       rows fit ``SCAN_FOLD_BUDGET_ROWS`` (its metadata row count
+       bounds the partials) the driver sums them
+       (``stages.fold.fold_partials``); past it a coalesced groupby
+       over the same scan does, in the same execution. Either way only
+       the O(dup keys) result and the counters reach the driver — no
+       O(rows) ``to_pandas`` anywhere, so a caller invoking this on an
+       unpartitioned full corpus is safe,
+    3. only when duplicates exist, one task per block pulls the url
+       (and the counted columns) of its rows whose hash is in the
+       broadcast dup-hash set, with their block positions. While those
+       rows fit BOTH ``DEDUP_DRIVER_BUDGET_ROWS`` and
+       ``DEDUP_DRIVER_BUDGET_BYTES`` the driver picks each url's first
+       row as its winner and subtracts the losers' counters; a task
+       per affected block drops its losers, every other block passes
+       through untouched, and the winners stay in their own blocks —
+       no extra block, no second hash pass at write time,
+    4. past either budget, the unique-url rows stream-filter against
+       the dup-hash set and the duplicate rows resolve in a
+       url-bucketed groupby (still key-partitioned, never the full
+       payload); the counters are then recounted from the materialized
+       output.
 
-    Both arms of steps 2 and 4 are exact and give the same rows. The
-    budgets are module globals read at call time.
+    Both arms of steps 2 and 3/4 are exact and give the same rows and
+    counters. The budgets are module globals read at call time. Under
+    both budgets no all-to-all runs and one call starts one Dataset
+    execution (the scan), besides the caller's extract and write.
+
+    Returns the deduped Dataset, or with ``partition_id`` the pair
+    ``(dataset, counters)``: ``counters`` is the partition's counters
+    dict (``stages.metrics.counters_dict``), equal to
+    ``aggregate_counters(dataset, partition_id)``.
 
     A hash collision routes a unique url into the dup path, where
     first-per-URL (the real string) keeps it — collisions cost a few
-    extra rows in step 4, never correctness.
+    extra rows in step 3, never correctness.
 
     The extractor is a pure function of the bytes, so duplicate urls
     carry rows identical in every content column (only the timing
@@ -337,113 +357,132 @@ def dedup_by_url(extracted_ds):
     determinism does not depend on block arrival order. Stays in Arrow
     end-to-end (pandas would mangle the ``spans`` list column).
     """
-    import ray as _ray
+    import sys
+
     import ray.data as rd
 
     from ray.data.aggregate import Sum
 
     from ..functions.scalar import stable_bucket, stable_hash64
     from ..stages.fold import fold_partials
+    from ..stages.metrics import (
+        COUNTED_COLUMNS,
+        COUNTER_FIELDS,
+        counter_totals,
+        counters_dict,
+    )
 
     ds = extracted_ds.materialize()
+    with_counters = partition_id is not None
 
-    def key_hash_partials(batch: pa.Table) -> pa.Table:
-        # per-batch partial counts: the scan ships (8-byte key, count)
-        # rows already deduped within the batch
+    def totals_of(tbl: pa.Table) -> np.ndarray:
+        t = counter_totals(tbl)
+        return np.array([t[f] for f in COUNTER_FIELDS], np.int64)
+
+    def scan_block(batch: pa.Table) -> pa.Table:
+        # kind 0 rows: (url hash, its count in the batch) — the scan
+        # ships 8-byte keys already deduped within the batch; kind 1
+        # rows: (index into COUNTER_FIELDS, the batch's total)
         hh = stable_hash64(batch["url"])
         uh, cnt = np.unique(hh, return_counts=True)
+        # int64 view of the uint64 hash (bijective; Ray's groupby/sort
+        # handles int64 natively)
+        keys, ns = [uh.astype(np.int64)], [cnt.astype(np.int64)]
+        kind = np.zeros(len(uh), np.int8)
+        if with_counters:
+            keys.append(np.arange(len(COUNTER_FIELDS), dtype=np.int64))
+            ns.append(totals_of(batch))
+            kind = np.concatenate([kind, np.ones(len(COUNTER_FIELDS), np.int8)])
         return pa.table(
             {
-                # int64 view of the uint64 hash (bijective; Ray's
-                # groupby/sort handles int64 natively)
-                "h": pa.array(uh.astype(np.int64), pa.int64()),
-                "n": pa.array(cnt, pa.int64()),
+                "kind": pa.array(kind, pa.int8()),
+                "key": pa.array(np.concatenate(keys), pa.int64()),
+                "n": pa.array(np.concatenate(ns), pa.int64()),
             }
         )
 
-    # Second-level combine. The partials are pre-combined per block, so
-    # their total is ~O(distinct keys) 16-byte rows — but a Ray groupby
-    # over MANY tiny partial blocks pays the all-to-all's fixed cost per
-    # block (measured 6.7s for 24k keys in 256 blocks at the bench
-    # config, vs 1.2s for a driver fold). Past the fold budget the
-    # partials are coalesced first, so the shuffle sees few large
-    # blocks instead of thousands of tiny ones.
-    parts = ds.map_batches(key_hash_partials, batch_format="pyarrow")
-    folded = fold_partials(parts, budget_rows=SCAN_FOLD_BUDGET_ROWS)
-    if folded is not None:
-        if folded.empty:
-            return ds
-        uh, inv = np.unique(folded["h"].to_numpy(), return_inverse=True)
-        tot = np.bincount(inv, weights=folded["n"].to_numpy())
-        dup_h, dup_n = uh[tot > 1], tot[tot > 1]
+    def combine(batch: pa.Table) -> pa.Table:
+        t = batch.group_by(["kind", "key"]).aggregate([("n", "sum")])
+        return pa.table({"kind": t["kind"], "key": t["key"], "n": t["n_sum"]})
+
+    def dups_and_counters(batch: pa.Table) -> pa.Table:
+        return batch.filter(
+            pc.or_(pc.equal(batch["kind"], 1), pc.greater(batch["n"], 1))
+        )
+
+    scan = ds.map_batches(scan_block, batch_format="pyarrow")
+    if ds.count() <= SCAN_FOLD_BUDGET_ROWS:
+        folded = fold_partials(scan, budget_rows=sys.maxsize)
     else:
-
-        def combine(batch: pa.Table) -> pa.Table:
-            h = batch["h"].to_numpy(zero_copy_only=False)
-            n = batch["n"].to_numpy(zero_copy_only=False)
-            uh, inv = np.unique(h, return_inverse=True)
-            return pa.table(
-                {
-                    "h": pa.array(uh, pa.int64()),
-                    "n": pa.array(
-                        np.bincount(inv, weights=n).astype(np.int64), pa.int64()
-                    ),
-                }
-            )
-
-        def only_dups(batch: pa.Table) -> pa.Table:
-            return batch.filter(pc.greater(batch["n_rows"], 1))
-
-        parts_m = parts.materialize()
-        dup_df = (
-            parts_m.repartition(max(32, parts_m.num_blocks() // 32))
+        # Second-level combine. The partials are pre-combined per
+        # block, so their total is ~O(distinct keys) 17-byte rows — but
+        # a Ray groupby over MANY tiny partial blocks pays the
+        # all-to-all's fixed cost per block (measured 6.7s for 24k keys
+        # in 256 blocks at the bench config, vs 1.2s for a driver
+        # fold), so the partials are coalesced first: the shuffle sees
+        # few large blocks instead of thousands of tiny ones.
+        folded = (
+            scan.repartition(max(32, ds.num_blocks() // 32))
             .map_batches(combine, batch_format="pyarrow")
-            .groupby("h")
-            .aggregate(Sum("n", alias_name="n_rows"))
-            .map_batches(only_dups, batch_format="pyarrow")
+            .groupby(["kind", "key"])
+            .aggregate(Sum("n", alias_name="n"))
+            .map_batches(dups_and_counters, batch_format="pyarrow")
             .to_pandas()  # O(dup keys), not O(rows)
         )
-        # an all-filtered map_batches output can round-trip with no columns
-        if "h" not in dup_df.columns:
-            return ds
-        dup_h, dup_n = dup_df["h"].to_numpy(), dup_df["n_rows"].to_numpy()
-    if len(dup_h) == 0:
-        return ds
-    dup_ref = _ray.put(pa.array(dup_h.astype(np.uint64), pa.uint64()))
+    # an all-filtered or empty fold can come back with no columns
+    kind, key, n = (
+        folded[c].to_numpy() if c in folded.columns else np.empty(0, np.int64)
+        for c in ("kind", "key", "n")
+    )
+    totals = np.zeros(len(COUNTER_FIELDS), np.int64)
+    np.add.at(totals, key[kind == 1], n[kind == 1])
+    uh, inv = np.unique(key[kind == 0], return_inverse=True)
+    tot = np.bincount(inv, weights=n[kind == 0])
+    dup_h, dup_rows = uh[tot > 1], int(tot[tot > 1].sum())
 
-    def dup_mask(batch: pa.Table):
-        hh = pa.array(stable_hash64(batch["url"]), pa.uint64())
-        return pc.fill_null(pc.is_in(hh, value_set=_ray.get(dup_ref)), False)
+    def result(out):
+        return (out, counters_dict(partition_id, totals)) if with_counters else out
+
+    if len(dup_h) == 0:
+        return result(ds)
+    dup_ref = ray.put(pa.array(dup_h.astype(np.uint64), pa.uint64()))
+    if dup_rows <= DEDUP_DRIVER_BUDGET_ROWS:
+        # the dup pull carries only what picks the winners (url) and
+        # what counts the losers, plus each row's block position
+        cols = ["url"] + (COUNTED_COLUMNS if with_counters else [])
+        refs = ds.to_arrow_refs()
+        pulls = [_dup_rows.remote(r, dup_ref, cols) for r in refs]
+        if sum(ray.get([p[1] for p in pulls])) <= DEDUP_DRIVER_BUDGET_BYTES:
+            # rare-duplicate fast path: one Arrow pass over the pulled
+            # rows (concatenated in block order) picks the losers,
+            # which are dropped from their own blocks; the winners
+            # stay where they are and the losers' counters come off
+            # the scan's totals
+            tables = ray.get([p[0] for p in pulls])
+            pulled = pa.concat_tables(
+                t.append_column("block", pa.array(np.full(t.num_rows, j, np.int64)))
+                for j, t in enumerate(tables)
+            ).combine_chunks()
+            lose = np.ones(pulled.num_rows, bool)
+            lose[_first_per_url(pulled)] = False
+            losers = pulled.filter(pa.array(lose))
+            if with_counters:
+                totals -= totals_of(losers)
+            block = losers["block"].to_numpy()
+            row = losers["row"].to_numpy()
+            for j in np.unique(block):
+                refs[j] = _drop_rows.remote(refs[j], row[block == j])
+            return result(rd.from_arrow_refs(refs))
 
     def keep_unique(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.invert(dup_mask(batch)))
+        return batch.filter(pc.invert(_dup_mask(batch, ray.get(dup_ref))))
 
     def keep_dup(batch: pa.Table) -> pa.Table:
-        return batch.filter(dup_mask(batch))
-
-    def first_per_url(tbl: pa.Table) -> pa.Table:
-        # winner per url = its first row (equal urls are byte-identical
-        # up to timing); np.unique's stable sort makes the pick
-        # deterministic for a given block order
-        urls = np.asarray(tbl["url"].to_pylist(), dtype=object)
-        _, first_idx = np.unique(urls, return_index=True)
-        return tbl.take(np.sort(first_idx))
-
-    uniq = ds.map_batches(keep_unique, batch_format="pyarrow")
-    # materialized so the byte size is known up front AND the past-
-    # budget arm reads these blocks instead of re-filtering ds
-    dups = ds.map_batches(keep_dup, batch_format="pyarrow").materialize()
-    if int(dup_n.sum()) <= DEDUP_DRIVER_BUDGET_ROWS and (
-        (dups.size_bytes() or 0) <= DEDUP_DRIVER_BUDGET_BYTES
-    ):
-        # rare-duplicate fast path: the subset fits the driver; one
-        # Arrow pass picks the winners, re-shipped as a single block
-        tables = [t for t in _ray.get(dups.to_arrow_refs()) if len(t)]
-        winners = first_per_url(pa.concat_tables(tables).combine_chunks())
-        return uniq.union(rd.from_arrow(winners))
+        return batch.filter(_dup_mask(batch, ray.get(dup_ref)))
 
     def winner_per_bucket(bucket: pa.Table) -> pa.Table:
-        return first_per_url(bucket.drop_columns(["url_bucket"]))
+        bucket = bucket.drop_columns(["url_bucket"])
+        return bucket.take(_first_per_url(bucket))
 
     def bucketize(batch: pa.Table) -> pa.Table:
         return batch.append_column(
@@ -451,12 +490,57 @@ def dedup_by_url(extracted_ds):
             pa.array(stable_bucket(batch["url"], 256), pa.int32()),
         )
 
-    resolved = (
-        dups.map_batches(bucketize, batch_format="pyarrow")
+    # past either driver budget: a url-bucketed groupby resolves the
+    # duplicate rows, and the counters are recounted from the output
+    out = ds.map_batches(keep_unique, batch_format="pyarrow").union(
+        ds.map_batches(keep_dup, batch_format="pyarrow")
+        .map_batches(bucketize, batch_format="pyarrow")
         .groupby("url_bucket")
         .map_groups(winner_per_bucket, batch_format="pyarrow")
     )
-    return uniq.union(resolved)
+    if not with_counters:
+        return out
+    out = out.materialize()
+    return out, aggregate_counters(out, partition_id)
+
+
+def _first_per_url(tbl: pa.Table) -> np.ndarray:
+    """Row indices of each url's first row in ``tbl``. The winner per
+    url is its first row (equal urls are byte-identical up to timing);
+    np.unique's stable sort makes the pick deterministic for a given
+    block order."""
+    urls = np.asarray(tbl["url"].to_pylist(), dtype=object)
+    _, first_idx = np.unique(urls, return_index=True)
+    return np.sort(first_idx)
+
+
+def _dup_mask(batch: pa.Table, dup_hashes: pa.Array):
+    """True for the rows whose url hash is in ``dup_hashes``."""
+    from ..functions.scalar import stable_hash64
+
+    hh = pa.array(stable_hash64(batch["url"]), pa.uint64())
+    return pc.fill_null(pc.is_in(hh, value_set=dup_hashes), False)
+
+
+@ray.remote(num_returns=2)
+def _dup_rows(block: pa.Table, dup_hashes: pa.Array, columns: list):
+    """``columns`` of the block's rows whose url hash is in
+    ``dup_hashes``, with their positions in the block as ``row``; and
+    that table's byte size (read before the table is pulled)."""
+    rows = (
+        block.select(columns)
+        .append_column("row", pa.array(np.arange(block.num_rows, dtype=np.int64)))
+        .filter(_dup_mask(block, dup_hashes))
+    )
+    return rows, rows.nbytes
+
+
+@ray.remote
+def _drop_rows(block: pa.Table, rows: np.ndarray) -> pa.Table:
+    """The block without the rows at positions ``rows``."""
+    keep = np.ones(block.num_rows, bool)
+    keep[rows] = False
+    return block.filter(pa.array(keep))
 
 
 def _ensure_partition_dir(pdir: str) -> None:
@@ -683,12 +767,15 @@ def run_job_versioned(
         if fail_at_partition is not None and pid >= fail_at_partition:
             commits.join_all()  # earlier commits land; THIS one does not
             raise RuntimeError(f"fault injection: killed before partition {pid}")
-        extracted = extract_files(
-            shards, batch_size=256, dedup=True
-        ).materialize()  # pin: counters + stage both read the same blocks
+        # the dedup's key scan counts the partition too, so the stage
+        # write is the only read of the deduped rows
+        extracted, counters = dedup_by_url(
+            extract_files(shards, batch_size=256, dedup=False), partition_id=pid
+        )
 
-        def commit_one(pid=pid, shards=shards, note=note, extracted=extracted):
-            counters = aggregate_counters(extracted, pid)
+        def commit_one(
+            pid=pid, shards=shards, note=note, extracted=extracted, counters=counters
+        ):
             meta = {
                 "counters": counters,
                 "input_shards": list(map(str, shards)),
@@ -707,7 +794,7 @@ def run_job_versioned(
                 )
             results[pid] = counters
 
-        # counters + bloom build + stage + commit run OVERLAPPED with the
+        # bloom build + stage + commit run OVERLAPPED with the
         # next partition's extraction (one deep — the same shape as
         # run_job's verify_and_commit thread; measured ~10% of soak wall
         # serialized otherwise, BASELINE.md round 5). The PREVIOUS

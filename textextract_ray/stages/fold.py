@@ -9,8 +9,12 @@ aggregate-sized work — and past the budget the caller falls back to
 the distributed groupby over the SAME partials lineage. Used by the
 relational fold queries (q1/q3/usage_rollup/token_stats), exact text
 dedup's keys-only loser scan and `_bucketed_group_apply`
-(`stages.dedup`), and the url-hash key scan of
-`pipelines.extract_pipeline.dedup_by_url`.
+(`stages.dedup`), the url-hash key + counters scan of
+`pipelines.extract_pipeline.dedup_by_url` and
+`stages.metrics.aggregate_counters`. Those last two never fall back
+here: dedup picks its arm up front from the partition's row count
+(which bounds its partials) and counters are O(blocks) rows, so both
+pass a budget that cannot bind and their scan runs once.
 """
 
 from __future__ import annotations
@@ -23,10 +27,12 @@ def fold_partials(ds, *, budget_rows: int, prefetch_batches: int = 16):
     """Stream ``ds``'s blocks to the driver and return one pandas
     frame — or None once the stream exceeds ``budget_rows`` (the
     caller's cue to take its distributed arm; the partial pass then
-    re-executes there, the documented budget-idiom trade). Zero live
-    rows folds to a columnless empty frame — callers must type their
-    own empty result. ``prefetch_batches`` overlaps the per-block
-    driver fetch latency (~10 ms serialized) with upstream execution."""
+    re-executes there, the documented budget-idiom trade — a caller
+    that can bound its partial rows up front avoids it by deciding the
+    arm first). Zero live rows folds to a columnless empty frame —
+    callers must type their own empty result. ``prefetch_batches``
+    overlaps the per-block driver fetch latency (~10 ms serialized)
+    with upstream execution."""
     tables, rows = [], 0
     for b in ds.iter_batches(
         batch_size=None, batch_format="pyarrow", prefetch_batches=prefetch_batches
