@@ -255,9 +255,8 @@ def _recount(ds, partition_id: int) -> dict:
 
     from textextract_ray.stages.metrics import counter_totals
 
-    # a groupby can leave zero-row blocks without columns
-    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-    return {"partition_id": partition_id} | counter_totals(pa.concat_tables(tables))
+    table = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    return {"partition_id": partition_id} | counter_totals(table)
 
 
 @pytest.mark.parametrize(
@@ -313,11 +312,12 @@ class _Executions:
 def test_job_partition_execution_ratchet(
     ray_session, fixture_pages, monkeypatch, tmp_path
 ):
-    """A run_job_versioned partition holding duplicate urls starts 3
-    Dataset executions (extract, key+counters scan, stage write; the
-    dup pull and the loser drop are plain tasks) and no all-to-all; the
-    past-budget key-scan arm of one dedup_by_url call starts no more
-    executions than its driver arm."""
+    """A run_job_versioned partition holding duplicate urls starts one
+    Dataset execution, the extract: the key+counters scan, the dup
+    pull, the loser drop and the stage write are plain tasks. One
+    dedup_by_url call on a materialized input starts none in its
+    driver arm, and exactly one (the scan and its groupby, no re-scan)
+    past SCAN_FOLD_BUDGET_ROWS."""
     from textextract_ray.pipelines import extract_pipeline as ep
     from textextract_ray.sources import read_pages
 
@@ -325,18 +325,20 @@ def test_job_partition_execution_ratchet(
     ep.run_job_versioned(
         fixture_pages, str(tmp_path / "t"), shards_per_partition=len(fixture_pages)
     )
-    assert len(runs.plans) <= 3, runs.plans
+    assert len(runs.plans) <= 1, runs.plans
     assert not any("AllToAllOperator" in p for p in runs.plans), runs.plans
 
     ds = ep.extract_dataset(read_pages(fixture_pages)).materialize()
     n = len(runs.plans)
-    ep.dedup_by_url(ds)
-    driver = runs.since(n)
-    assert not any("AllToAllOperator" in p for p in driver), driver
+    out = ep.dedup_by_url(ds)
+    assert runs.since(n) == []
+    assert out.count() < ds.count()  # the duplicates were there to drop
     monkeypatch.setattr(ep, "SCAN_FOLD_BUDGET_ROWS", 0)
     n = len(runs.plans)
     ep.dedup_by_url(ds)
-    assert len(runs.since(n)) <= len(driver), (runs.since(n), driver)
+    scans = runs.since(n)
+    assert len(scans) == 1, scans
+    assert scans[0].count("MapBatches(_key_partials)") == 1, scans
 
 
 def test_fused_matches_dataset_path(ray_session, fixture_pages):

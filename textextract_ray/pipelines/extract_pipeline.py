@@ -17,7 +17,12 @@ import pyarrow.compute as pc
 import ray
 
 from ..sources import read_pages
-from ..stages.metrics import aggregate_counters, counters_report
+from ..stages.metrics import (
+    COUNTER_FIELDS,
+    aggregate_counters,
+    counter_totals,
+    counters_report,
+)
 from ..state import checkpoint
 
 
@@ -313,15 +318,14 @@ def dedup_by_url(extracted_ds, *, partition_id: int | None = None):
        corpus-scale — this is what bounds it; it also stops the
        consumers below from re-executing the extract),
     2. key scan, ONE pass: each block emits its (8-byte url hash,
-       count) partials and, with ``partition_id``, its counters row
-       (``stages.metrics.partial_counters``). While the partition's
-       rows fit ``SCAN_FOLD_BUDGET_ROWS`` (its metadata row count
-       bounds the partials) the driver sums them
-       (``stages.fold.fold_partials``); past it a coalesced groupby
-       over the same scan does, in the same execution. Either way only
-       the O(dup keys) result and the counters reach the driver — no
-       O(rows) ``to_pandas`` anywhere, so a caller invoking this on an
-       unpartitioned full corpus is safe,
+       count) partials and, with ``partition_id``, its counter totals
+       (``_key_partials``). While the partition's rows fit
+       ``SCAN_FOLD_BUDGET_ROWS`` (its metadata row count bounds the
+       partials) the scan is one plain task per block and the driver
+       sums the partials; past it the scan is a Dataset stage and a
+       coalesced groupby over it does, in the same execution. Either
+       way no O(rows) payload reaches the driver, so a caller invoking
+       this on an unpartitioned full corpus is safe,
     3. only when duplicates exist, one task per block pulls the url
        (and the counted columns) of its rows whose hash is in the
        broadcast dup-hash set, with their block positions. While those
@@ -334,13 +338,17 @@ def dedup_by_url(extracted_ds, *, partition_id: int | None = None):
     4. past either budget, the unique-url rows stream-filter against
        the dup-hash set and the duplicate rows resolve in a
        url-bucketed groupby (still key-partitioned, never the full
-       payload); the counters are then recounted from the materialized
-       output.
+       payload). The output is materialized, its empty blocks dropped
+       (so every block has the input's schema), and the counters are
+       recounted from it.
 
     Both arms of steps 2 and 3/4 are exact and give the same rows and
     counters. The budgets are module globals read at call time. Under
-    both budgets no all-to-all runs and one call starts one Dataset
-    execution (the scan), besides the caller's extract and write.
+    both budgets no all-to-all runs, and one call on a materialized
+    input starts no Dataset execution: the scan, the dup pull and the
+    loser drop are plain tasks over the input's blocks. Past
+    ``SCAN_FOLD_BUDGET_ROWS`` alone it starts one (the scan and its
+    groupby).
 
     Returns the deduped Dataset, or with ``partition_id`` the pair
     ``(dataset, counters)``: ``counters`` is the partition's counters
@@ -357,49 +365,15 @@ def dedup_by_url(extracted_ds, *, partition_id: int | None = None):
     determinism does not depend on block arrival order. Stays in Arrow
     end-to-end (pandas would mangle the ``spans`` list column).
     """
-    import sys
-
     import ray.data as rd
 
     from ray.data.aggregate import Sum
 
-    from ..functions.scalar import stable_bucket, stable_hash64
-    from ..stages.fold import fold_partials
-    from ..stages.metrics import (
-        COUNTED_COLUMNS,
-        COUNTER_FIELDS,
-        counter_totals,
-        counters_dict,
-    )
+    from ..functions.scalar import stable_bucket
+    from ..stages.metrics import COUNTED_COLUMNS, counters_dict
 
     ds = extracted_ds.materialize()
     with_counters = partition_id is not None
-
-    def totals_of(tbl: pa.Table) -> np.ndarray:
-        t = counter_totals(tbl)
-        return np.array([t[f] for f in COUNTER_FIELDS], np.int64)
-
-    def scan_block(batch: pa.Table) -> pa.Table:
-        # kind 0 rows: (url hash, its count in the batch) — the scan
-        # ships 8-byte keys already deduped within the batch; kind 1
-        # rows: (index into COUNTER_FIELDS, the batch's total)
-        hh = stable_hash64(batch["url"])
-        uh, cnt = np.unique(hh, return_counts=True)
-        # int64 view of the uint64 hash (bijective; Ray's groupby/sort
-        # handles int64 natively)
-        keys, ns = [uh.astype(np.int64)], [cnt.astype(np.int64)]
-        kind = np.zeros(len(uh), np.int8)
-        if with_counters:
-            keys.append(np.arange(len(COUNTER_FIELDS), dtype=np.int64))
-            ns.append(totals_of(batch))
-            kind = np.concatenate([kind, np.ones(len(COUNTER_FIELDS), np.int8)])
-        return pa.table(
-            {
-                "kind": pa.array(kind, pa.int8()),
-                "key": pa.array(np.concatenate(keys), pa.int64()),
-                "n": pa.array(np.concatenate(ns), pa.int64()),
-            }
-        )
 
     def combine(batch: pa.Table) -> pa.Table:
         t = batch.group_by(["kind", "key"]).aggregate([("n", "sum")])
@@ -410,9 +384,12 @@ def dedup_by_url(extracted_ds, *, partition_id: int | None = None):
             pc.or_(pc.equal(batch["kind"], 1), pc.greater(batch["n"], 1))
         )
 
-    scan = ds.map_batches(scan_block, batch_format="pyarrow")
+    refs = ds.to_arrow_refs()
     if ds.count() <= SCAN_FOLD_BUDGET_ROWS:
-        folded = fold_partials(scan, budget_rows=sys.maxsize)
+        # one plain task per block, no Dataset execution: the fold is
+        # a few ms of work against ~0.1 s of streaming-executor start
+        parts = ray.get([_scan_block.remote(r, with_counters) for r in refs])
+        folded = pa.concat_tables([_PARTIALS_SCHEMA.empty_table(), *parts]).to_pandas()
     else:
         # Second-level combine. The partials are pre-combined per
         # block, so their total is ~O(distinct keys) 17-byte rows — but
@@ -422,7 +399,10 @@ def dedup_by_url(extracted_ds, *, partition_id: int | None = None):
         # fold), so the partials are coalesced first: the shuffle sees
         # few large blocks instead of thousands of tiny ones.
         folded = (
-            scan.repartition(max(32, ds.num_blocks() // 32))
+            ds.map_batches(
+                _key_partials, fn_args=(with_counters,), batch_format="pyarrow"
+            )
+            .repartition(max(32, ds.num_blocks() // 32))
             .map_batches(combine, batch_format="pyarrow")
             .groupby(["kind", "key"])
             .aggregate(Sum("n", alias_name="n"))
@@ -450,7 +430,6 @@ def dedup_by_url(extracted_ds, *, partition_id: int | None = None):
         # the dup pull carries only what picks the winners (url) and
         # what counts the losers, plus each row's block position
         cols = ["url"] + (COUNTED_COLUMNS if with_counters else [])
-        refs = ds.to_arrow_refs()
         pulls = [_dup_rows.remote(r, dup_ref, cols) for r in refs]
         if sum(ray.get([p[1] for p in pulls])) <= DEDUP_DRIVER_BUDGET_BYTES:
             # rare-duplicate fast path: one Arrow pass over the pulled
@@ -467,7 +446,7 @@ def dedup_by_url(extracted_ds, *, partition_id: int | None = None):
             lose[_first_per_url(pulled)] = False
             losers = pulled.filter(pa.array(lose))
             if with_counters:
-                totals -= totals_of(losers)
+                totals -= _counter_vector(losers)
             block = losers["block"].to_numpy()
             row = losers["row"].to_numpy()
             for j in np.unique(block):
@@ -497,11 +476,59 @@ def dedup_by_url(extracted_ds, *, partition_id: int | None = None):
         .map_batches(bucketize, batch_format="pyarrow")
         .groupby("url_bucket")
         .map_groups(winner_per_bucket, batch_format="pyarrow")
+    ).materialize()
+    # the shuffle's empty partitions come out as zero-row blocks with no
+    # columns, which Ray's map stages pass through untouched: keeping
+    # only the non-empty blocks leaves every block with the input schema
+    out = rd.from_arrow_refs(
+        [
+            block
+            for bundle in out.iter_internal_ref_bundles()
+            for block, meta in bundle.blocks
+            if meta.num_rows
+        ]
     )
     if not with_counters:
         return out
-    out = out.materialize()
     return out, aggregate_counters(out, partition_id)
+
+
+_PARTIALS_SCHEMA = pa.schema(
+    [("kind", pa.int8()), ("key", pa.int64()), ("n", pa.int64())]
+)
+
+
+def _counter_vector(tbl: pa.Table) -> np.ndarray:
+    """``tbl``'s counter totals in ``COUNTER_FIELDS`` order."""
+    t = counter_totals(tbl)
+    return np.array([t[f] for f in COUNTER_FIELDS], np.int64)
+
+
+def _key_partials(batch: pa.Table, with_counters: bool) -> pa.Table:
+    """The key scan's partial rows of one batch. Kind 0 rows: (url
+    hash, its count in the batch), so the scan ships 8-byte keys
+    already deduped within the batch; with ``with_counters``, kind 1
+    rows: (index into ``COUNTER_FIELDS``, the batch's total)."""
+    from ..functions.scalar import stable_hash64
+
+    if batch.num_rows == 0:  # a zero-row block may have no columns
+        return _PARTIALS_SCHEMA.empty_table()
+    uh, cnt = np.unique(stable_hash64(batch["url"]), return_counts=True)
+    # int64 view of the uint64 hash (bijective; Ray's groupby/sort
+    # handles int64 natively)
+    keys, ns = [uh.astype(np.int64)], [cnt.astype(np.int64)]
+    kind = np.zeros(len(uh), np.int8)
+    if with_counters:
+        keys.append(np.arange(len(COUNTER_FIELDS), dtype=np.int64))
+        ns.append(_counter_vector(batch))
+        kind = np.concatenate([kind, np.ones(len(COUNTER_FIELDS), np.int8)])
+    return pa.table(
+        [kind, np.concatenate(keys), np.concatenate(ns)], schema=_PARTIALS_SCHEMA
+    )
+
+
+# the key scan's driver arm: one plain task per whole block
+_scan_block = ray.remote(_key_partials)
 
 
 def _first_per_url(tbl: pa.Table) -> np.ndarray:

@@ -282,16 +282,13 @@ def _bloom_meta_name(key_col: str) -> str:
     return f"_bloom_index.{key_col}.json"
 
 
-@ray.remote(num_cpus=1)
-def _shard_bloom(path: str, rel: str, key_col: str, fpr: float) -> dict:
-    """Build one shard's Bloom sidecar: read ONLY the key column, size
-    the filter for that shard's own non-null key count, write the bits
-    next to the data file (tmp+rename). Returns manifest row metadata —
-    never the filter bits — so the driver holds O(shards) small dicts."""
+def _write_bloom(path: str, key_col: str, col, fpr: float) -> dict:
+    """Write the Bloom sidecar of data file ``path`` from its key
+    column ``col``: the filter is sized for the column's own non-null
+    key count and its bits land next to the file (tmp+rename). Returns
+    ``{"k", "n_bits", "n_keys"}`` — never the filter bits."""
     from ..functions.sketch import bloom_add, bloom_create, bloom_params
 
-    t = pq.read_table(path, columns=[key_col])
-    col = t[key_col]
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     col = col.drop_null()
@@ -303,7 +300,16 @@ def _shard_bloom(path: str, rel: str, key_col: str, fpr: float) -> dict:
     tmp = side + ".tmp"
     bloom.tofile(tmp)
     os.replace(tmp, side)
-    return {"shard": rel, "k": k, "n_bits": n_bits, "n_keys": len(col)}
+    return {"k": k, "n_bits": n_bits, "n_keys": len(col)}
+
+
+@ray.remote(num_cpus=1)
+def _shard_bloom(path: str, rel: str, key_col: str, fpr: float) -> dict:
+    """Build one shard's Bloom sidecar from ONLY its key column, read
+    back from the file. Returns manifest row metadata, so the driver
+    holds O(shards) small dicts."""
+    col = pq.read_table(path, columns=[key_col])[key_col]
+    return {"shard": rel, **_write_bloom(path, key_col, col, fpr)}
 
 
 @ray.remote(num_cpus=1)

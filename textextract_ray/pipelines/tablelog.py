@@ -91,47 +91,50 @@ def _read_manifest(table_dir: str, version: int) -> dict:
         ) from None
 
 
+def _meta_row(md, rel: str, stats_cols) -> dict:
+    """The manifest row of one parquet file from its footer ``md``:
+    row count, columns, Arrow types and per-column [min, max] folded
+    across row groups."""
+    stats: dict = {}
+    sch = md.schema.to_arrow_schema()
+    names = sch.names
+    for col in stats_cols:
+        if col not in names:
+            continue
+        ci = names.index(col)
+        lo = hi = None
+        ok = True
+        for rg in range(md.num_row_groups):
+            s = md.row_group(rg).column(ci).statistics
+            if s is None or not s.has_min_max:
+                ok = False
+                break
+            lo = s.min if lo is None else min(lo, s.min)
+            hi = s.max if hi is None else max(hi, s.max)
+        if ok and lo is not None:
+            stats[col] = [_plain(lo), _plain(hi)]
+    return {
+        "path": rel,
+        "rows": md.num_rows,
+        "cols": list(names),
+        # per-column Arrow types: lets _check_schema reject
+        # name-matching-but-type-mismatched appends AT COMMIT, not
+        # later as a _compact_group/union failure far from the
+        # offending writer (ADVICE r4)
+        "types": {n: str(sch.field(n).type) for n in names},
+        "stats": stats,
+    }
+
+
 @ray.remote(num_cpus=1)
 def _file_meta(paths: list, rels: list, stats_cols: list) -> list:
-    """Footer-only metadata for a chunk of freshly written files: row
-    count + per-column [min, max] folded across row groups. Runs as a
-    task so a large commit's footer scan is parallel; the driver holds
-    O(files) small dicts, never data."""
-    out = []
-    for path, rel in zip(paths, rels):
-        md = pq.read_metadata(path)
-        stats: dict = {}
-        sch = md.schema.to_arrow_schema()
-        names = sch.names
-        for col in stats_cols:
-            if col not in names:
-                continue
-            ci = names.index(col)
-            lo = hi = None
-            ok = True
-            for rg in range(md.num_row_groups):
-                s = md.row_group(rg).column(ci).statistics
-                if s is None or not s.has_min_max:
-                    ok = False
-                    break
-                lo = s.min if lo is None else min(lo, s.min)
-                hi = s.max if hi is None else max(hi, s.max)
-            if ok and lo is not None:
-                stats[col] = [_plain(lo), _plain(hi)]
-        out.append(
-            {
-                "path": rel,
-                "rows": md.num_rows,
-                "cols": list(names),
-                # per-column Arrow types: lets _check_schema reject
-                # name-matching-but-type-mismatched appends AT COMMIT,
-                # not later as a _compact_group/union failure far from
-                # the offending writer (ADVICE r4)
-                "types": {n: str(sch.field(n).type) for n in names},
-                "stats": stats,
-            }
-        )
-    return out
+    """Footer-only metadata for a chunk of freshly written files. Runs
+    as a task so a large commit's footer scan is parallel; the driver
+    holds O(files) small dicts, never data."""
+    return [
+        _meta_row(pq.read_metadata(path), rel, stats_cols)
+        for path, rel in zip(paths, rels)
+    ]
 
 
 def _plain(v):
@@ -140,52 +143,97 @@ def _plain(v):
     return v.item() if hasattr(v, "item") else v
 
 
+# Bloom sidecars of table files: the pruning index for HASH-distributed
+# merge/delete keys (e.g. urls), where [min, max] stats cover the whole
+# key space and prune nothing. fpr 1e-6 (≈4.3 bytes/key), not the usual
+# 1e-3: the probe compounds over the WHOLE upsert/takedown key set per
+# file (P[file false-hits] = 1-(1-fpr)^n_keys), so a 10k-key merge at
+# 1e-3 would false-rewrite nearly every file.
+_BLOOM_FPR = 1e-6
+
+
+def _bloom_entry(rel: str, bloom_key: str, k: int) -> dict:
+    return {"key": bloom_key, "path": f"{rel}.{bloom_key}.bloom", "k": k}
+
+
 def _attach_blooms(table_dir: str, rows: list, paths: list, bloom_key: str) -> None:
-    """Build one Bloom sidecar per file over ``bloom_key`` (reusing the
-    storage layer's per-shard builder) and record it in each manifest
-    row — the pruning index for HASH-distributed merge/delete keys
-    (e.g. urls), where [min, max] stats cover the whole key space and
-    prune nothing. fpr 1e-6 (≈4.3 bytes/key), not the usual 1e-3: the
-    probe compounds over the WHOLE upsert/takedown key set per file
-    (P[file false-hits] = 1-(1-fpr)^n_keys), so a 10k-key merge at
-    1e-3 would false-rewrite nearly every file."""
+    """Build one Bloom sidecar per existing file over ``bloom_key``
+    (the storage layer's per-shard builder reads the key column back)
+    and record it in each manifest row."""
     from .storage import _shard_bloom
 
     metas = ray.get(
         [
-            _shard_bloom.remote(p, r["path"], bloom_key, 1e-6)
+            _shard_bloom.remote(p, r["path"], bloom_key, _BLOOM_FPR)
             for p, r in zip(paths, rows)
         ]
     )
     for r, m in zip(rows, metas):
-        r["bloom"] = {
-            "key": bloom_key,
-            "path": f"{r['path']}.{bloom_key}.bloom",
-            "k": m["k"],
-        }
+        r["bloom"] = _bloom_entry(r["path"], bloom_key, m["k"])
+
+
+@ray.remote(num_cpus=1)
+def _stage_block(block, path: str, rel: str, stats_cols: list, bloom_key):
+    """Write one block as the parquet file ``path`` and return its
+    manifest row (the footer ``_file_meta`` would read back), with the
+    Bloom sidecar over ``bloom_key`` built from the in-memory column.
+    A zero-row block (which may also have no columns) writes nothing
+    and returns None."""
+    from ray.data.block import BlockAccessor
+
+    from .storage import _write_bloom
+
+    t = BlockAccessor.for_block(block).to_arrow()
+    if t.num_rows == 0:
+        return None
+    footer: list = []
+    pq.write_table(t, path, metadata_collector=footer)
+    row = _meta_row(footer[0], rel, stats_cols)
+    if bloom_key is not None:
+        m = _write_bloom(path, bloom_key, t[bloom_key], _BLOOM_FPR)
+        row["bloom"] = _bloom_entry(rel, bloom_key, m["k"])
+    return row
 
 
 def _stage_files(table_dir: str, ds, stats_cols, token: str, bloom_key=None) -> list:
     """Write ``ds`` under ``data/<token>/`` and return manifest rows.
     The stage dir is invisible to readers until a manifest referencing
     it commits, so a crashed writer leaves garbage, never corruption
-    (``table_expire`` sweeps unreferenced stage dirs)."""
+    (``table_expire`` sweeps unreferenced stage dirs).
+
+    One plain task per block (``_stage_block``) writes that block's
+    file, its footer row and its Bloom sidecar — no Ray Data write
+    execution and no second read of the files. The blocks come from
+    ``iter_internal_ref_bundles``, so a lazy ``ds`` streams through
+    while at most two stage tasks per cluster CPU are in flight; a
+    materialized one starts no Dataset execution at all. Zero-row
+    blocks stage no file, so an empty ``ds`` commits an empty file
+    list."""
     stage = os.path.join(table_dir, _DATA, token)
-    ds.write_parquet(stage)
-    files = sorted(f for f in os.listdir(stage) if f.endswith(".parquet"))
-    paths = [os.path.join(stage, f) for f in files]
-    rels = [f"{_DATA}/{token}/{f}" for f in files]
-    chunk = 64
-    futs = [
-        _file_meta.remote(paths[i : i + chunk], rels[i : i + chunk], list(stats_cols))
-        for i in range(0, len(paths), chunk)
-    ]
-    rows: list = []
-    for part in ray.get(futs):
-        rows.extend(part)
-    if bloom_key is not None:
-        _attach_blooms(table_dir, rows, paths, bloom_key)
-    return rows
+    os.makedirs(stage, exist_ok=True)
+    cap = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
+    stats_cols = list(stats_cols)
+    pending: dict = {}  # in-flight task ref -> block index
+    rows: dict = {}
+
+    def settle(refs: list) -> None:
+        for ref, row in zip(refs, ray.get(refs)):
+            rows[pending.pop(ref)] = row
+
+    i = 0
+    for bundle in ds.iter_internal_ref_bundles():
+        for block, _ in bundle.blocks:
+            name = f"part-{i:06d}.parquet"
+            ref = _stage_block.remote(
+                block, os.path.join(stage, name), f"{_DATA}/{token}/{name}",
+                stats_cols, bloom_key,
+            )
+            pending[ref] = i
+            i += 1
+            if len(pending) == cap:
+                settle(ray.wait(list(pending), num_returns=1)[0])
+    settle(list(pending))
+    return [rows[j] for j in sorted(rows) if rows[j] is not None]
 
 
 def _commit(table_dir: str, version: int, manifest: dict) -> None:

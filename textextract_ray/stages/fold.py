@@ -9,12 +9,12 @@ aggregate-sized work — and past the budget the caller falls back to
 the distributed groupby over the SAME partials lineage. Used by the
 relational fold queries (q1/q3/usage_rollup/token_stats), exact text
 dedup's keys-only loser scan and `_bucketed_group_apply`
-(`stages.dedup`), the url-hash key + counters scan of
-`pipelines.extract_pipeline.dedup_by_url` and
-`stages.metrics.aggregate_counters`. Those last two never fall back
-here: dedup picks its arm up front from the partition's row count
-(which bounds its partials) and counters are O(blocks) rows, so both
-pass a budget that cannot bind and their scan runs once.
+(`stages.dedup`), and `stages.metrics.aggregate_counters`, which never
+falls back: counters are O(blocks) rows, so it passes a budget that
+cannot bind and its scan runs once. The url-hash key scan of
+`pipelines.extract_pipeline.dedup_by_url` does not come here: its
+driver arm runs one plain task per block of an already-materialized
+partition, so it needs no Dataset execution to stream.
 """
 
 from __future__ import annotations
