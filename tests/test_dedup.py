@@ -308,6 +308,46 @@ def test_bucketed_group_apply_frame_fn_distributed_arm(ray_session):
     assert sorted(map(tuple, a.to_numpy())) == sorted(map(tuple, b.to_numpy()))
 
 
+def test_minhash_past_budget_arm_matches_driver_arm(ray_session, sf_dir, monkeypatch):
+    """With GROUP_APPLY_FOLD_BUDGET_ROWS at 0 (read when the group
+    apply runs, not when it was defined) the band rows take the
+    bucketed shuffle arm — coarse buckets by ``stable_bucket`` over
+    (band_id, band_key bytes) — and the assignments equal the driver
+    fold's."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import textextract_ray.stages.dedup as dd
+    import textextract_ray.stages.fold as fold_mod
+    from textextract_ray.sources import read_table
+
+    batch = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    rows = dd.MinHashBandKeys("text", "doc_id")(batch.slice(0, 50))
+    assert rows["band_key"].type == pa.binary(32)
+    assert rows.num_rows % 16 == 0 and rows.num_rows > 0
+
+    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
+    driver = dd.minhash_duplicate_assignments(ds, "text", "doc_id", threshold=0.6).to_pandas()
+    assert len(driver) > 0
+
+    folds = []
+    orig = fold_mod.fold_partials
+
+    def spy(*a, **k):
+        out = orig(*a, **k)
+        folds.append(out)
+        return out
+
+    monkeypatch.setattr(fold_mod, "fold_partials", spy)
+    monkeypatch.setattr(dd, "GROUP_APPLY_FOLD_BUDGET_ROWS", 0)
+    shuffled = dd.minhash_duplicate_assignments(ds, "text", "doc_id", threshold=0.6).to_pandas()
+    assert folds == [None]  # the band rows did not fold on the driver
+    pd.testing.assert_frame_equal(
+        driver.sort_values("id").reset_index(drop=True),
+        shuffled.sort_values("id").reset_index(drop=True),
+    )
+
+
 def test_minhash_string_ids_past_budget_arm(ray_session, monkeypatch):
     """String doc ids through the past-budget map_groups arm: buckets
     that find zero pairs must emit string-typed empty blocks (an int64

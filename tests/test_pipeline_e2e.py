@@ -295,10 +295,12 @@ class _Executions:
             StreamingExecutor,
         )
 
-        self.plans: list = []
+        self.plans: list = []  # executions that run an operator
+        self.every: list = []  # every execution, input-only ones too
         orig = StreamingExecutor.execute
 
         def execute(executor, dag, *args, **kwargs):
+            self.every.append(dag.dag_str)
             if not isinstance(dag, InputDataBuffer):
                 self.plans.append(dag.dag_str)
             return orig(executor, dag, *args, **kwargs)
@@ -339,6 +341,45 @@ def test_job_partition_execution_ratchet(
     scans = runs.since(n)
     assert len(scans) == 1, scans
     assert scans[0].count("MapBatches(_key_partials)") == 1, scans
+
+
+# Dataset executions per query_mix query, input-only ones included
+# (a driver-built ``rd.from_pandas`` result still starts one), as they
+# stood when every table scan became one fused read task
+QUERY_MIX_MAX_EXECUTIONS = {
+    "q1_pricing_summary": 1,
+    "q3_top_orders": 3,
+    "usage_rollup": 1,
+    "dedup_exact": 2,
+    "token_stats": 1,
+    "minhash_near_dups": 4,
+    "ann_topk": 3,
+}
+
+
+def test_query_mix_scans_fuse_ratchet(ray_session, sf_dir, monkeypatch):
+    """Every table scan of the seven benchmark queries is one fused
+    ReadParquet->MapBatches task per file: no plan runs a standalone
+    MapBatches stage after its read (an output-split read never fuses),
+    and no query starts more executions than QUERY_MIX_MAX_EXECUTIONS."""
+    import re
+
+    import __ray_entry__ as entry
+
+    qs = entry.queries()
+    runs = _Executions(monkeypatch)
+    for name, cap in QUERY_MIX_MAX_EXECUTIONS.items():
+        n = len(runs.every)
+        res = qs[name](sf_dir)
+        if hasattr(res, "to_pandas"):
+            res.to_pandas()
+        plans = runs.every[n:]
+        assert len(plans) <= cap, (name, plans)
+        assert any("[ReadParquet->MapBatches(" in p for p in plans), (name, plans)
+        assert not any(re.search(r"\[ReadParquet\] -> \w+\[MapBatches", p) for p in plans), (
+            name,
+            plans,
+        )
 
 
 def test_fused_matches_dataset_path(ray_session, fixture_pages):
@@ -483,6 +524,54 @@ def test_token_stats_null_lang_group_survives(ray_session, tmp_path):
     a = out.sort_values("lang", na_position="last").reset_index(drop=True)
     b = out2.sort_values("lang", na_position="last").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
+
+
+def test_q1_null_measures_match_duckdb_both_arms(ray_session, tmp_path, monkeypatch):
+    """q1 over a lineitem holding NULL measures equals DuckDB's answer
+    to the gate SQL in BOTH merge arms: an all-NULL l_quantity group
+    sums and averages to NULL (not 0.0), and each avg divides by its
+    column's non-null count, not by count(*)."""
+    import duckdb
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entry
+    import textextract_ray.pipelines.relational as rel
+
+    t = pa.table(
+        {
+            "l_returnflag": pa.array(["A", "A", "N", "N", "N", None, "R"], pa.string()),
+            "l_linestatus": pa.array(["O", "O", "F", "F", "F", "O", "F"], pa.string()),
+            "l_quantity": pa.array([None, None, 1.0, None, 3.0, 4.0, 5.0]),
+            "l_extendedprice": pa.array([10.0, 20.0, None, 40.0, 50.0, None, 70.0]),
+            "l_discount": pa.array([0.1, None, 0.2, 0.3, None, 0.05, None]),
+        }
+    )
+    pq.write_table(t, str(tmp_path / "lineitem.parquet"))
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE VIEW lineitem AS SELECT * FROM read_parquet('{tmp_path}/lineitem.parquet')"
+    )
+    want = con.execute(entry.oracle_sql()["q1_pricing_summary"]).fetchdf()
+    con.close()
+    assert want["sum_qty"].isna().tolist() == [True, False, False, False]
+
+    def same(got):
+        assert list(got.columns) == list(want.columns)
+        assert len(got) == len(want)
+        for c in want.columns:
+            g, w = got[c], want[c]
+            if w.dtype.kind == "f":
+                assert np.allclose(g.astype(float), w, rtol=0, atol=1e-9, equal_nan=True), c
+            else:
+                assert [None if x is None or x != x else x for x in g.tolist()] == [
+                    None if x is None or x != x else x for x in w.tolist()
+                ], c
+
+    same(rel.q1_pricing_summary(str(tmp_path)))
+    monkeypatch.setattr(rel, "AGG_FOLD_BUDGET_ROWS", 0)
+    same(rel.q1_pricing_summary(str(tmp_path)))
 
 
 def test_q1_null_group_key_both_arms(ray_session, tmp_path):

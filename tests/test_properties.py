@@ -3,9 +3,11 @@ determinism guarantees hold for arbitrary inputs, not just fixtures."""
 
 from __future__ import annotations
 
+from datetime import datetime
+
 import numpy as np
 import pyarrow as pa
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from textextract_ray.functions import text as tx
@@ -49,8 +51,103 @@ def test_minhash_signature_stable_shape(s):
     sig2 = tx.minhash_signature(tx.shingle_hashes(s), a, b)
     assert sig1.shape == (32,)
     assert (sig1 == sig2).all()
-    keys = tx.lsh_band_keys(sig1, bands=8)
-    assert len(keys) == 8 and keys == tx.lsh_band_keys(sig2, bands=8)
+    keys = tx.band_keys(sig1[None, :], bands=8)
+    assert keys.type == pa.binary(32) and len(keys) == 8
+    assert keys.equals(tx.band_keys(sig2[None, :], bands=8))
+    assert keys.to_pylist() == [sig1[4 * i : 4 * (i + 1)].tobytes() for i in range(8)]
+
+
+def _shingles_per_doc(text, k):
+    """Per-doc reference for ``batch_shingle_hashes``: the token
+    hashes of one doc combined k at a time (all n at once when n < k)."""
+    from textextract_ray.functions.scalar import hash_utf8
+
+    toks = (text or "").split()
+    if not toks:
+        return np.empty(0, dtype=np.uint64)
+    h = hash_utf8(pa.array(toks, pa.string()), seed=41)
+    kk = min(k, len(h))
+    m = len(h) - kk + 1
+    acc = np.zeros(m, dtype=np.uint64)
+    for j in range(kk):
+        acc = acc * tx._SHINGLE_B + h[j : j + m]
+    return acc
+
+
+# empty, whitespace-only, and docs of 1..7 tokens, so n < k, n == k
+# and n > k all occur for every k drawn
+_docs = st.one_of(
+    st.none(),
+    st.sampled_from(["", " ", "\t\n  "]),
+    st.lists(st.sampled_from(["a", "bb", "a", "ccc", "dé"]), max_size=7).map(" ".join),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_docs, max_size=12), st.sampled_from([1, 2, 3, 5]))
+def test_batch_shingle_hashes_equal_per_doc(texts, k):
+    got = tx.batch_shingle_hashes(texts, k)
+    assert len(got) == len(texts)
+    for g, t in zip(got, texts):
+        assert g.dtype == np.uint64
+        assert g.tobytes() == _shingles_per_doc(t, k).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=40),
+        max_size=15,
+    ),
+    st.integers(min_value=1, max_value=90),
+)
+def test_minhash_signatures_batch_equal_per_doc(docs, budget):
+    """Chunks of ``budget`` shingles cut the batch at arbitrary doc
+    boundaries (and single docs longer than a chunk); every row is
+    still the per-doc signature, byte for byte."""
+    a, b = tx.minhash_params(16)
+    hashes = [np.array(d, dtype=np.uint64) for d in docs]
+    got = tx.minhash_signatures_batch(hashes, a, b, shingle_budget=budget)
+    assert got.shape == (len(docs), 16)
+    for row, h in zip(got, hashes):
+        assert row.tobytes() == tx.minhash_signature(h, a, b).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.none(),
+            st.datetimes(
+                min_value=datetime(1700, 1, 1),
+                max_value=datetime(2250, 12, 31),
+            ),
+        ),
+        max_size=20,
+    ),
+    st.sampled_from(["s", "ms", "us", "ns"]),
+    st.sampled_from([None, "UTC", "America/New_York", "Asia/Kolkata", "Pacific/Chatham"]),
+)
+@example(
+    [datetime(1960, 2, 29, 23, 59, 59, 999999),
+     None, datetime(2024, 2, 29)],
+    "us",
+    None,
+)
+def test_date_bucket_equals_strftime(values, unit, tz):
+    """The date32 cast gives strftime's day strings: pre-1970
+    instants floor to their day, NULL stays NULL, Feb 29 survives, and
+    a tz-aware column buckets by its local day in both."""
+    import pyarrow.compute as pc
+
+    from textextract_ray.functions.scalar import date_bucket
+
+    col = pa.array(values, pa.timestamp(unit))
+    if tz is not None:
+        col = col.cast(pa.timestamp(unit, tz=tz))
+    got = date_bucket(col)
+    assert got.type == pa.string()
+    assert got.equals(pc.strftime(col, format="%Y-%m-%d"))
 
 
 @settings(max_examples=50, deadline=None)

@@ -293,7 +293,9 @@ def batch_shingle_hashes(texts: list, k: int = 3) -> list:
     that was the MinHash stage's dominant cost. Returns one uint64
     array per input text (empty for empty/whitespace-only docs;
     a doc with fewer than k tokens yields one shingle of all its
-    tokens).
+    tokens). The combine runs once over the batch's flat token-hash
+    array and each doc gets a slice of it: the arrays are views of
+    one shared buffer, so callers must not write to them.
 
     Round-2 migration: the shingle hash family changed from blake2b
     over joined strings to this combine — MinHash/Jaccard sketch
@@ -301,22 +303,28 @@ def batch_shingle_hashes(texts: list, k: int = 3) -> list:
     tools/make_golden.py (semantic pins in pytest are value-free).
     """
     h, offs = _flat_token_hashes(texts)
-    if len(h) == 0:
-        return [np.empty(0, dtype=np.uint64) for _ in texts]
-    out = []
-    for d in range(len(texts)):
-        hd = h[offs[d] : offs[d + 1]]
-        n = len(hd)
-        if n == 0:
-            out.append(np.empty(0, dtype=np.uint64))
-            continue
-        kk = min(k, n)
-        m = n - kk + 1
-        acc = np.zeros(m, dtype=np.uint64)
-        for j in range(kk):  # k (≤3 typical) vector ops per doc
-            acc = acc * _SHINGLE_B + hd[j : j + m]
-        out.append(acc)
-    return out
+    lens = np.diff(offs)
+    # window p of the flat array combines tokens p..p+k-1; a doc with
+    # n >= k tokens owns windows offs[d] .. offs[d+1]-k (the windows
+    # that straddle a doc boundary are computed and never sliced)
+    m = max(len(h) - k + 1, 0)
+    acc = np.zeros(m, dtype=np.uint64)
+    for j in range(k):
+        acc *= _SHINGLE_B
+        acc += h[j : j + m]
+    # a doc with 0 < n < k tokens: one shingle of all n, combined the
+    # same way over its own tokens, every short doc at once
+    short = np.nonzero((lens > 0) & (lens < k))[0]
+    short_acc = np.zeros(len(short), dtype=np.uint64)
+    for j in range(k - 1):
+        has = lens[short] > j
+        short_acc[has] = short_acc[has] * _SHINGLE_B + h[offs[short[has]] + j]
+    short_of = dict(zip(short.tolist(), short_acc[:, None]))
+    empty = np.empty(0, dtype=np.uint64)
+    return [
+        acc[lo : hi - k + 1] if hi - lo >= k else short_of.get(d, empty)
+        for d, (lo, hi) in enumerate(zip(offs[:-1].tolist(), offs[1:].tolist()))
+    ]
 
 
 def shingle_hashes(text: str, k: int = 3) -> np.ndarray:
@@ -400,21 +408,26 @@ def minhash_signature(hashes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nd
 
 
 def minhash_signatures_batch(
-    hash_list: list, a: np.ndarray, b: np.ndarray, *, shingle_budget: int = 262_144
+    hash_list: list, a: np.ndarray, b: np.ndarray, *, shingle_budget: int = 32_768
 ) -> np.ndarray:
     """MinHash signatures for a whole batch of docs at once: [D, P]
     uint64, row d == ``minhash_signature(hash_list[d], a, b)`` exactly
-    (same uint64 elementwise ops, same wraparound, so downstream band
-    keys are byte-identical). One (a·h+b) mod p matrix over the
-    CONCATENATED shingles and one ``np.minimum.reduceat`` per chunk
-    replace the per-doc Python round-trips; ``shingle_budget`` bounds
-    the [P, N] transient (~128 MB at the defaults). Empty docs get the
-    all-MAX signature, matching the per-doc function."""
+    (same uint64 elementwise ops, same wraparound). Docs are cut into
+    chunks of about ``shingle_budget`` concatenated shingles; each
+    chunk's (a·h+b) mod p is computed in place in ONE preallocated
+    [P, chunk] buffer (16 MB at 64 perms and the default budget; a
+    doc longer than the budget gets a chunk, and a buffer, of its own)
+    and reduced per doc with one ``np.minimum.reduceat``. Empty docs
+    get the all-MAX signature, matching the per-doc function."""
     P = len(a)
     D = len(hash_list)
     out = np.full((D, P), np.iinfo(np.uint64).max, dtype=np.uint64)
     lens = np.array([len(h) for h in hash_list], dtype=np.int64)
     live = np.nonzero(lens > 0)[0]
+    if len(live) == 0:
+        return out
+    buf = np.empty(P * max(shingle_budget, int(lens.max())), dtype=np.uint64)
+    a_col, b_col = a[:, None], b[:, None]
     i = 0
     while i < len(live):
         j = i
@@ -423,24 +436,31 @@ def minhash_signatures_batch(
             tot += lens[live[j]]
             j += 1
         idx = live[i:j]
-        flat = np.concatenate([hash_list[d] for d in idx]).astype(np.uint64) % _MERSENNE
-        vals = (a[:, None] * flat[None, :] + b[:, None]) % _MERSENNE  # [P, tot]
+        flat = np.concatenate([hash_list[d] for d in idx]).astype(np.uint64)
+        flat %= _MERSENNE
+        vals = buf[: P * tot].reshape(P, tot)
+        np.multiply(a_col, flat[None, :], out=vals)
+        np.add(vals, b_col, out=vals)
+        np.remainder(vals, _MERSENNE, out=vals)
         starts = np.concatenate(([0], np.cumsum(lens[idx])[:-1]))
         out[idx] = np.minimum.reduceat(vals, starts, axis=1).T
         i = j
     return out
 
 
-def lsh_band_keys(sig: np.ndarray, bands: int = 16) -> list:
-    """Split a signature into bands; one stable hex key per band.
-    Docs sharing any (band_id, key) are near-dup candidates
-    (Leskovec/Rajaraman/Ullman, Mining of Massive Datasets ch.3)."""
-    rows = len(sig) // bands
-    keys = []
-    for bi in range(bands):
-        chunk = sig[bi * rows : (bi + 1) * rows]
-        keys.append(hashlib.blake2b(chunk.tobytes(), digest_size=8).hexdigest())
-    return keys
+def band_keys(sigs: np.ndarray, bands: int) -> pa.FixedSizeBinaryArray:
+    """LSH band keys for [D, P] signatures: doc-major, band-minor
+    (row ``d * bands + band``), each key the band's exact signature
+    bytes as ``fixed_size_binary(8 * rows)``, rows = P // bands (a
+    remainder of P is unused). Docs sharing any (band, key) are
+    near-dup candidates (Leskovec/Rajaraman/Ullman, Mining of Massive
+    Datasets ch.3). The keys are the signature matrix's own bytes (no
+    copy when ``bands`` divides P): no per-doc loop, no hash."""
+    rows = sigs.shape[1] // bands
+    keys = np.ascontiguousarray(sigs[:, : bands * rows], dtype=np.uint64)
+    return pa.FixedSizeBinaryArray.from_buffers(
+        pa.binary(8 * rows), len(keys) * bands, [None, pa.py_buffer(keys)]
+    )
 
 
 def batch_simhash64(texts: list) -> np.ndarray:

@@ -55,44 +55,43 @@ def q1_pricing_summary(sf_dir: str):
         ],
     )
 
+    # one Arrow hash aggregate per block; the non-null counts n_* carry
+    # SQL AVG's denominator (a NULL measure counts in count(*), not in
+    # its avg) and let an all-NULL group's sum stay NULL
+    aggs = [
+        ("l_quantity", "sum", "sum_qty"),
+        ("l_extendedprice", "sum", "sum_base_price"),
+        ("disc_price", "sum", "sum_disc_price"),
+        ("l_discount", "sum", "sum_disc"),
+        ("l_quantity", "count", "n_qty"),
+        ("l_extendedprice", "count", "n_price"),
+        ("l_discount", "count", "n_disc"),
+    ]
+    # explicit schema: a block whose keys are ALL null would otherwise
+    # carry a null-typed column and break concat/union
+    schema = pa.schema(
+        [("l_returnflag", pa.string()), ("l_linestatus", pa.string())]
+        + [(name, pa.float64() if fn == "sum" else pa.int64()) for _, fn, name in aggs]
+        + [("count_order", pa.int64())]
+    )
+
     def partial(batch: pa.Table) -> pa.Table:
         disc_price = pc.multiply(
             batch["l_extendedprice"], pc.subtract(pa.scalar(1.0), batch["l_discount"])
         )
-        t = batch.append_column("disc_price", disc_price)
-        df = t.to_pandas()
+        # Arrow groups NULL keys together (SQL GROUP BY semantics);
+        # single-threaded so the float sums have one order
         g = (
-            # dropna=False so a null group key would survive the
-            # combiner too (end-to-end SQL GROUP BY semantics; TPC-H
-            # keys are non-null by schema, but the invariant holds)
-            df.groupby(["l_returnflag", "l_linestatus"], as_index=False, dropna=False)
-            .agg(
-                sum_qty=("l_quantity", "sum"),
-                sum_base_price=("l_extendedprice", "sum"),
-                sum_disc_price=("disc_price", "sum"),
-                sum_disc=("l_discount", "sum"),
-                count_order=("l_quantity", "size"),
-            )
+            batch.append_column("disc_price", disc_price)
+            .group_by(["l_returnflag", "l_linestatus"], use_threads=False)
+            .aggregate([(c, fn) for c, fn, _ in aggs] + [([], "count_all")])
         )
-        # explicit schema: a block whose keys are ALL null would
-        # otherwise infer a null-typed column and break concat/union
-        schema = pa.schema(
-            [
-                ("l_returnflag", pa.string()),
-                ("l_linestatus", pa.string()),
-                ("sum_qty", pa.float64()),
-                ("sum_base_price", pa.float64()),
-                ("sum_disc_price", pa.float64()),
-                ("sum_disc", pa.float64()),
-                ("count_order", pa.int64()),
-            ]
-        )
-        return pa.Table.from_pandas(g, preserve_index=False).select(
-            schema.names
-        ).cast(schema)
+        cols = [g["l_returnflag"], g["l_linestatus"]]
+        cols += [g[f"{c}_{fn}"] for c, fn, _ in aggs] + [g["count_all"]]
+        return pa.Table.from_arrays(cols, names=schema.names).cast(schema)
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    sums = ["sum_qty", "sum_base_price", "sum_disc_price", "sum_disc", "count_order"]
+    sums = schema.names[2:]
     folded = _fold_partials(partials)
     if folded is not None:
         # partials are O(blocks × ~6 groups) — the merge is a driver
@@ -104,19 +103,9 @@ def q1_pricing_summary(sf_dir: str):
             # groupby arm and SQL GROUP BY
             out = folded.groupby(
                 ["l_returnflag", "l_linestatus"], as_index=False, dropna=False
-            )[sums].sum(min_count=1).rename(columns={"sum_disc": "_sum_disc"})
+            )[sums].sum(min_count=1)
         else:
-            out = pd.DataFrame(
-                {
-                    "l_returnflag": pd.Series(dtype="object"),
-                    "l_linestatus": pd.Series(dtype="object"),
-                    "sum_qty": pd.Series(dtype="float64"),
-                    "sum_base_price": pd.Series(dtype="float64"),
-                    "sum_disc_price": pd.Series(dtype="float64"),
-                    "_sum_disc": pd.Series(dtype="float64"),
-                    "count_order": pd.Series(dtype="int64"),
-                }
-            )
+            out = schema.empty_table().to_pandas()
     else:
         # Ray's sort-based groupby cannot shuffle a null key, so the
         # past-budget arm masks key null-ness into companion int keys
@@ -129,44 +118,31 @@ def q1_pricing_summary(sf_dir: str):
                     "rf_n": pc.is_null(batch["l_returnflag"]).cast(pa.int8()),
                     "ls": pc.fill_null(batch["l_linestatus"], ""),
                     "ls_n": pc.is_null(batch["l_linestatus"]).cast(pa.int8()),
-                    "sum_qty": batch["sum_qty"],
-                    "sum_base_price": batch["sum_base_price"],
-                    "sum_disc_price": batch["sum_disc_price"],
-                    "sum_disc": batch["sum_disc"],
-                    "count_order": batch["count_order"],
+                    **{c: batch[c] for c in sums},
                 }
             )
 
         out = (
             partials.map_batches(mask_null, batch_format="pyarrow")
             .groupby(["rf", "rf_n", "ls", "ls_n"])
-            .aggregate(
-                Sum("sum_qty", alias_name="sum_qty"),
-                Sum("sum_base_price", alias_name="sum_base_price"),
-                Sum("sum_disc_price", alias_name="sum_disc_price"),
-                Sum("sum_disc", alias_name="_sum_disc"),
-                Sum("count_order", alias_name="count_order"),
-            )
+            .aggregate(*(Sum(c, alias_name=c) for c in sums))
             .to_pandas()
         )
         out["l_returnflag"] = out["rf"].where(out["rf_n"] == 0, None)
         out["l_linestatus"] = out["ls"].where(out["ls_n"] == 0, None)
-        out = out.drop(columns=["rf", "rf_n", "ls", "ls_n"])
     # one column order and one null-key spelling (None, not NaN) for
     # both merge arms
-    out = out[
-        ["l_returnflag", "l_linestatus", "sum_qty", "sum_base_price",
-         "sum_disc_price", "_sum_disc", "count_order"]
-    ].copy()
+    out = out[schema.names].copy()
     for c in ("l_returnflag", "l_linestatus"):
         if len(out) and out[c].isna().any():
             col = out[c].astype(object)
             col[col.isna()] = None
             out[c] = col
-    out["avg_qty"] = out["sum_qty"] / out["count_order"]
-    out["avg_price"] = out["sum_base_price"] / out["count_order"]
-    out["avg_disc"] = out["_sum_disc"] / out["count_order"]
-    out = out.drop(columns=["_sum_disc"]).sort_values(
+    # SQL AVG: over the non-null values, NULL when there are none
+    out["avg_qty"] = out["sum_qty"] / out["n_qty"]
+    out["avg_price"] = out["sum_base_price"] / out["n_price"]
+    out["avg_disc"] = out["sum_disc"] / out["n_disc"]
+    out = out.drop(columns=["sum_disc", "n_qty", "n_price", "n_disc"]).sort_values(
         ["l_returnflag", "l_linestatus"]
     ).reset_index(drop=True)
     return _round_floats(out)
@@ -186,11 +162,13 @@ Q3_BROADCAST_BUDGET_KEYS = 2_000_000
 AGG_FOLD_BUDGET_ROWS = 5_000_000
 
 
-def _fold_partials(partials, *, budget_rows: int = AGG_FOLD_BUDGET_ROWS):
+def _fold_partials(partials):
     """Budgeted driver fold of partial-aggregate rows — the shared
     engine idiom (`stages.fold.fold_partials`): pandas frame under the
     budget, None past it (callers fall back to the distributed groupby
-    over the SAME partials lineage; sums of partial sums).
+    over the SAME partials lineage; sums of partial sums). The budget
+    is ``AGG_FOLD_BUDGET_ROWS`` as it reads at call time, so a test can
+    set it to 0 to force every fold query onto its distributed arm.
 
     Null group keys: the fold arms keep them (``dropna=False``, SQL
     GROUP BY semantics). Ray's sort-based groupby cannot shuffle a
@@ -200,7 +178,7 @@ def _fold_partials(partials, *, budget_rows: int = AGG_FOLD_BUDGET_ROWS):
     document the limitation here instead."""
     from ..stages.fold import fold_partials
 
-    return fold_partials(partials, budget_rows=budget_rows)
+    return fold_partials(partials, budget_rows=AGG_FOLD_BUDGET_ROWS)
 
 
 def _segment_customer_keys_ds(sf_dir: str, segment: str):

@@ -155,14 +155,22 @@ def open_shard(path: str):
 
 
 def read_table(sf_dir: str, name: str, columns=None, filter=None) -> rd.Dataset:
-    """Read one test table with column pruning + pushdown."""
+    """Read one test table with column pruning + pushdown.
+
+    The table is one file, read as ONE read task with no output split
+    (``override_num_blocks=1``, the ``extract_files`` one-task-per-shard
+    convention). Left to its default, Ray inflates a single file
+    towards ``read_op_min_num_blocks`` by splitting the read's output,
+    and an operator with a split factor never fuses: every downstream
+    ``map_batches`` would run as a separate stage of ~20 tiny tasks.
+    The trade: one table's kernel no longer spreads over CPUs (SCALE.md)."""
     path = os.path.join(sf_dir, f"{name}.parquet")
     kwargs = {}
     if columns is not None:
         kwargs["columns"] = list(columns)
     if filter is not None:
         kwargs["filter"] = filter
-    return rd.read_parquet(path, **kwargs)
+    return rd.read_parquet(path, override_num_blocks=1, **kwargs)
 
 
 def read_pages(paths, columns=None) -> rd.Dataset:

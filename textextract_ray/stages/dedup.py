@@ -30,7 +30,6 @@ import pyarrow.compute as pc
 
 from ..functions.text import (
     batch_simhash64,
-    lsh_band_keys,
     md5_hex,
     minhash_params,
 )
@@ -235,14 +234,14 @@ def _bucketed_group_apply(
     fn,
     *,
     num_buckets: int = 64,
-    fold_budget_rows: int = GROUP_APPLY_FOLD_BUDGET_ROWS,
+    fold_budget_rows: int | None = None,
     frame_fn=None,
 ):
     """Apply ``fn`` per (group_cols) group WITHOUT paying per-group Ray
     dispatch. Two arms, identical results:
 
     * under ``fold_budget_rows`` (these inputs are keys-only LSH/band
-      rows by design — ~28 B each, so the budget is ~150 MB) the rows
+      rows by design — ~44 B each, so the budget is ~220 MB) the rows
       FOLD ON THE DRIVER and one pandas groupby applies ``fn`` to the
       real groups — no all-to-all at all. A Ray groupby costs seconds
       of fixed overhead per hundred input blocks regardless of row
@@ -287,6 +286,8 @@ def _bucketed_group_apply(
 
     from .fold import fold_partials
 
+    if fold_budget_rows is None:
+        fold_budget_rows = GROUP_APPLY_FOLD_BUDGET_ROWS
     folded = fold_partials(ds, budget_rows=fold_budget_rows)
     if folded is not None:
         if len(folded) == 0:
@@ -339,12 +340,13 @@ class MinHashBandKeys:
     (band_id, band_key, id) rows. Permutation parameters built once per
     actor in __init__.
 
-    The full signature does NOT ride the shuffle: band membership alone
-    defines LSH candidacy, so each doc ships bands × ~28 B instead of
-    bands × the whole num_perm signature (~16× less shuffle volume at
-    the defaults). Signatures are recomputed later for candidate ids
-    only (`candidate_signatures`) — candidates are O(similar pairs),
-    so the recompute touches a vanishing corpus fraction."""
+    A band row carries only its own band's signature values, as the
+    exact key bytes (``functions.text.band_keys``; ~44 B per row at the
+    defaults), so a doc ships its signature once, split across its
+    bands, not bands × the whole num_perm signature. Signatures are
+    recomputed later for candidate ids only (`candidate_signatures`)
+    — candidates are O(similar pairs), so the recompute touches a
+    vanishing corpus fraction."""
 
     def __init__(self, text_col: str, id_col: str, num_perm: int = 64,
                  bands: int = 16, k_shingle: int = 3):
@@ -356,34 +358,29 @@ class MinHashBandKeys:
         self.a, self.b = minhash_params(num_perm)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.text import batch_shingle_hashes, minhash_signatures_batch
+        from ..functions.text import (
+            band_keys,
+            batch_shingle_hashes,
+            minhash_signatures_batch,
+        )
 
-        ids = batch[self.id_col].to_pylist()
-        texts = batch[self.text_col].to_pylist()
-        all_hashes = batch_shingle_hashes(texts, self.k)
+        all_hashes = batch_shingle_hashes(batch[self.text_col].to_pylist(), self.k)
         # empty/whitespace-only docs all share the degenerate all-MAX
         # signature and would flood every band bucket; they are not
         # meaningful near-dups — exact dedup owns the empty-document
         # case
-        live = [i for i, h in enumerate(all_hashes) if len(h)]
+        live = np.array([i for i, h in enumerate(all_hashes) if len(h)], dtype=np.int64)
         sigs = minhash_signatures_batch([all_hashes[i] for i in live], self.a, self.b)
-        out_ids, out_band, out_key = [], [], []
-        for row, i in enumerate(live):
-            keys = lsh_band_keys(sigs[row], self.bands)
-            for bi, key in enumerate(keys):
-                out_ids.append(ids[i])
-                out_band.append(bi)
-                out_key.append(key)
         return pa.table(
             {
                 # id keeps the column's native type (ints and strings
-                # both work — nothing here narrows to int64); typed
-                # explicitly so an ALL-skipped batch (every doc empty)
-                # does not emit a null-typed block that breaks schema
-                # unification
-                "id": pa.array(out_ids, type=batch[self.id_col].type),
-                "band_id": pa.array(out_band, pa.int32()),
-                "band_key": pa.array(out_key, pa.string()),
+                # both work — nothing here narrows to int64), also
+                # when every doc of the batch is skipped
+                "id": batch[self.id_col].take(np.repeat(live, self.bands)),
+                "band_id": pa.array(
+                    np.tile(np.arange(self.bands, dtype=np.int32), len(live))
+                ),
+                "band_key": band_keys(sigs, self.bands),
             }
         )
 
@@ -434,8 +431,8 @@ def minhash_duplicate_assignments(
     """Dataset of (id, keep_id) pairs: id is a near-duplicate that
     should be dropped in favor of keep_id (keep_id < id always).
 
-    Three phases, shuffle-lean: (1) band rows WITHOUT signatures find
-    candidate pairs (the shuffle ships ~28 B/band-row); (2) signatures
+    Three phases, shuffle-lean: (1) band rows (id, band, that band's
+    signature bytes: ~44 B each) find candidate pairs; (2) signatures
     are recomputed for candidate ids only (broadcast is_in probe, one
     extra pass over the candidate docs — O(similar pairs) of the
     corpus); (3) signature-agreement fraction verifies each pair
