@@ -6,7 +6,9 @@ Usage: python tools/reach.py
 Roots are the CLI (``textextract_ray/__main__.py``), the driver gate
 (``__ray_entry__.py``), ``bench.py``, every file under ``perfbench/`` and
 ``tools/``, and every ``@register`` stage factory. Module-level code of
-package modules counts as a root too, since it runs on import.
+package modules counts as a root too, since it runs on import; its
+``import`` statements do not, since an import only binds a name: the
+imported definition is reached when a reached scope uses that name.
 
 A definition (top-level function or class) is reached when a reached
 scope names it: an ``ast.Name``, an ``ast.Attribute`` attribute, an
@@ -69,9 +71,10 @@ def scan() -> tuple[list[tuple[str, int, str, int]], int]:
         for node in ast.parse(src).body:
             if isinstance(node, DEFS) and not entry and not is_registered(node):
                 defs.setdefault(node.name, []).append((rel, node))
-            elif not (isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            )):
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            ):
                 roots |= names_in(node)
     for pattern in ROOT_FILES:
         for path in glob.glob(os.path.join(REPO, pattern)):
