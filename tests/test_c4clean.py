@@ -1,140 +1,6 @@
-"""C4 cleaning rules (Raffel et al. 2020 §2.2): exact DuckDB parity on
-a planted corpus exercising every rule, plus layout invariance and the
-bad-words blocklist path.
-
-The operator is shuffle-free (one vectorized map_batches pass), so the
-pin here is rule semantics, not distribution."""
+"""Robots-meta noindex compliance filter (``filter_noindex_ds``)."""
 
 from __future__ import annotations
-
-import duckdb
-import pandas as pd
-import pyarrow as pa
-
-GOOD = "This line is long enough and ends properly."
-ALSO = "Another perfectly reasonable sentence here!"
-QUOTE = 'He said the thing was "entirely fine."'
-QMARK = "Is this a sentence with enough words?"
-NOPUNCT = "this line has words but no terminal mark"
-SHORT = "Too short."
-JSLINE = "Enable JavaScript to view this page."
-BADLINE = "This sentence mentions badword sadly."
-
-
-def _corpus() -> pd.DataFrame:
-    five_sentences = "\n".join([GOOD, ALSO, QUOTE, QMARK, GOOD])
-    rows = [
-        # survives: 5 kept lines, >= 5 sentences
-        (1, five_sentences),
-        # line filters fire (no-punct, short, javascript) but the rest
-        # keeps >= 5 sentences -> survives with n_dropped = 3
-        (2, "\n".join([GOOD, NOPUNCT, SHORT, JSLINE, ALSO, QUOTE, QMARK, GOOD])),
-        # curly brace -> page dropped even though lines are fine
-        (3, five_sentences + "\nif (x) { return; }"),
-        # lorem ipsum (case-insensitive) -> page dropped
-        (4, five_sentences.replace(GOOD, "Lorem Ipsum dolor sit amet.", 1)),
-        # too few sentences after cleaning -> dropped
-        (5, "\n".join([GOOD, ALSO])),
-        # every line filtered -> page vanishes
-        (6, "\n".join([NOPUNCT, SHORT, JSLINE])),
-        # empty text -> vanishes
-        (7, ""),
-        # bad word page (only dropped when blocklist is passed)
-        (8, five_sentences + "\n" + BADLINE),
-    ]
-    return pd.DataFrame(rows, columns=["doc_id", "text"])
-
-
-def _oracle(df: pd.DataFrame, min_words=3, min_sentences=5, bad_words=()) -> pd.DataFrame:
-    con = duckdb.connect()
-    con.register("docs", df)
-    bad_clause = ""
-    if bad_words:
-        pat = "(?i)\\b(" + "|".join(bad_words) + ")\\b"
-        bad_clause = f"AND NOT regexp_matches(orig, '{pat}')"
-    out = con.execute(
-        f"""
-        WITH lines AS (
-            SELECT doc_id, text AS orig,
-                   unnest(string_split(text, chr(10))) AS line,
-                   generate_subscripts(string_split(text, chr(10)), 1) AS line_idx,
-                   len(string_split(text, chr(10))) AS n_lines
-            FROM docs
-        ),
-        kept AS (
-            SELECT * FROM lines
-            WHERE regexp_matches(rtrim(line), '[.!?"]$')
-              AND length(regexp_extract_all(line, '\\S+')) >= {min_words}
-              AND NOT contains(lower(line), 'javascript')
-        ),
-        rebuilt AS (
-            SELECT doc_id,
-                   string_agg(line, chr(10) ORDER BY line_idx) AS text,
-                   CAST(any_value(n_lines) - count(*) AS INTEGER) AS n_dropped,
-                   length(regexp_extract_all(
-                       string_agg(line, chr(10) ORDER BY line_idx), '[.!?]'
-                   )) AS n_sentences,
-                   any_value(orig) AS orig
-            FROM kept GROUP BY doc_id
-        )
-        SELECT doc_id, text, n_dropped FROM rebuilt
-        WHERE n_sentences >= {min_sentences}
-          AND NOT contains(orig, '{{')
-          AND NOT contains(lower(orig), 'lorem ipsum')
-          {bad_clause}
-        ORDER BY doc_id
-        """
-    ).df()
-    con.close()
-    out["n_dropped"] = out["n_dropped"].astype("int32")
-    return out.reset_index(drop=True)
-
-
-def _run(df: pd.DataFrame, **kw) -> pd.DataFrame:
-    import ray.data as rd
-
-    from textextract_ray.pipelines.textops import c4_clean_ds
-
-    ds = rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
-    out = c4_clean_ds(ds, **kw).to_pandas()
-    out["n_dropped"] = out["n_dropped"].astype("int32")
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-def test_c4_clean_matches_duckdb(ray_session):
-    df = _corpus()
-    got = _run(df)
-    want = _oracle(df)
-    pd.testing.assert_frame_equal(got, want)
-    # the planted corpus actually exercised every rule
-    kept = set(got.doc_id)
-    assert kept == {1, 2, 8}
-    assert int(got.set_index("doc_id").loc[2, "n_dropped"]) == 3
-
-
-def test_c4_clean_bad_words_blocklist(ray_session):
-    df = _corpus()
-    got = _run(df, bad_words=("badword",))
-    want = _oracle(df, bad_words=("badword",))
-    pd.testing.assert_frame_equal(got, want)
-    assert set(got.doc_id) == {1, 2}  # doc 8 now dropped
-
-
-def test_c4_clean_layout_invariance(ray_session):
-    import ray.data as rd
-
-    from textextract_ray.pipelines.textops import c4_clean_ds
-
-    df = _corpus()
-    want = _oracle(df)
-    shuffled = df.sample(frac=1.0, random_state=3).reset_index(drop=True)
-    ds = rd.from_arrow(
-        pa.Table.from_pandas(shuffled, preserve_index=False)
-    ).repartition(4)
-    got = c4_clean_ds(ds).to_pandas()
-    got["n_dropped"] = got["n_dropped"].astype("int32")
-    got = got.sort_values("doc_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want)
 
 
 def test_filter_noindex(ray_session):

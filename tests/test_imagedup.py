@@ -1,5 +1,6 @@
 """Perceptual-hash image near-dup detection: dHash sensitivity, the
-banding pipeline vs an all-pairs brute-force oracle, layout
+``image_dhash`` stage + pigeonhole banding vs an all-pairs brute-force
+oracle, layout
 invariance, skip/strict semantics for undecodable payloads."""
 
 from __future__ import annotations
@@ -60,12 +61,18 @@ def _brute(df: pd.DataFrame, max_hamming: int) -> pd.DataFrame:
 def _run(df: pd.DataFrame, max_hamming: int, repartition=None) -> pd.DataFrame:
     import ray.data as rd
 
-    from textextract_ray.stages.dedup import image_duplicate_assignments
+    from textextract_ray.pipelines.registry import build_pipeline
+    from textextract_ray.stages.dedup import hamming64_duplicate_assignments
 
     ds = rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
     if repartition:
         ds = ds.repartition(repartition)
-    out = image_duplicate_assignments(ds, max_hamming=max_hamming).to_pandas()
+    hashed = build_pipeline(ds, [{"stage": "image_dhash"}]).filter(
+        expr="status == 'ok'"
+    )
+    out = hamming64_duplicate_assignments(
+        hashed, "dhash", "media_id", max_hamming
+    ).to_pandas()
     return out.sort_values("id").reset_index(drop=True).astype("int64")
 
 

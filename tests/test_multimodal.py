@@ -409,8 +409,8 @@ def test_preprocess_image_stage_round_trip(ray_session):
     import ray.data as rd
 
     from textextract_ray.imageops import preprocess_pixels
+    from textextract_ray.pipelines.registry import build_pipeline
     from textextract_ray.png import png_decode, png_encode
-    from textextract_ray.stages.multimodal import preprocess_images
 
     rng = np.random.RandomState(3)
     imgs = {
@@ -425,7 +425,7 @@ def test_preprocess_image_stage_round_trip(ray_session):
     rows.append({"media_id": 13, "media": b"\xff\xd8\xffnotpng", "media_type": "image"})
 
     out = (
-        preprocess_images(rd.from_items(rows))
+        build_pipeline(rd.from_items(rows), [{"stage": "preprocess_image"}])
         .to_pandas()
         .sort_values("media_id")
         .set_index("media_id")
@@ -444,7 +444,7 @@ def test_preprocess_image_stage_round_trip(ray_session):
 
     # layout-invariant bytes
     again = (
-        preprocess_images(rd.from_items(rows).repartition(4))
+        build_pipeline(rd.from_items(rows).repartition(4), [{"stage": "preprocess_image"}])
         .to_pandas()
         .sort_values("media_id")
         .set_index("media_id")
@@ -460,15 +460,15 @@ def test_preprocess_image_stage_errors(ray_session):
     import pytest
     import ray.data as rd
 
+    from textextract_ray.pipelines.registry import build_pipeline
     from textextract_ray.png import png_encode
-    from textextract_ray.stages.multimodal import preprocess_images
 
     good = png_encode(np.zeros((4, 4, 3), np.uint8))
     corrupt = good[:40] + b"\x00" * 20 + good[60:]  # breaks a CRC
     ds = rd.from_items(
         [{"media_id": 0, "media": corrupt, "media_type": "image"}]
     )
-    df = preprocess_images(ds).to_pandas()
+    df = build_pipeline(ds, [{"stage": "preprocess_image"}]).to_pandas()
     assert df["status"].iloc[0].startswith("decode_error")
     assert bytes(df["media"].iloc[0]) == corrupt  # original passes through
 
@@ -476,7 +476,10 @@ def test_preprocess_image_stage_errors(ray_session):
         [{"media_id": 1, "media": b"GIF89a123", "media_type": "image"}]
     )
     with pytest.raises(Exception, match="NotImplementedError|requires PIL"):
-        preprocess_images(strict_ds, strict=True).to_pandas()
+        build_pipeline(
+            strict_ds,
+            [{"stage": "preprocess_image", "options": {"strict": True}}],
+        ).to_pandas()
 
 
 def test_resize_kernels_pure():
@@ -525,8 +528,8 @@ def test_resize_image_stage(ray_session):
     import numpy as np
     import ray.data as rd
 
+    from textextract_ray.pipelines.registry import build_pipeline
     from textextract_ray.png import png_decode, png_encode
-    from textextract_ray.stages.multimodal import resize_images
 
     rng = np.random.default_rng(9)
     tall = rng.integers(0, 256, (80, 40, 3), dtype=np.uint8)
@@ -543,7 +546,8 @@ def test_resize_image_stage(ray_session):
     ds = rd.from_items(rows)
 
     out = (
-        resize_images(ds, size=32, emit="png", concurrency=(1, 2))
+        build_pipeline(ds, [{"stage": "resize_image", "options": {
+            "size": 32, "emit": "png", "concurrency": (1, 2)}}])
         .to_pandas()
         .sort_values("media_id")
         .reset_index(drop=True)
@@ -556,7 +560,8 @@ def test_resize_image_stage(ray_session):
         assert px.shape == (32, 32, 3)
     # deterministic: second run byte-identical
     out2 = (
-        resize_images(ds, size=32, emit="png", concurrency=(1, 2))
+        build_pipeline(ds, [{"stage": "resize_image", "options": {
+            "size": 32, "emit": "png", "concurrency": (1, 2)}}])
         .to_pandas()
         .sort_values("media_id")
         .reset_index(drop=True)
@@ -564,7 +569,8 @@ def test_resize_image_stage(ray_session):
     assert out["media"].tolist() == out2["media"].tolist()
 
     tens = (
-        resize_images(ds, size=32, emit="tensor", concurrency=(1, 2))
+        build_pipeline(ds, [{"stage": "resize_image", "options": {
+            "size": 32, "emit": "tensor", "concurrency": (1, 2)}}])
         .to_pandas()
         .sort_values("media_id")
         .reset_index(drop=True)

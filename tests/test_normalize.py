@@ -1,4 +1,5 @@
-"""Unicode normalization / mojibake repair: DuckDB NFC parity on the
+"""Unicode normalization / mojibake repair (the ``normalize_text``
+registry stage): DuckDB NFC parity on the
 Arrow fast path, ftfy-shaped repair oracle on planted mojibake,
 clean-text-never-corrupted guarantee, and layout invariance."""
 
@@ -32,12 +33,12 @@ def _corpus() -> pd.DataFrame:
 def _run(df: pd.DataFrame, repartition=None, **kw) -> pd.DataFrame:
     import ray.data as rd
 
-    from textextract_ray.pipelines.textops import normalize_text_ds
+    from textextract_ray.pipelines.registry import build_pipeline
 
     ds = rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
     if repartition:
         ds = ds.repartition(repartition)
-    out = normalize_text_ds(ds, **kw).to_pandas()
+    out = build_pipeline(ds, [{"stage": "normalize_text", "options": kw}]).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 

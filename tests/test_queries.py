@@ -237,13 +237,18 @@ def test_stratified_sample_rates_and_stability(entrymod, sf_dir, ray_session):
 def test_host_heavy_hitters_estimates_vs_exact(entrymod, sf_dir, ray_session):
     """CM estimates only overestimate; with 20 hosts in a 4096-wide
     sketch the top-k set and estimates should match exact counts. The
-    query's own n_pages column (the broadcast-probe exact count,
-    consolidated from host_doc_counts) must equal the full groupby."""
-    from textextract_ray.pipelines.textops import host_doc_counts
+    query's own n_pages column (the broadcast-probe exact count) must
+    equal the full groupby over the pages' url hosts."""
+    from collections import Counter
+
+    import pyarrow as pa
+
+    from textextract_ray.functions.scalar import url_host
+    from textextract_ray.pipelines.extract_pipeline import _documents_as_pages
 
     df = entrymod.queries()["host_heavy_hitters"](sf_dir)
-    exact = host_doc_counts(sf_dir)
-    exact_map = dict(zip(exact["host"], exact["n_pages"]))
+    urls = _documents_as_pages(sf_dir).to_pandas()["url"]
+    exact_map = Counter(url_host(pa.array(urls)).to_pylist())
     assert len(df) == 10
     for _, row in df.iterrows():
         true = exact_map[row["host"]]
@@ -320,21 +325,6 @@ def test_queries_within_driver_cap(entrymod):
     assert set(qs) == set(entrymod.oracle_sql())
 
 
-def test_distinct_langs_unique(sf_dir, ray_session, con):
-    """Dataset.unique over one column (the distinct op) — kept as a
-    pytest after its gate slot was consolidated away (driver 50-cap)."""
-    from textextract_ray.pipelines.relational import distinct_langs
-
-    got = distinct_langs(sf_dir)["lang"].tolist()
-    want = [
-        r[0]
-        for r in con.execute(
-            "SELECT DISTINCT lang FROM documents ORDER BY lang"
-        ).fetchall()
-    ]
-    assert got == want
-
-
 def test_perplexity_buckets_semantics(tmp_path, ray_session):
     """Unigram-LM perplexity: a gibberish doc (all OOV under a small
     vocab) scores strictly higher than common-word docs; n_oov matches
@@ -366,26 +356,6 @@ def test_perplexity_buckets_semantics(tmp_path, ray_session):
     vocab = {t for t, _ in sorted(cnt.items(), key=lambda kv: (-kv[1], kv[0]))[:8]}
     want_oov = [sum(t not in vocab for t in doc) for doc in toks]
     assert a.sort_values("doc_id")["n_oov"].tolist() == want_oov
-
-
-def test_training_order_is_seeded_permutation(sf_dir, ray_session):
-    """Global shuffle for training order: a permutation of doc_ids,
-    identical across runs, different (and decorrelated) across seeds."""
-    import numpy as np
-
-    from textextract_ray.pipelines.textops import training_order
-
-    a = training_order(sf_dir, seed=1)
-    b = training_order(sf_dir, seed=1)
-    c = training_order(sf_dir, seed=2)
-    assert a["doc_id"].tolist() == b["doc_id"].tolist()  # run-deterministic
-    assert sorted(a["doc_id"]) == sorted(c["doc_id"])  # same corpus
-    assert a["doc_id"].tolist() != c["doc_id"].tolist()  # seed moves the order
-    # not the identity order, and rank correlation with doc_id ~ 0
-    ranks = np.argsort(np.argsort(a["doc_id"].to_numpy()))
-    n = len(ranks)
-    corr = np.corrcoef(np.arange(n), ranks)[0, 1]
-    assert abs(corr) < 0.2
 
 
 def test_perplexity_buckets_layout_invariant(tmp_path, sf_dir, ray_session):
@@ -567,75 +537,6 @@ def test_corpus_mix_copy_semantics(sf_dir, ray_session, con):
         assert abs(n_extra / n_docs - frac) < 0.15, (lang, n_extra, n_docs)
 
 
-def test_classifier_scores_deterministic_and_vectorized(tmp_path, sf_dir, ray_session):
-    """Actor-pool model inference: identical scores across runs and
-    parquet layouts (weights are a pure function of feature index, the
-    feature hash is the repo-owned family); empty/one-token docs take
-    the no-feature path (score = sigmoid(bias) = 0.5 exactly); both
-    labels occur on the corpus."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from textextract_ray.pipelines.textops import classifier_scores
-
-    got = classifier_scores(sf_dir)
-    again = classifier_scores(sf_dir)
-    pd.testing.assert_frame_equal(got, again)
-    assert set(got["label"]) == {"keep", "drop"}
-    assert got["score"].between(0, 1).all()
-
-    t = pq.read_table(f"{sf_dir}/documents.parquet")
-    shard_dir = tmp_path / "sharded" / "documents.parquet"
-    shard_dir.mkdir(parents=True)
-    step = max(1, t.num_rows // 9)
-    for i, lo in enumerate(range(0, t.num_rows, step)):
-        pq.write_table(t.slice(lo, step), str(shard_dir / f"p{i}.parquet"))
-    many = classifier_scores(str(tmp_path / "sharded"))
-    pd.testing.assert_frame_equal(got, many)
-
-    # no-feature path: only the empty doc (a one-token doc still gets
-    # one clipped shingle — batch_shingle_hashes' documented n<k case)
-    edge = tmp_path / "edge"
-    edge.mkdir()
-    pq.write_table(
-        pa.table(
-            {"doc_id": pa.array([1, 2, 3], pa.int64()), "text": ["", "hello", "a b c"]}
-        ),
-        str(edge / "documents.parquet"),
-    )
-    e = classifier_scores(str(edge))
-    assert e["n_features"].tolist() == [0, 1, 2]
-    assert e["score"].tolist()[0] == 0.5
-
-
-def test_epoch_stream_composes_mix_and_shuffle(sf_dir, ray_session):
-    """Epoch assembly: the multiset of (doc_id, copy_idx) equals
-    corpus_mix exactly; the order is seed-reproducible, changes with
-    the seed, and copies of the same doc land decorrelated (keyed per
-    copy — adjacent duplicate doc_ids would mean per-doc keying)."""
-    import numpy as np
-
-    from textextract_ray.pipelines.textops import corpus_mix, epoch_stream
-
-    a = epoch_stream(sf_dir, seed=3)
-    b = epoch_stream(sf_dir, seed=3)
-    c = epoch_stream(sf_dir, seed=4)
-    pd.testing.assert_frame_equal(a, b)
-    assert a["position"].tolist() == list(range(len(a)))
-
-    mix = corpus_mix(sf_dir)
-    key = lambda df: sorted(zip(df["doc_id"], df["copy_idx"]))
-    assert key(a) == key(mix) == key(c)
-    assert a["doc_id"].tolist() != c["doc_id"].tolist()  # seed moves order
-
-    # multi-copy docs: their positions are spread, not adjacent
-    multi = a[a["doc_id"].isin(mix[mix["copy_idx"] > 0]["doc_id"])]
-    gaps = multi.groupby("doc_id")["position"].apply(
-        lambda s: np.diff(np.sort(s)).min() if len(s) > 1 else np.inf
-    )
-    assert (gaps > 1).mean() > 0.9  # rare adjacency allowed by chance
-
-
 def test_device_admission_keeps_unparseable_users(tmp_path, ray_session):
     """A user whose EVERY event has unparseable props still appears
     with n_devices=0 (count(DISTINCT) over all-NULL is 0, not an
@@ -673,23 +574,18 @@ def test_device_admission_keeps_unparseable_users(tmp_path, ray_session):
 def test_dataset_cores_stream_to_parquet_without_driver_pull(
     tmp_path, sf_dir, ray_session
 ):
-    """The corpus-scale library surfaces (pack_sequences_ds, pack_bins_ds,
-    training_order_ds, epoch_stream_ds) return ray.data.Datasets that a
-    100-TB caller consumes with write_parquet — no O(corpus) driver
-    materialization in the core path. The gate wrappers (pack_sequences
-    etc.) are the only place pandas appears; their output must equal a
-    read-back of the written Dataset."""
+    """The corpus-scale packers (pack_sequences_ds, pack_bins_ds) return
+    ray.data.Datasets that a 100-TB caller consumes with write_parquet —
+    no O(corpus) driver materialization in the core path. The gate
+    wrapper (pack_sequences) is the only place pandas appears; its
+    output must equal a read-back of the written Dataset."""
     import pyarrow.parquet as pq
     import ray
 
     from textextract_ray.pipelines.textops import (
-        epoch_stream,
-        epoch_stream_ds,
         pack_bins_ds,
         pack_sequences,
         pack_sequences_ds,
-        training_order,
-        training_order_ds,
     )
     from textextract_ray.sources import read_table
 
@@ -710,23 +606,6 @@ def test_dataset_cores_stream_to_parquet_without_driver_pull(
 
     bins = pack_bins_ds(docs, capacity=64)
     assert isinstance(bins, ray.data.Dataset)
-
-    order = training_order_ds(read_table(sf_dir, "documents", columns=["doc_id"]))
-    assert isinstance(order, ray.data.Dataset)
-    out2 = tmp_path / "order"
-    order.write_parquet(str(out2))
-    got_ids = pq.read_table(str(out2)).to_pandas()
-    # parquet files are written per sorted block; restoring the sort key
-    # order recovers the epoch order exactly
-    got_ids = got_ids.sort_values(["shuffle_key", "doc_id"]).reset_index(drop=True)
-    want_ids = training_order(sf_dir)
-    assert got_ids["doc_id"].tolist() == want_ids["doc_id"].tolist()
-
-    epoch = epoch_stream_ds(sf_dir, seed=5)
-    assert isinstance(epoch, ray.data.Dataset)
-    head = epoch.take(10)  # streaming consume — no full materialization
-    want_epoch = epoch_stream(sf_dir, seed=5)
-    assert [r["doc_id"] for r in head] == want_epoch["doc_id"].head(10).tolist()
 
 
 def test_group_split_leakage_free(ray_session, sf_dir):
@@ -783,94 +662,3 @@ def test_group_split_leakage_free(ray_session, sf_dir):
 
     with _pytest.raises(ValueError, match="sum to 1"):
         group_split_ds(ds, "source", fractions=(("a", 0.5), ("b", 0.2)))
-
-
-def test_broadcast_semi_join_utility(ray_session):
-    """Public semi/anti-join probe: DuckDB parity on string and int
-    keys, budget guard, empty right side."""
-    import duckdb
-    import pandas as pd
-    import pyarrow as pa
-    import pytest
-    import ray.data as rd
-
-    from textextract_ray.pipelines.relational import broadcast_semi_join_ds
-
-    ldf = pd.DataFrame(
-        {"url": [f"https://h{i % 7}.com/p{i}" for i in range(50)],
-         "host": [f"h{i % 7}.com" for i in range(50)],
-         "v": range(50)}
-    )
-    rdf = pd.DataFrame({"host": ["h1.com", "h3.com", "h9.com"]})
-    lds = rd.from_arrow(pa.Table.from_pandas(ldf, preserve_index=False))
-    rds = rd.from_arrow(pa.Table.from_pandas(rdf, preserve_index=False))
-
-    semi = broadcast_semi_join_ds(lds, rds, "host").to_pandas()
-    anti = broadcast_semi_join_ds(lds, rds, "host", anti=True).to_pandas()
-    want_semi = duckdb.sql(
-        "SELECT * FROM ldf WHERE host IN (SELECT host FROM rdf) ORDER BY v"
-    ).df()
-    want_anti = duckdb.sql(
-        "SELECT * FROM ldf WHERE host NOT IN (SELECT host FROM rdf) ORDER BY v"
-    ).df()
-    pd.testing.assert_frame_equal(
-        semi.sort_values("v").reset_index(drop=True), want_semi
-    )
-    pd.testing.assert_frame_equal(
-        anti.sort_values("v").reset_index(drop=True), want_anti
-    )
-    assert len(semi) + len(anti) == 50
-
-    # empty right side: semi keeps nothing, anti keeps everything
-    empty = rd.from_arrow(pa.Table.from_pandas(rdf.iloc[:0], preserve_index=False))
-    assert broadcast_semi_join_ds(lds, empty, "host").count() == 0
-    assert broadcast_semi_join_ds(lds, empty, "host", anti=True).count() == 50
-
-    with pytest.raises(ValueError, match="budget_rows"):
-        broadcast_semi_join_ds(lds, rds, "host", budget_rows=1).count()
-
-
-def test_broadcast_semi_join_null_keys(ray_session):
-    """SQL SEMI/ANTI (EXISTS/NOT EXISTS) null semantics: NULL never
-    matches — a right-side NULL entry is inert, left NULL rows drop
-    from the semi join and survive the anti join, and a literal 'None'
-    string does not conflate with NULL."""
-    import duckdb
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data as rd
-
-    from textextract_ray.pipelines.relational import broadcast_semi_join_ds
-
-    ldf = pd.DataFrame(
-        {"host": ["a.com", None, "None", "b.com", None, "c.com"],
-         "v": range(6)}
-    )
-    rdf = pd.DataFrame({"host": ["a.com", None, "None"]})
-    lds = rd.from_arrow(pa.Table.from_pandas(ldf, preserve_index=False))
-    rds = rd.from_arrow(pa.Table.from_pandas(rdf, preserve_index=False))
-
-    semi = broadcast_semi_join_ds(lds, rds, "host").to_pandas()
-    anti = broadcast_semi_join_ds(lds, rds, "host", anti=True).to_pandas()
-    want_semi = duckdb.sql(
-        "SELECT * FROM ldf WHERE EXISTS "
-        "(SELECT 1 FROM rdf WHERE rdf.host = ldf.host) ORDER BY v"
-    ).df()
-    want_anti = duckdb.sql(
-        "SELECT * FROM ldf WHERE NOT EXISTS "
-        "(SELECT 1 FROM rdf WHERE rdf.host = ldf.host) ORDER BY v"
-    ).df()
-    pd.testing.assert_frame_equal(
-        semi.sort_values("v").reset_index(drop=True), want_semi
-    )
-    pd.testing.assert_frame_equal(
-        anti.sort_values("v").reset_index(drop=True), want_anti
-    )
-    # the string "None" matched (it IS in the right set); NULLs went anti
-    assert semi["v"].tolist() == [0, 2]
-    assert anti["v"].tolist() == [1, 3, 4, 5]
-
-    # an all-NULL right side is an empty key set
-    rnull = rd.from_arrow(pa.table({"host": pa.array([None, None], pa.string())}))
-    assert broadcast_semi_join_ds(lds, rnull, "host").count() == 0
-    assert broadcast_semi_join_ds(lds, rnull, "host", anti=True).count() == 6

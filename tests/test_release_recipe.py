@@ -1,7 +1,8 @@
 """End-to-end web-corpus RELEASE recipe over the round-4 operator set:
 pages -> robots-noindex compliance -> extraction (actor pool, url
-dedup) -> unicode normalize -> frequent-line scrub -> attribute
-tagging -> quality mix -> JSONL release shards -> read-back. Every
+dedup) -> unicode normalize (registry stage) -> frequent-line scrub
+-> attribute tagging -> quality mix -> JSONL release shards ->
+read-back. Every
 stage is the library's own public surface; the test pins the
 COMPOSITION (columns thread through, counts only shrink, release
 round-trips), not any one kernel — each has its own suite."""
@@ -27,10 +28,10 @@ def test_release_recipe_end_to_end(ray_session, fixture_pages, tmp_path):
         dedup_by_url,
         extract_dataset,
     )
+    from textextract_ray.pipelines.registry import build_pipeline
     from textextract_ray.pipelines.textops import (
         filter_noindex_ds,
         line_frequency_filter_ds,
-        normalize_text_ds,
     )
     from textextract_ray.sources import read_jsonl, read_pages, write_jsonl
 
@@ -53,7 +54,7 @@ def test_release_recipe_end_to_end(ray_session, fixture_pages, tmp_path):
         )
 
     docs = ok.map_batches(to_docs, batch_format="pyarrow")
-    normalized = normalize_text_ds(docs)
+    normalized = build_pipeline(docs, [{"stage": "normalize_text"}])
     scrubbed = line_frequency_filter_ds(normalized, min_count=5).materialize()
     n_docs = scrubbed.count()
     assert 0 < n_docs <= n_pages

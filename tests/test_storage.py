@@ -1,11 +1,11 @@
-"""Storage-layout operators: shard compaction (content-preserving,
-streaming, deterministic grouping) and key-range clustered write with
+"""Storage-layout helpers: the streaming group compaction behind
+``table_compact``, the per-file Bloom sidecars behind merge and
+point-lookup pruning, and key-range clustered write with
 manifest-pruned reads."""
 
 from __future__ import annotations
 
 import glob
-import json
 import os
 
 import numpy as np
@@ -36,54 +36,43 @@ def small_shards(ray_session, tmp_path):
     return df, str(tmp_path / "small")
 
 
-def test_compact_preserves_content_and_reduces_files(small_shards, tmp_path):
-    import ray.data as rd
+def _shards(d):
+    return sorted(glob.glob(os.path.join(d, "*.parquet")))
 
-    from textextract_ray.pipelines.storage import compact_shards
+
+def test_compact_preserves_content_and_reduces_files(small_shards, tmp_path):
+    import ray
+
+    from textextract_ray.pipelines.storage import _compact_group
 
     df, small = small_shards
-    out = str(tmp_path / "compact")
-    man = compact_shards(small, out, target_mb=1)
-
-    n_in = len(glob.glob(os.path.join(small, "*.parquet")))
-    n_out = len(glob.glob(os.path.join(out, "*.parquet")))
-    assert n_out < n_in and n_out == len(man)
-    assert man["rows"].sum() == len(df)
-    back = (
-        rd.read_parquet(out)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
+    paths = _shards(small)
+    out = str(tmp_path / "compact.parquet")
+    meta = ray.get(_compact_group.remote(paths, out, 1000))
+    assert meta == {"path": out, "rows": len(df), "inputs": len(paths)}
+    assert not os.path.exists(out + ".tmp")  # committed by rename
+    back = pq.read_table(out).to_pandas().sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(back, df)
-    # committed manifest matches the returned one
-    meta = json.load(open(os.path.join(out, "_compaction.json")))
-    assert [m["rows"] for m in meta] == man["rows"].tolist()
-    # files respect the target: every output well under 1 MB + slack
-    for f in glob.glob(os.path.join(out, "*.parquet")):
-        assert os.path.getsize(f) < (1 << 20) * 2
+    # row groups stream through at the requested size
+    assert pq.ParquetFile(out).metadata.num_row_groups >= len(df) // 1000
 
 
 def test_compact_deterministic_and_schema_guard(small_shards, tmp_path):
-    from textextract_ray.pipelines.storage import compact_shards
+    import ray
+
+    from textextract_ray.pipelines.storage import _compact_group
 
     df, small = small_shards
-    m1 = compact_shards(small, str(tmp_path / "c1"), target_mb=1)
-    m2 = compact_shards(small, str(tmp_path / "c2"), target_mb=1)
-    assert m1["rows"].tolist() == m2["rows"].tolist()
-    assert m1["inputs"].tolist() == m2["inputs"].tolist()
+    paths = _shards(small)
+    a, b = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
+    ray.get([_compact_group.remote(paths, a, 1000), _compact_group.remote(paths, b, 1000)])
+    assert pq.read_table(a).equals(pq.read_table(b))
 
-    # a shard with a different schema fails loudly, not silently
-    alien = pd.DataFrame({"other": [1, 2, 3]})
-    pq.write_table(
-        pa.Table.from_pandas(alien, preserve_index=False),
-        os.path.join(small, "zz-alien.parquet"),
-    )
+    # a file with a different schema fails loudly, not silently
+    alien = os.path.join(small, "zz-alien.parquet")
+    pq.write_table(pa.table({"other": [1, 2, 3]}), alien)
     with pytest.raises(Exception, match="schema"):
-        compact_shards(small, str(tmp_path / "c3"), target_mb=1)
-
-    with pytest.raises(ValueError, match="no parquet"):
-        compact_shards(str(tmp_path / "emptydir_nope"), str(tmp_path / "c4"))
+        ray.get(_compact_group.remote(paths + [alien], str(tmp_path / "c.parquet"), 1000))
 
 
 def test_clustered_write_prunes_reads(ray_session, tmp_path):
@@ -144,12 +133,10 @@ def test_clustered_string_keys_and_nulls(ray_session, tmp_path):
 
 
 def test_bloom_index_prunes_point_lookups(ray_session, tmp_path):
+    import ray
     import ray.data as rd
 
-    from textextract_ray.pipelines.storage import (
-        read_bloom_indexed,
-        write_bloom_index,
-    )
+    from textextract_ray.pipelines.storage import _probe_blooms, _shard_bloom
 
     df = _frame(8000)
     layout = str(tmp_path / "plain")
@@ -159,34 +146,47 @@ def test_bloom_index_prunes_point_lookups(ray_session, tmp_path):
             df.sample(frac=1.0, random_state=7), preserve_index=False
         )
     ).repartition(32).write_parquet(layout)
+    names = [os.path.basename(p) for p in _shards(layout)]
 
-    man = write_bloom_index(layout, "doc_id", fpr=0.001)
-    assert len(man) == len(glob.glob(os.path.join(layout, "*.parquet")))
-    assert man["n_keys"].sum() == len(df)
+    def index(key_col, fpr):
+        return ray.get(
+            [_shard_bloom.remote(os.path.join(layout, n), n, key_col, fpr) for n in names]
+        )
+
+    def probe(rows, key_col, keys):
+        return ray.get(_probe_blooms.remote(layout, rows, key_col, pa.array(keys)))
+
+    man = index("doc_id", 0.001)
+    assert [m["shard"] for m in man] == names
+    assert sum(m["n_keys"] for m in man) == len(df)
     # sidecars exist next to every shard
     assert len(glob.glob(os.path.join(layout, "*.parquet.doc_id.bloom"))) == len(man)
 
     keys = [17, 4242, 7999]
-    got = read_bloom_indexed(layout, keys).to_pandas().sort_values("doc_id")
-    want = df[df["doc_id"].isin(keys)].sort_values("doc_id")
-    assert got["doc_id"].tolist() == want["doc_id"].tolist()
-    assert got["text"].tolist() == want["text"].tolist()
-    read_n, total_n = read_bloom_indexed.last_pruning
+    hits = probe(man, "doc_id", keys)
+    # no false negatives: every shard holding a key is kept
+    for k in keys:
+        (owner,) = [
+            n for n in names
+            if k in pq.read_table(os.path.join(layout, n), columns=["doc_id"])["doc_id"].to_pylist()
+        ]
+        assert owner in hits
     # 3 keys in 32 shards at fpr 1e-3: expect a handful of shards opened
-    assert 1 <= read_n <= 6 and total_n == 32
+    assert 1 <= len(hits) <= 6
 
-    # absent keys: every shard pruned, empty exact result
-    assert read_bloom_indexed(layout, [123456789]).count() == 0
-    assert read_bloom_indexed.last_pruning[0] <= 1  # at most an FP shard
+    # absent keys: every shard pruned (at most an FP shard)
+    assert len(probe(man, "doc_id", [123456789])) <= 1
 
     # string key column: second index coexists with the first
-    man2 = write_bloom_index(layout, "host", fpr=0.01)
-    assert (man2["n_keys"] > 0).all()
-    got2 = read_bloom_indexed(layout, ["h13.com"], key_col="host").to_pandas()
-    assert len(got2) == len(df[df["host"] == "h13.com"])
-    # ambiguous: two indexes present and no key_col given
-    with pytest.raises(ValueError, match="indexes"):
-        read_bloom_indexed(layout, [1])
+    man2 = index("host", 0.01)
+    assert all(m["n_keys"] > 0 for m in man2)
+    hits2 = probe(man2, "host", ["h13.com"])
+    n13 = sum(
+        pq.read_table(os.path.join(layout, n), columns=["host"])["host"]
+        .to_pylist().count("h13.com")
+        for n in hits2
+    )
+    assert n13 == int((df["host"] == "h13.com").sum())
 
 
 def test_clustered_layout_invariance(ray_session, tmp_path):

@@ -374,56 +374,6 @@ def test_notes_survive_expiry(ray_session, tmp_path):
     assert table_notes(t) == {"dump:a", "dump:b", "dump:c"}
 
 
-def test_maintain_rollup_incremental_equals_full_recompute(ray_session, tmp_path):
-    import numpy as np
-    import ray.data as rd
-
-    from textextract_ray.pipelines.relational import maintain_rollup
-    from textextract_ray.pipelines.tablelog import table_notes
-
-    rng = np.random.RandomState(11)
-    t = str(tmp_path / "rollup")
-    table_create(t)
-
-    def batch(n, lo):
-        return pd.DataFrame(
-            {
-                "user_id": rng.randint(0, 20, n).astype("int64"),
-                "day": rng.choice(["2026-01-01", "2026-01-02"], n),
-                "value": np.arange(lo, lo + n, dtype="int64"),
-            }
-        )
-
-    seen = []
-    for i, n in enumerate([500, 300, 200]):
-        b = batch(n, i * 1000)
-        seen.append(b)
-        maintain_rollup(
-            t, rd.from_pandas(b), ["user_id", "day"],
-            sum_cols=["value"], note=f"inc:{i}",
-        )
-        # maintained view == full recompute over everything seen so far
-        got = (
-            read_table_at(t)
-            .to_pandas()
-            .sort_values(["user_id", "day"])
-            .reset_index(drop=True)
-        )
-        allb = pd.concat(seen)
-        want = (
-            allb.groupby(["user_id", "day"], as_index=False)
-            .agg(n=("value", "size"), value=("value", "sum"))
-            .sort_values(["user_id", "day"])
-            .reset_index(drop=True)
-        )
-        got["n"] = got["n"].astype("int64")
-        pd.testing.assert_frame_equal(got[["user_id", "day", "n", "value"]], want)
-    # each increment is a retained, time-travelable version with a note
-    assert {"inc:0", "inc:1", "inc:2"} <= table_notes(t)
-    h = table_history(t)
-    assert (h[h.version > 0]["operation"] == "overwrite").all()
-
-
 def test_delete_keys_takedown(ray_session, tmp_path):
     from textextract_ray.pipelines.tablelog import (
         _read_manifest,
@@ -506,22 +456,6 @@ def test_bloom_pruned_merge_for_hash_distributed_keys(ray_session, tmp_path):
     for f in _read_manifest(t, _head_version(t))["files"]:
         if f.get("bloom"):
             assert _os.path.exists(_os.path.join(t, f["bloom"]["path"]))
-
-
-def test_maintain_rollup_note_idempotent(ray_session, tmp_path):
-    import ray.data as rd
-
-    from textextract_ray.pipelines.relational import maintain_rollup
-
-    t = str(tmp_path / "rollup")
-    table_create(t)
-    b = pd.DataFrame({"g": ["x", "x", "y"], "v": [1, 2, 3]})
-    v1 = maintain_rollup(t, rd.from_pandas(b), ["g"], sum_cols=["v"], note="inc:0")
-    # replayed increment: skipped, counts unchanged
-    v2 = maintain_rollup(t, rd.from_pandas(b), ["g"], sum_cols=["v"], note="inc:0")
-    assert v2 == v1
-    got = read_table_at(t).to_pandas().sort_values("g").reset_index(drop=True)
-    assert list(got["n"]) == [2, 1] and list(got["v"]) == [3, 3]
 
 
 def test_bloom_sidecars_inherited_without_flag(ray_session, tmp_path):
@@ -1446,3 +1380,34 @@ def test_timestamp_time_travel(ray_session, tmp_path):
     hist = table_history(t)
     assert hist["ts"].notna().all()
     assert hist["ts"].is_monotonic_increasing
+
+
+def test_uri_table_paths_refused_without_local_writes(tmp_path, monkeypatch, fixture_pages):
+    """A scheme:// table path is refused by every entry point: the table
+    log is local-only, and os.* would otherwise create ./s3:/bucket/t
+    under the working directory."""
+    import subprocess
+    import sys
+
+    from textextract_ray.pipelines.extract_pipeline import run_job_versioned
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.chdir(tmp_path)
+    uri = "s3://bucket/t"
+    with pytest.raises(ValueError, match="URI"):
+        table_create(uri)
+    with pytest.raises(ValueError, match="URI"):
+        run_job_versioned(fixture_pages, uri)
+    env = dict(os.environ, RAY_GRAFT_CPUS="1", PYTHONPATH=repo)
+    pages = os.path.dirname(fixture_pages[0])
+    for argv in (
+        ["extract", "--input", pages, "--table", uri],
+        ["ingest", "--dump", f"d1={pages}", "--table", uri],
+    ):
+        r = subprocess.run(
+            [sys.executable, "-m", "textextract_ray", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=240,
+        )
+        assert r.returncode == 2, (argv, r.stderr[-2000:])
+        assert r.stderr.startswith("error:") and "URI" in r.stderr, r.stderr
+    assert not any(p.name.startswith("s3:") for p in tmp_path.rglob("*"))

@@ -15,10 +15,15 @@ Layout:
   schemas        pinned pyarrow schemas (pages / extracted / counters / manifest)
   datagen        deterministic fixture-page generator (FIXTURES.md classes F0–F11)
   oracle         pure-Python single-doc extractor (the byte-identity reference)
-  stages/        map_batches stages: validate, extract (actor pool), dedup, metrics
+  warc, pdf      stdlib WARC reader/writer and PDF text extraction
+  png, mp4, imagemeta, imageops
+                 stdlib media codecs and pixel ops for the multimodal stages
+  stages/        map_batches stages: validate, extract, dedup, similarity,
+                 metrics, multimodal
   sources/       pruned parquet readers for the test tables + pages shards
   functions/     vectorized scalar kernels (text stats, hashing, versions, windows)
-  pipelines/     end-to-end pipelines + the relational query library
+  pipelines/     end-to-end pipelines, the relational and text query
+                 libraries, and the versioned table log
   state/         checkpoint manifests / resumable partition commit
 """
 

@@ -270,6 +270,14 @@ def main(argv=None) -> int:
     pt.set_defaults(fn=cmd_table)
 
     args = p.parse_args(argv)
+    if getattr(args, "table", ""):
+        from .pipelines.tablelog import _log_dir
+
+        try:
+            _log_dir(args.table)
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
     try:
         return args.fn(args)
     finally:

@@ -180,8 +180,7 @@ def stable_bucket(values, num_buckets: int) -> "np.ndarray":
 
     Migration note (round 2): was per-row zlib.crc32; replaced with the
     C-vectorized hash for the bucketing hot paths. Bucket ASSIGNMENTS
-    changed; no persisted state depends on them (the seen-url index is
-    rebuilt from manifests per session, layouts are per-run)."""
+    changed; no persisted state depends on them (layouts are per-run)."""
     h = stable_hash64(values)
     if len(h) == 0:
         return np.empty(0, dtype=np.int32)

@@ -333,62 +333,6 @@ def shingle_hashes(text: str, k: int = 3) -> np.ndarray:
     return batch_shingle_hashes([text], k)[0]
 
 
-_GRAM_B2 = np.uint64(0x100000001B3)  # second polynomial base (FNV-64 prime)
-
-
-def batch_gram_position_hashes(texts: list, k: int):
-    """POSITIONAL k-gram hashes for a whole batch: for every doc with
-    >= k whitespace tokens, one 128-bit gram identity per start
-    position 0..n-k, as two independent 64-bit values (two token-hash
-    seeds × two polynomial bases — a false 128-bit merge is ~2^-64 per
-    colliding pair). Unlike ``batch_shingle_hashes`` (which returns
-    per-doc SETS for whole-doc sketches), this keeps the position — the
-    front-end of exact-substring dedup, where the positions are what
-    get cut.
-
-    Fully vectorized across the batch: one tokenize pass, two C hash
-    passes over the flat token array, k vector ops per base over the
-    FLAT array, then cross-doc windows masked out by comparing the doc
-    index of a window's first and last token. Docs with fewer than k
-    tokens emit nothing (below the minimum match length).
-
-    Returns ``(doc_local_idx, gram_idx, h1, h2)`` flat int64/uint64
-    arrays, sorted by (doc, position).
-    """
-    from .scalar import hash_utf8
-
-    toks_per_doc = [(t or "").split() for t in texts]
-    lens = np.array([len(t) for t in toks_per_doc], dtype=np.int64)
-    offs = np.concatenate([[0], np.cumsum(lens)])
-    flat = [w for toks in toks_per_doc for w in toks]
-    empty = (
-        np.empty(0, np.int64),
-        np.empty(0, np.int64),
-        np.empty(0, np.uint64),
-        np.empty(0, np.uint64),
-    )
-    n_flat = len(flat)
-    if n_flat < k:
-        return empty
-    arr = pa.array(flat, pa.string())
-    h1 = hash_utf8(arr, seed=41)
-    h2 = hash_utf8(arr, seed=9173)
-    m = n_flat - k + 1
-    acc1 = np.zeros(m, dtype=np.uint64)
-    acc2 = np.zeros(m, dtype=np.uint64)
-    for j in range(k):
-        acc1 = acc1 * _SHINGLE_B + h1[j : j + m]
-        acc2 = acc2 * _GRAM_B2 + h2[j : j + m]
-    doc_of = np.repeat(np.arange(len(texts), dtype=np.int64), lens)
-    valid = doc_of[:m] == doc_of[k - 1 : k - 1 + m]
-    p = np.nonzero(valid)[0]
-    if len(p) == 0:
-        return empty
-    d = doc_of[p]
-    gram_idx = p - offs[d]
-    return d, gram_idx, acc1[p], acc2[p]
-
-
 def minhash_params(num_perm: int = 64, seed: int = 7) -> tuple:
     """Deterministic (a, b) permutation parameters (universal hashing)."""
     rng = np.random.RandomState(seed)

@@ -24,9 +24,9 @@ contract (``sources.write_jsonl``/``read_jsonl``):
   memory, schema exactly as written (no inference anywhere).
 
 Scale shape: both directions are shuffle-free maps; shard size is
-whatever the producing pipeline's block size was (compact with
-``storage.compact_shards``' parquet layout when small-file pressure
-matters more than zero-parse reads).
+whatever the producing pipeline's block size was (prefer the parquet
+table layout, which ``table_compact`` compacts, when small-file
+pressure matters more than zero-parse reads).
 """
 
 from __future__ import annotations

@@ -288,8 +288,9 @@ def cluster_topics(ds, *, text_col: str = "text", id_col: str = "doc_id",
        emits PRE-COMBINED (cluster, term, count) partials — the only
        shuffle is the keys-only groupby of those partials.
     3. Per-cluster/term totals reaggregate the AGGREGATE table
-       (hierarchical-rollup rule); term totals attach via the public
-       budget-guarded broadcast lookup join.
+       (hierarchical-rollup rule); the vocab-sized term totals pull to
+       the driver under ``budget_rows`` and broadcast to the scoring
+       pass.
     4. ``lift = (count / cluster_tokens) / (term_total / all_tokens)``,
        candidates under ``min_count`` dropped, winners selected by
        per-cluster local-top-k nomination (each block nominates its
@@ -299,7 +300,6 @@ def cluster_topics(ds, *, text_col: str = "text", id_col: str = "doc_id",
     import ray
 
     from ..stages.kmeans import kmeans_fit
-    from .relational import broadcast_lookup_join_ds
 
     emb = embed_text_ds(ds, text_col=text_col, id_col=id_col, dim=dim,
                         ngrams=ngrams)
@@ -362,26 +362,39 @@ def cluster_topics(ds, *, text_col: str = "text", id_col: str = "doc_id",
     cluster_tokens = dict(zip(ctot_df["cluster"], ctot_df["sum(count)"]))
     all_tokens = float(sum(cluster_tokens.values()))
 
-    # corpus-wide term totals (vocab-size, keys-only) attach to the
-    # min_count-filtered candidates via the budgeted broadcast join
-    term_tot = agg.groupby("term").sum("count").map_batches(
-        lambda b: b.rename_columns(["term", "term_total"]),
-        batch_format="pyarrow",
-    )
+    # corpus-wide term totals (vocab-size, keys-only, unique terms)
+    # pull to the driver once under the budget and broadcast to the
+    # min_count-filtered candidates
+    term_tot = agg.groupby("term").sum("count").materialize()
+    n_terms = term_tot.count()
+    if n_terms > budget_rows:
+        raise ValueError(
+            f"cluster_topics: {n_terms} distinct terms exceed "
+            f"budget_rows={budget_rows}"
+        )
+    tt = pa.concat_tables(
+        term_tot.iter_batches(batch_size=65536, batch_format="pyarrow")
+    ).rename_columns(["term", "term_total"])
+    tref = ray.put(tt.combine_chunks())
     cand = agg.map_batches(
         lambda b: b.filter(pc.greater_equal(b["count"], min_count)),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-    cand = broadcast_lookup_join_ds(cand, term_tot, on="term",
-                                    dim_cols=["term_total"],
-                                    budget_rows=budget_rows)
 
     ctok_items = sorted(cluster_tokens.items())
     ctok_keys = np.array([k for k, _ in ctok_items], dtype=np.int64)
     ctok_vals = np.array([v for _, v in ctok_items], dtype=np.float64)
 
     def score_and_nominate(batch: pa.Table) -> pa.Table:
+        t = ray.get(tref)
+        col = batch["term"]
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        idx = pc.index_in(col, value_set=t["term"].chunk(0))
         df = batch.to_pandas()
+        df["term_total"] = pc.take(t["term_total"].chunk(0), idx).to_numpy(
+            zero_copy_only=False
+        )
         ct = ctok_vals[np.searchsorted(ctok_keys, df["cluster"].to_numpy())]
         share = df["count"].to_numpy(dtype=np.float64) / ct
         lift = share / (df["term_total"].to_numpy(dtype=np.float64) / all_tokens)

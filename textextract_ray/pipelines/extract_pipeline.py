@@ -1097,8 +1097,8 @@ def extract_spans(sf_dir: str):
 
     def flatten(batch: pa.Table) -> pa.Table:
         # vectorized 1->N explode: list_flatten yields every span struct,
-        # list_parent_indices maps each back to its row's url — the same
-        # Arrow idiom paragraph_dedup_ds uses; no Python row loop.
+        # list_parent_indices maps each back to its row's url; no
+        # Python row loop.
         spans = batch["spans"]
         structs = pc.list_flatten(spans)
         parents = pc.list_parent_indices(spans)

@@ -295,8 +295,7 @@ def _group_split_factory(group_col: str = "source", salt: str = "split"):
 def _normalize_text_factory(
     text_col: str = "text", form: str = "NFC", fix_mojibake: bool = True
 ):
-    """Unicode/mojibake cleanup stage — THE shared kernel from
-    textops.build_normalize_kernel (one implementation, two surfaces:
+    """Unicode/mojibake cleanup stage (textops.build_normalize_kernel:
     text replaced in place, mojibake_fixed appended, all other columns
     pass through)."""
     from ..pipelines.textops import build_normalize_kernel

@@ -1002,15 +1002,6 @@ def dedup_exact_documents(sf_dir: str):
     )
 
 
-# --- distinct ----------------------------------------------------------------
-
-def distinct_langs(sf_dir: str):
-    """Distinct values of one column (Dataset.unique → shuffle)."""
-    ds = read_table(sf_dir, "documents", columns=["lang"])
-    vals = sorted(ds.unique("lang"))
-    return pd.DataFrame({"lang": vals})
-
-
 # --- J1 full shape: multi-way broadcast join ---------------------------------
 
 def customer_nation_region(sf_dir: str):
@@ -1354,8 +1345,6 @@ def supplier_by_nation(sf_dir: str):
     return _round_floats(out.to_pandas().sort_values("n_name").reset_index(drop=True))
 
 
-# --- streaming-shaped: sliding window ----------------------------------------
-
 # --- as-of join (the operator Ray Data lacks) --------------------------------
 
 def asof_latest_order(sf_dir: str):
@@ -1471,531 +1460,3 @@ def asof_latest_order(sf_dir: str):
         )
     )
     return out.to_pandas().sort_values("event_id").reset_index(drop=True)
-
-
-def broadcast_semi_join_ds(
-    left,
-    right,
-    on: str,
-    *,
-    anti: bool = False,
-    budget_rows: int = 50_000_000,
-):
-    """Public semi/anti-join utility — THE broadcast probe pattern this
-    engine uses everywhere (q3's dimension pulls, decontaminate,
-    dedup's winner filters, the attribute mixer) as one named
-    function: keep (``anti=False``) or drop (``anti=True``) the left
-    rows whose ``on`` key appears in ``right``. The right side reduces
-    to its DISTINCT keys (hashed to 8 bytes for strings via the
-    repo-owned hash — a ~2^-64-per-pair false match, the engine's
-    documented hash-verdict trade), sorts, broadcasts ONCE via
-    ``ray.put``, and left batches probe with ``searchsorted`` — the
-    left side never shuffles.
-
-    NULL keys follow SQL SEMI/ANTI (EXISTS/NOT EXISTS) semantics: a
-    NULL never matches anything — right-side NULLs are dropped from
-    the key set and left-side NULL rows are excluded by the semi join
-    and kept by the anti join (so an anti-join denylist with a stray
-    NULL entry cannot silently drop every null-keyed row).
-
-    ``budget_rows`` guards the broadcast (8 B/key): past it the right
-    side is too large for this plan and the call raises with guidance
-    (co-partition both sides by the key bucket instead — see
-    `_semi_join_order_keys_bucketed` for the template) rather than
-    silently materializing an over-budget object."""
-    import ray
-
-    from ..functions.scalar import stable_hash64
-
-    def key_partials(batch: pa.Table) -> pa.Table:
-        col = batch[on]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        col = col.drop_null()  # NULL never matches (SQL join semantics)
-        h = np.unique(stable_hash64(col)) if len(col) else np.empty(0, np.uint64)
-        return pa.table({"h": pa.array(h.view(np.int64), pa.int64())})
-
-    keys = (
-        right.map_batches(key_partials, batch_format="pyarrow")
-        .groupby("h")
-        .aggregate(Count())  # distinct via groupby; the count is discarded
-        .materialize()
-    )
-    n_keys = keys.count()
-    if n_keys > budget_rows:
-        raise ValueError(
-            f"broadcast_semi_join_ds: {n_keys} distinct right keys exceed "
-            f"budget_rows={budget_rows}; co-partition both sides by "
-            "stable_bucket(key) and join per bucket instead"
-        )
-    arr = (
-        np.sort(
-            np.concatenate(
-                [
-                    b["h"].to_numpy(zero_copy_only=False)
-                    for b in keys.iter_batches(
-                        batch_size=65536, batch_format="pyarrow"
-                    )
-                ]
-            ).astype(np.int64)
-        )
-        if n_keys
-        else np.empty(0, np.int64)
-    )
-    ref = ray.put(arr)
-
-    def probe(batch: pa.Table) -> pa.Table:
-        members = ray.get(ref)
-        col = batch[on]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        h = stable_hash64(col).view(np.int64)
-        if not len(members):
-            hit = np.zeros(len(h), bool)
-        else:
-            pos = np.searchsorted(members, h)
-            pos[pos == len(members)] = 0
-            hit = members[pos] == h
-        if col.null_count:  # NULL keys never match (semi drops, anti keeps)
-            hit &= ~col.is_null().to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(~hit if anti else hit))
-
-    return left.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def broadcast_lookup_join_ds(
-    left,
-    dim,
-    on: str,
-    *,
-    dim_cols: list[str] | None = None,
-    how: str = "inner",
-    budget_rows: int = 5_000_000,
-):
-    """Public dimension-attach join — the J1 pattern (user ⋈ plan,
-    page ⋈ host-policy) as one named utility: attach ``dim_cols`` from
-    a small dimension table to every left row whose ``on`` key matches.
-    The dimension pulls to the driver ONCE under ``budget_rows``,
-    broadcasts via ``ray.put``, and each left batch resolves matches
-    with ``pc.index_in`` (EXACT value equality — unlike the semi join's
-    8-byte hash probe, an enrich must never attach another key's
-    values) + one ``take`` per attached column. The left side never
-    shuffles and is never materialized.
-
-    Contract: ``dim`` must be unique on ``on`` (a lookup, not a 1→N
-    join — duplicates raise rather than silently exploding rows);
-    NULL keys never match (SQL semantics): dropped under
-    ``how="inner"``, kept with null attachments under ``how="left"``.
-    Past ``budget_rows`` the call raises with co-partition guidance
-    (``_cogroup_join_apply`` is the bucketed template)."""
-    if how not in ("inner", "left"):
-        raise ValueError(f"how must be 'inner' or 'left', got {how}")
-    if dim_cols is None:
-        dim_cols = [c for c in dim.schema().names if c != on]
-    n_dim = dim.count()
-    if n_dim > budget_rows:
-        raise ValueError(
-            f"broadcast_lookup_join_ds: {n_dim} dim rows exceed "
-            f"budget_rows={budget_rows}; co-partition both sides by "
-            "stable_bucket(key) instead (see _cogroup_join_apply)"
-        )
-    dim_tbl = pa.concat_tables(
-        dim.select_columns([on, *dim_cols]).iter_batches(
-            batch_size=65536, batch_format="pyarrow"
-        ),
-        promote_options="default",
-    ) if n_dim else pa.table(
-        {c: pa.array([], t) for c, t in zip(
-            [on, *dim_cols],
-            [dim.schema().base_schema.field(c).type for c in [on, *dim_cols]],
-        )}
-    )
-    key_arr = dim_tbl[on].combine_chunks()
-    if key_arr.null_count:  # NULL keys can never be probed — drop them
-        dim_tbl = dim_tbl.filter(pc.is_valid(dim_tbl[on]))
-        key_arr = dim_tbl[on].combine_chunks()
-    n_distinct = len(pc.unique(key_arr))
-    if n_distinct != len(key_arr):
-        raise ValueError(
-            f"broadcast_lookup_join_ds: dim has {len(key_arr) - n_distinct} "
-            f"duplicate '{on}' keys — a lookup dimension must be unique "
-            "(dedupe with groupby(key).map_groups(take_first) first)"
-        )
-    ref = ray.put(dim_tbl)
-
-    def probe(batch: pa.Table) -> pa.Table:
-        d = ray.get(ref)
-        keys = d[on].combine_chunks()
-        col = batch[on]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        idx = pc.index_in(col, value_set=keys)  # exact equality; null → null
-        if col.null_count:  # a NULL key matches nothing, even a dim NULL
-            idx = pc.if_else(pc.is_valid(col), idx, pa.scalar(None, pa.int32()))
-        out = batch
-        for c in dim_cols:
-            out = out.append_column(c, pc.take(d[c].combine_chunks(), idx))
-        if how == "inner":
-            out = out.filter(pc.is_valid(idx))
-        return out
-
-    return left.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def interval_join_ds(
-    points,
-    intervals,
-    *,
-    key_col: str,
-    ts_col: str,
-    start_col: str,
-    end_col: str,
-    interval_cols: list[str] | None = None,
-    num_buckets: int = 64,
-):
-    """Keyed point-in-interval join: attach the interval row covering
-    each point — ``p.key = i.key AND i.start <= p.ts < i.end`` — the
-    billing-period / session-window / validity-range lookup (M11/G3's
-    anchored periods generalized to arbitrary interval tables). Points
-    with no covering interval drop (inner semantics).
-
-    Scale shape: both sides tag ``stable_bucket(key)`` and co-locate in
-    ONE union + groupby(bucket) shuffle — the `_cogroup_join_apply`
-    pattern — so dispatch is O(num_buckets), never O(keys). Inside a
-    bucket the intervals sort by (key, start) once and every point
-    resolves with ONE ``np.searchsorted`` over the flattened
-    (key_rank, start) space; no pandas merge explosion, no per-key
-    loop.
-
-    Contract: intervals must be non-overlapping PER KEY (the
-    subscription/session shape — each point has at most one cover);
-    overlap raises with the offending key rather than silently picking
-    one. 1→N "all overlapping intervals" is a different operator —
-    compose from `_bucketed_apply` with an interval tree if ever
-    needed."""
-    from ..functions.scalar import stable_bucket
-
-    if interval_cols is None:
-        interval_cols = [
-            c
-            for c in intervals.schema().names
-            if c not in (key_col, start_col, end_col)
-        ]
-
-    pt_schema = points.schema()
-    point_cols = [c for c in pt_schema.names if c != key_col]
-    pt_types = {c: pt_schema.base_schema.field(c).type for c in point_cols}
-    iv_schema = intervals.schema()
-    iv_keep = [start_col, end_col, *interval_cols]
-    iv_types = {c: iv_schema.base_schema.field(c).type for c in iv_keep}
-    all_cols = {**pt_types, **iv_types}
-
-    def tag(side: int, keep: list[str]):
-        def _f(batch: pa.Table) -> pa.Table:
-            n = len(batch)
-            present = set(batch.column_names)
-            data = {key_col: batch[key_col]}
-            for c, t in all_cols.items():
-                data[c] = (
-                    batch[c] if (c in present and c in keep) else pa.nulls(n, t)
-                )
-            data["_side"] = pa.array(np.full(n, side, dtype=np.int8))
-            data["_bucket"] = pa.array(
-                stable_bucket(batch[key_col], num_buckets), pa.int32()
-            )
-            return pa.table(data)
-
-        return _f
-
-    tagged = points.map_batches(tag(0, point_cols), batch_format="pyarrow").union(
-        intervals.map_batches(tag(1, iv_keep), batch_format="pyarrow")
-    )
-
-    out_cols = [key_col, *point_cols, start_col, end_col, *interval_cols]
-
-    def join_bucket(tbl: pa.Table) -> pa.Table:
-        # Arrow group format: each side's own columns carry no padding
-        # nulls after the side filter, so int64/timestamp types survive
-        # (a pandas group would widen null-padded ints to float64 and
-        # corrupt 8-byte hash ids)
-        smask = pc.equal(tbl["_side"], 0)
-        pts_t = tbl.filter(smask).select([key_col, *point_cols])
-        ivs_t = tbl.filter(pc.invert(smask)).select(
-            [key_col, start_col, end_col, *interval_cols]
-        )
-        if pts_t.num_rows == 0 or ivs_t.num_rows == 0:
-            return tbl.select(out_cols).slice(0, 0)
-        # rank interval keys dense, sort intervals by (key, start) once
-        ivk_pd = ivs_t.select([key_col, start_col, end_col]).to_pandas()
-        iv_codes, keys_uniq = pd.factorize(ivk_pd[key_col], sort=True)
-        keys_uniq = pd.Index(keys_uniq)
-        sort_idx = np.lexsort((ivk_pd[start_col].to_numpy(), iv_codes))
-        iv_k = iv_codes[sort_idx]
-        starts = ivk_pd[start_col].to_numpy()[sort_idx]
-        ends = ivk_pd[end_col].to_numpy()[sort_idx]
-        # non-overlap contract: within a key each start >= previous end
-        same = iv_k[1:] == iv_k[:-1]
-        bad = same & (starts[1:] < ends[:-1])
-        if bad.any():
-            k = keys_uniq[iv_k[int(np.flatnonzero(bad)[0]) + 1]]
-            raise ValueError(
-                f"interval_join_ds: overlapping intervals for key {k!r} — "
-                "intervals must be non-overlapping per key"
-            )
-        pts_pd = pts_t.select([key_col, ts_col]).to_pandas()
-        p_codes = keys_uniq.get_indexer(pts_pd[key_col])  # -1 = keyless
-        p_rows = np.flatnonzero(p_codes >= 0)
-        if not len(p_rows):
-            return tbl.select(out_cols).slice(0, 0)
-        p_k = p_codes[p_rows]
-        p_ts = pts_pd[ts_col].to_numpy()[p_rows]
-        # fully-vectorized per-key "last interval with start <= ts":
-        # merge both sides ordered by (key, value, interval-before-point)
-        # and count intervals seen within the key prefix — no per-key
-        # Python loop, O((P+I)·log) numpy
-        m_k = np.concatenate([iv_k, p_k])
-        m_v = np.concatenate([starts, p_ts])
-        m_tag = np.concatenate(
-            [np.zeros(len(iv_k), np.int8), np.ones(len(p_k), np.int8)]
-        )
-        order = np.lexsort((m_tag, m_v, m_k))
-        is_iv = m_tag[order] == 0
-        cum = np.cumsum(is_iv)  # intervals seen up to each merged slot
-        key_sorted = m_k[order]
-        first_of_key = np.searchsorted(key_sorted, key_sorted, side="left")
-        base = np.where(first_of_key > 0, cum[np.maximum(first_of_key - 1, 0)], 0)
-        in_key_rank = cum - base - 1  # idx of last same-key start <= value
-        pt_slots = np.flatnonzero(~is_iv)
-        orig_pt = order[pt_slots] - len(iv_k)  # back into p_rows order
-        rank = in_key_rank[pt_slots]
-        lo = np.searchsorted(iv_k, p_k[orig_pt], side="left")
-        cand = lo + np.maximum(rank, 0)
-        ok = (rank >= 0) & (p_ts[orig_pt] < ends[cand])
-        matched_rows = p_rows[orig_pt[ok]]
-        if not len(matched_rows):
-            return tbl.select(out_cols).slice(0, 0)
-        res = pts_t.take(pa.array(matched_rows, pa.int64()))
-        iv_orig = sort_idx[cand[ok]]  # sorted slot -> original ivs_t row
-        for c in (start_col, end_col, *interval_cols):
-            res = res.append_column(
-                c, pc.take(ivs_t[c].combine_chunks(), pa.array(iv_orig, pa.int64()))
-            )
-        return res
-
-    return tagged.groupby("_bucket").map_groups(
-        join_bucket, batch_format="pyarrow"
-    )
-
-
-def hash_join_ds(
-    left,
-    right,
-    on,
-    *,
-    how: str = "inner",
-    num_buckets: int = 64,
-    suffixes: tuple = ("_l", "_r"),
-):
-    """Public fact ⋈ fact equi-join — the distributed hash join for
-    when NEITHER side fits a broadcast (`broadcast_lookup_join_ds`) and
-    the join is a real 1→N/N→M equi-match rather than a semi filter
-    (`broadcast_semi_join_ds`) or interval cover (`interval_join_ds`).
-    Generalizes the q3 co-partition fallback (J1) into one named
-    utility: both sides tag ``stable_bucket(key)`` and co-locate in ONE
-    union + groupby(bucket) shuffle — O(num_buckets) dispatch, each
-    side's rows ship exactly once — then each bucket inner/left-merges
-    its two sides.
-
-    ``on`` is a column name or list of names present in BOTH sides;
-    non-key columns sharing a name take ``suffixes``. ``how`` is
-    "inner" or "left". NULL keys follow SQL semantics: they never
-    match — inner drops them on both sides; left passes left null-key
-    rows through with null right columns (routed around the shuffle
-    entirely, not just unmatched inside it).
-
-    Types survive: the per-bucket merge runs in pandas but the output
-    rebuilds Arrow columns at the original types (``from_pandas``
-    null handling), so null-padded int64 ids from a left join do NOT
-    come back as float64 — the padding hazard `interval_join_ds`
-    documents. Skewed keys move bucket sizes, never correctness; salt
-    a pathological hot key upstream if one bucket dominates."""
-    from ..functions.scalar import stable_bucket
-
-    if how not in ("inner", "left"):
-        raise ValueError(f"how must be 'inner' or 'left', got {how}")
-    keys = [on] if isinstance(on, str) else list(on)
-
-    lsch = left.schema()
-    rsch = right.schema()
-    for k in keys:
-        if k not in lsch.names or k not in rsch.names:
-            raise ValueError(f"join key {k!r} missing from one side")
-    from ..schemas import arrow_types_of
-
-    ltypes = arrow_types_of(lsch)
-    rtypes = arrow_types_of(rsch)
-    lcols = [c for c in lsch.names if c not in keys]
-    rcols = [c for c in rsch.names if c not in keys]
-    lmap = {c: (c + suffixes[0] if c in rcols else c) for c in lcols}
-    rmap = {c: (c + suffixes[1] if c in lcols else c) for c in rcols}
-    lout = {lmap[c]: ltypes[c] for c in lcols}
-    rout = {rmap[c]: rtypes[c] for c in rcols}
-    all_cols = {**lout, **rout}
-    out_names = [*keys, *lout, *rout]
-
-    def tag(side: int, cmap: dict):
-        def _f(batch: pa.Table) -> pa.Table:
-            valid = None  # AND of key validity; NULL keys never match
-            for k in keys:
-                v = pc.is_valid(batch[k])
-                valid = v if valid is None else pc.and_(valid, v)
-            batch = batch.filter(valid)
-            n = len(batch)
-            data = {k: batch[k] for k in keys}
-            inv = {v: c for c, v in cmap.items()}
-            for c, t in all_cols.items():
-                data[c] = batch[inv[c]] if c in inv else pa.nulls(n, t)
-            data["_side"] = pa.array(np.full(n, side, dtype=np.int8))
-            data["_bucket"] = pa.array(
-                stable_bucket(
-                    list(zip(*(batch[k].to_pylist() for k in keys)))
-                    if len(keys) > 1
-                    else batch[keys[0]],
-                    num_buckets,
-                ),
-                pa.int32(),
-            )
-            return pa.table(data)
-
-        return _f
-
-    tagged = left.map_batches(tag(0, lmap), batch_format="pyarrow").union(
-        right.map_batches(tag(1, rmap), batch_format="pyarrow")
-    )
-
-    def join_bucket(tbl: pa.Table) -> pa.Table:
-        smask = pc.equal(tbl["_side"], 0)
-        lt_t = tbl.filter(smask)
-        rt_t = tbl.filter(pc.invert(smask))
-        # merge POSITIONS, take VALUES from Arrow: only the key columns
-        # and row indices round-trip through pandas, so non-key values
-        # never touch float64 (a NaN-padded int64 > 2^53 would silently
-        # round under a pandas value merge)
-        lt = lt_t.select(keys).to_pandas()
-        lt["_li"] = np.arange(len(lt), dtype=np.int64)
-        rt = rt_t.select(keys).to_pandas()
-        rt["_ri"] = np.arange(len(rt), dtype=np.int64)
-        j = lt.merge(rt, on=keys, how=how)
-        li = pa.array(j["_li"].to_numpy(np.int64), pa.int64())
-        ri = pa.array(j["_ri"], type=pa.int64(), from_pandas=True)  # null=miss
-        out = {}
-        for k in keys:
-            out[k] = pc.take(lt_t[k].combine_chunks(), li)
-        for c in lout:
-            out[c] = pc.take(lt_t[c].combine_chunks(), li)
-        for c in rout:
-            out[c] = pc.take(rt_t[c].combine_chunks(), ri)
-        return pa.table({c: out[c] for c in out_names})
-
-    joined = tagged.groupby("_bucket").map_groups(
-        join_bucket, batch_format="pyarrow"
-    )
-    if how == "inner":
-        return joined
-
-    # left join: null-key left rows bypass the shuffle and re-enter
-    # with null right columns (SQL: a NULL key matches nothing but the
-    # row itself survives)
-    def null_key_rows(batch: pa.Table) -> pa.Table:
-        invalid = None
-        for k in keys:
-            v = pc.is_null(batch[k])
-            invalid = v if invalid is None else pc.or_(invalid, v)
-        sub = batch.filter(invalid)
-        n = len(sub)
-        data = {k: sub[k] for k in keys}
-        for c in lout:
-            src = [o for o, v in lmap.items() if v == c][0]
-            data[c] = sub[src]
-        for c, t in rout.items():
-            data[c] = pa.nulls(n, t)
-        return pa.table(data)
-
-    bypass = left.map_batches(
-        null_key_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return joined.union(bypass)
-
-
-def maintain_rollup(
-    table_dir: str,
-    new_events,
-    group_cols: list,
-    *,
-    sum_cols=(),
-    count_alias: str = "n",
-    note=None,
-) -> int:
-    """Incremental materialized-view maintenance: keep a grouped
-    count/sum rollup CURRENT across event increments without ever
-    rescanning history — the table-log composition of G1's daily
-    upsert (reference models.py:397-425 increments the (user, date)
-    counters row instead of recounting api_requests; here the whole
-    rollup table is the "row" and a version is the upsert).
-
-    Each call: (1) the NEW events pre-aggregate through one
-    groupby(group_cols) — count + Sum(sum_cols) partials, the only
-    pass that sees raw events; (2) the current rollup (head of the
-    versioned table, aggregate-sized) unions with those increments and
-    reaggregates — sums of sums, every column reaggregable by
-    construction; (3) the result commits as one atomic version via a
-    COMPARE-AND-SWAP overwrite (``expected_head``): this is a
-    read-modify-write, so a concurrent increment that landed between
-    the read and the commit must force a recompute from the NEW head —
-    a blind retry would silently drop it. Readers see the old rollup
-    or the new one, never a half-update, and ``read_table_at(v)``
-    time-travels the view to any retained update. Cost per update is
-    O(increment + aggregate), independent of total history — the
-    reason materialized views exist at 100 TB. With a ``note``, a
-    replayed increment whose note is already in ``table_notes`` is
-    skipped (returns the current head) instead of double-counted —
-    the same idempotence contract as ``ingest_dumps_versioned``."""
-    from .tablelog import (
-        CommitConflict,
-        _head_version,
-        _read_manifest,
-        read_table_at,
-        table_notes,
-        table_overwrite,
-    )
-
-    head = _head_version(table_dir)
-    if head < 0:
-        raise ValueError(f"maintain_rollup: {table_dir} is not a table (table_create first)")
-    if note is not None and note in table_notes(table_dir):
-        return head  # replayed increment: already applied, don't double-count
-    aggs = [Count(alias_name=count_alias)] + [
-        Sum(c, alias_name=c) for c in sum_cols
-    ]
-    base = new_events.groupby(list(group_cols)).aggregate(*aggs)
-    for _ in range(5):
-        h0 = _head_version(table_dir)
-        inc = base
-        if _read_manifest(table_dir, h0)["files"]:
-            cur = read_table_at(table_dir, h0)
-            # groupby over pandas-block inputs emits pandas blocks;
-            # union requires one block format — normalize to arrow
-            inc = inc.map_batches(lambda b: b, batch_format="pyarrow")
-            inc = cur.union(inc).groupby(list(group_cols)).aggregate(
-                Sum(count_alias, alias_name=count_alias),
-                *[Sum(c, alias_name=c) for c in sum_cols],
-            )
-        try:
-            return table_overwrite(
-                table_dir, inc, note=note, retries=1, expected_head=h0
-            )
-        except CommitConflict:
-            continue  # head moved: recombine against the NEW rollup
-    raise CommitConflict(
-        f"maintain_rollup: lost 5 commit races on {table_dir}; giving up"
-    )

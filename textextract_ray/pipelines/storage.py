@@ -1,18 +1,12 @@
-"""Output-layout operators: shard compaction and key-range clustering.
+"""Output-layout operators: table-log file helpers and key-range
+clustering.
 
-Two storage-shaped operators a 100-TB resumable pipeline needs around
-its parquet output, re-expressed Ray-first:
-
-* ``compact_shards`` — the small-file problem: a long run with
-  per-partition commits (or a streaming writer emitting one file per
-  block) leaves thousands of KB-scale parquet files whose per-file
-  open/footer cost dominates downstream reads. Compaction greedily
-  groups files to a target size and rewrites each group in ONE Ray
-  task that streams row groups through a ``ParquetWriter`` — a group
-  is never materialized in memory, the driver only ever holds file
-  names + sizes (O(files) metadata), and the output commits with the
-  engine's tmp+rename idiom (``state/checkpoint.py``, reference
-  src/updater.py:548,667-679).
+* Table-log file helpers, each a unit of work on one parquet file:
+  ``_compact_group`` rewrites a group of files as one, streaming row
+  groups through a ``ParquetWriter`` (bounded memory), and the Bloom
+  sidecar helpers write (``_write_bloom``, ``_shard_bloom``) and probe
+  (``_probe_blooms``) a per-file filter over a key column, so a merge
+  opens only the files that may hold its keys.
 
 * ``write_clustered`` / ``read_clustered`` — prune-at-the-read for
   range predicates: one budgeted hash-sample pass picks approximate
@@ -40,18 +34,7 @@ import ray
 
 from ..functions.scalar import stable_hash64
 
-_COMPACT_META = "_compaction.json"
 _CLUSTER_META = "_cluster_manifest.json"
-
-
-def _list_parquet(in_dir: str) -> list[tuple[str, int]]:
-    out = []
-    for root, _dirs, files in os.walk(in_dir):
-        for f in sorted(files):
-            if f.endswith(".parquet"):
-                p = os.path.join(root, f)
-                out.append((p, os.path.getsize(p)))
-    return out
 
 
 @ray.remote(num_cpus=1)
@@ -66,7 +49,7 @@ def _compact_group(paths: list[str], out_path: str, row_group_rows: int) -> dict
             f = pq.ParquetFile(p)
             if not f.schema_arrow.equals(schema):
                 raise ValueError(
-                    f"compact_shards: schema mismatch between {paths[0]} "
+                    f"table_compact: schema mismatch between {paths[0]} "
                     f"and {p} — compaction requires a uniform schema"
                 )
             for batch in f.iter_batches(batch_size=row_group_rows):
@@ -74,59 +57,6 @@ def _compact_group(paths: list[str], out_path: str, row_group_rows: int) -> dict
                 rows += batch.num_rows
     os.replace(tmp, out_path)
     return {"path": out_path, "rows": rows, "inputs": len(paths)}
-
-
-def compact_shards(
-    in_dir: str,
-    out_dir: str,
-    *,
-    target_mb: int = 256,
-    row_group_rows: int = 65536,
-) -> pd.DataFrame:
-    """Compact the parquet files under ``in_dir`` into ~``target_mb``
-    files under ``out_dir``. Grouping is first-fit-decreasing over the
-    (size, name) order, so the layout is deterministic for a given
-    input set; files larger than the target pass through as their own
-    group (compaction never splits a file). Raw Ray tasks are the right
-    tool here — this is a per-group IO job with no dataflow semantics
-    for ``map_batches`` to add, and the Dataset writer would re-block
-    rows instead of preserving the explicit grouping.
-
-    Returns the compaction manifest (one row per output file: path,
-    rows, input count), which is also committed as
-    ``out_dir/_compaction.json`` via tmp+rename."""
-    files = _list_parquet(in_dir)
-    if not files:
-        raise ValueError(f"compact_shards: no parquet files under {in_dir}")
-    target = target_mb * (1 << 20)
-    # first-fit-decreasing, name as the deterministic tie-break
-    order = sorted(files, key=lambda fs: (-fs[1], fs[0]))
-    groups: list[list[str]] = []
-    sizes: list[int] = []
-    for path, size in order:
-        placed = False
-        for i, s in enumerate(sizes):
-            if s + size <= target:
-                groups[i].append(path)
-                sizes[i] += size
-                placed = True
-                break
-        if not placed:
-            groups.append([path])
-            sizes.append(size)
-    os.makedirs(out_dir, exist_ok=True)
-    futs = [
-        _compact_group.remote(
-            g, os.path.join(out_dir, f"compact-{i:05d}.parquet"), row_group_rows
-        )
-        for i, g in enumerate(groups)
-    ]
-    manifest = pd.DataFrame(ray.get(futs))
-    tmp = os.path.join(out_dir, _COMPACT_META + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(manifest.to_dict(orient="records"), fh, indent=1)
-    os.replace(tmp, os.path.join(out_dir, _COMPACT_META))
-    return manifest
 
 
 def _boundary_sample(ds, key_col: str, sample_k: int):
@@ -278,10 +208,6 @@ def read_clustered(out_dir: str, *, lo=None, hi=None):
     return ds.map_batches(residual, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _bloom_meta_name(key_col: str) -> str:
-    return f"_bloom_index.{key_col}.json"
-
-
 def _write_bloom(path: str, key_col: str, col, fpr: float) -> dict:
     """Write the Bloom sidecar of data file ``path`` from its key
     column ``col``: the filter is sized for the column's own non-null
@@ -332,86 +258,6 @@ def _probe_blooms(data_dir: str, rows: list, key_col: str, keys_ref) -> list:
     return hits
 
 
-def write_bloom_index(data_dir: str, key_col: str, *, fpr: float = 0.001) -> pd.DataFrame:
-    """Build a point-lookup index over an EXISTING parquet layout
-    without rewriting or clustering it: one Bloom filter per shard over
-    ``key_col`` (sized per shard at ``fpr``), stored as a binary
-    sidecar ``<file>.parquet.bloom`` next to each shard plus a tiny
-    JSON manifest. ``read_bloom_indexed`` then opens only shards whose
-    filter admits one of the requested keys.
-
-    Complements ``write_clustered``: clustering prunes RANGE reads but
-    requires choosing the layout at write time; the Bloom sidecar
-    retrofits key-point pruning onto any layout (e.g. the extract
-    pipeline's per-partition commits) at ~1.8 bytes/key for fpr=1e-3,
-    and the filters never merge, so skew is irrelevant. The reference's
-    analogous move is the release-JSON cache that avoids re-fetching
-    the full listing (reference backend/routes/update_routes.py:103-133);
-    here the "cache" is a per-shard membership summary."""
-    files = _list_parquet(data_dir)
-    if not files:
-        raise ValueError(f"write_bloom_index: no parquet files under {data_dir}")
-    futs = [
-        _shard_bloom.remote(p, os.path.relpath(p, data_dir), key_col, fpr)
-        for p, _sz in files
-    ]
-    rows = ray.get(futs)
-    manifest = {"key_col": key_col, "fpr": fpr, "shards": rows}
-    tmp = os.path.join(data_dir, _bloom_meta_name(key_col) + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=1)
-    os.replace(tmp, os.path.join(data_dir, _bloom_meta_name(key_col)))
-    return pd.DataFrame(rows)
-
-
-def read_bloom_indexed(data_dir: str, keys: list, *, key_col: str = None, probe_chunk: int = 256):
-    """Point lookup over a Bloom-indexed layout: probe every shard's
-    sidecar filter against ``keys`` (fanned out ``probe_chunk`` shards
-    per task, key set broadcast once via ``ray.put``), open ONLY the
-    shards that may match, and apply the exact ``is_in`` residual —
-    false positives cost one extra shard read, never a wrong row.
-    ``read_bloom_indexed.last_pruning`` records (shards_read, total)."""
-    import ray.data as rd
-
-    if key_col is None:  # exactly one index present -> use it
-        metas = sorted(
-            f for f in os.listdir(data_dir)
-            if f.startswith("_bloom_index.") and f.endswith(".json")
-        )
-        if len(metas) != 1:
-            raise ValueError(
-                f"read_bloom_indexed: {len(metas)} indexes under {data_dir}; "
-                "pass key_col= to pick one"
-            )
-        meta_path = os.path.join(data_dir, metas[0])
-    else:
-        meta_path = os.path.join(data_dir, _bloom_meta_name(key_col))
-    with open(meta_path) as fh:
-        m = json.load(fh)
-    key_col = m["key_col"]
-    ks = sorted(set(k for k in keys if k is not None))
-    shards = m["shards"]
-    if not ks or not shards:
-        read_bloom_indexed.last_pruning = (0, len(shards))
-        return rd.from_arrow(pa.table({key_col: pa.array([], pa.string())}))
-    keys_ref = ray.put(pa.array(ks))
-    futs = [
-        _probe_blooms.remote(data_dir, shards[i : i + probe_chunk], key_col, keys_ref)
-        for i in range(0, len(shards), probe_chunk)
-    ]
-    hit = sorted(set().union(*ray.get(futs)))
-    read_bloom_indexed.last_pruning = (len(hit), len(shards))
-    if not hit:
-        return rd.from_arrow(pa.table({key_col: pa.array([], pa.string())}))
-    ds = rd.read_parquet([os.path.join(data_dir, s) for s in hit])
-    vset = pa.array(ks)
-
-    def residual(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.is_in(batch[key_col], value_set=vset))
-
-    return ds.map_batches(residual, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def cluster_boundaries(out_dir: str) -> list:
     """The boundary list of an existing clustered layout — pass to
     ``write_clustered(boundaries=...)`` to co-partition another table
@@ -453,7 +299,7 @@ def clustered_join(
     (SQL left outer). Right columns that collide with left names get
     ``right_suffix``. Parallelism = number of ranges; key skew moves
     range sizes, never correctness (salt a pathological hot key
-    upstream, same rule as ``hash_join_ds``). Returns the joined
+    upstream). Returns the joined
     Dataset."""
     import ray.data as rd
 

@@ -10,9 +10,7 @@ pruning from manifest statistics. This is the Iceberg/Delta snapshot
 model (Armbrust et al., VLDB 2020, "Delta Lake: High-Performance ACID
 Table Storage over Cloud Object Stores") rebuilt on the engine's own
 primitives — tmp+rename commits (state/checkpoint.py, the reference's
-download-then-rename idiom, reference src/updater.py:548,667-679) and
-the pointer/manifest protocol the vector index already uses
-(pipelines/vecindex.py:94).
+download-then-rename idiom, reference src/updater.py:548,667-679).
 
 Layout under ``table_dir/``::
 
@@ -38,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 import uuid
 
@@ -62,6 +61,14 @@ def _manifest_name(version: int) -> str:
 
 
 def _log_dir(table_dir: str) -> str:
+    # every table-log path goes through here (the head lookup first),
+    # so a URI is refused before anything is written: os.* would treat
+    # "s3://b/t" as the relative directory ./s3:/b/t
+    if re.match(r"[A-Za-z][A-Za-z0-9+.-]*://", str(table_dir)):
+        raise ValueError(
+            f"tablelog: {table_dir!r} is a URI; the table log supports local "
+            "paths only (object-store tables are ROADMAP direction 4)"
+        )
     return os.path.join(table_dir, _LOG)
 
 
@@ -374,7 +381,7 @@ def _write_version(
     for _ in range(max(1, retries)):
         head = _head_version(table_dir)
         if expected_head is not None and head != expected_head:
-            # compare-and-swap callers (maintain_rollup) computed their
+            # compare-and-swap callers computed their
             # content FROM a specific head — blind retry would publish
             # a stale read-modify-write; surface the conflict instead
             raise CommitConflict(
@@ -605,7 +612,7 @@ def table_overwrite(
     still work until ``table_expire`` reclaims them. ``expected_head``
     turns the commit into a compare-and-swap: it only publishes if the
     head is still that version (CommitConflict otherwise) — the hook
-    for read-modify-write callers like ``maintain_rollup``."""
+    for read-modify-write callers."""
     return _write_version(
         table_dir, ds, "overwrite", stats_cols, token, retries, note, bloom_key,
         expected_head,

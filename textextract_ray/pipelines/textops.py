@@ -807,25 +807,6 @@ def clean_corpus(sf_dir: str, *, min_tokens: int = 40, min_chars: int = 200):
     return out
 
 
-def host_doc_counts(sf_dir: str):
-    """Per-host page counts over the synthesized pages: the vectorized
-    url→host kernel (functions.scalar.url_host) + grouped count."""
-    from ..functions.scalar import url_host
-    from ..pipelines.extract_pipeline import _documents_as_pages
-
-    pages = _documents_as_pages(sf_dir)
-
-    def hosts(batch: pa.Table) -> pa.Table:
-        return pa.table({"host": url_host(batch["url"])})
-
-    out = (
-        pages.map_batches(hosts, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("host")
-        .aggregate(Count(alias_name="n_pages"))
-    )
-    return out.to_pandas().sort_values("host").reset_index(drop=True)
-
-
 def cap_per_host(sf_dir: str, *, cap: int = 100):
     """Per-host document cap (the RefinedWeb/C4-style domain-frequency
     cap a web corpus needs so no single host dominates training data):
@@ -1083,8 +1064,8 @@ def corpus_mix(sf_dir: str, *, weights=None, default_weight=MIX_DEFAULT_WEIGHT):
     deterministic-hash properties as stratified_sample: embarrassingly
     parallel (pure per-row decision, no shuffle, no RNG state), stable
     under re-partitioning/retries, and exactly SQL-expressible. The
-    copy index rides along so downstream epoch assembly (e.g.
-    training_order per copy) can key on (doc_id, copy_idx)."""
+    copy index rides along so downstream epoch assembly can key on
+    (doc_id, copy_idx)."""
     out = _corpus_mix_ds(sf_dir, weights=weights, default_weight=default_weight)
     return (
         out.to_pandas().sort_values(["doc_id", "copy_idx"]).reset_index(drop=True)
@@ -1575,696 +1556,17 @@ def pack_bins_ds(ds, *, capacity: int = 512, num_buckets: int = 64):
     )
 
 
-def epoch_stream(sf_dir: str, *, seed: int = 0, weights=None):
-    """Training-epoch assembly — the composition the mixing and
-    shuffle operators exist for: corpus_mix expands each doc to its
-    weighted copies, every copy gets an independent shuffle key
-    ``hash64('doc_id:copy_idx', seed)``, and a range sort produces the
-    final sample order for one training epoch. Copies of the same doc
-    land at decorrelated positions (keyed per copy, not per doc), the
-    whole stream is reproducible from the seed, and a new epoch is a
-    new seed. Same scale shape as training_order: the mix expansion is
-    a shuffle-free map and only (doc_id, copy_idx, key) rides the one
-    deliberate distributed sort (``Dataset.sort``).
-
-    Gate wrapper: materializes the sorted order and stamps a dense
-    ``position`` column for the pytest/oracle contract. The library
-    surface is ``epoch_stream_ds`` — a 100-TB caller writes the sorted
-    Dataset (position is the row's offset in the sorted output; attach
-    it at write time per output file if needed) and never sees an
-    O(corpus) driver pull."""
-    out = epoch_stream_ds(sf_dir, seed=seed, weights=weights)
-    df = out.to_pandas().reset_index(drop=True)
-    return df.assign(position=np.arange(len(df), dtype=np.int64))
-
-
-def epoch_stream_ds(sf_dir: str, *, seed: int = 0, weights=None):
-    """Dataset-returning core: the sorted epoch order STAYS a Dataset
-    (consume with write_parquet / iter_batches). Sample position is
-    implicit in the sorted order — the one deliberate all-to-all is
-    the keys-only ``Dataset.sort`` over (doc_id, copy_idx, key)."""
-    from ..functions.scalar import hash_utf8
-
-    mixed = _corpus_mix_ds(sf_dir, weights=weights)
-
-    def key(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        joined = pc.binary_join_element_wise(
-            batch["doc_id"].cast(pa.string()),
-            batch["copy_idx"].cast(pa.string()),
-            ":",
-        )
-        k = hash_utf8(joined, seed=seed)
-        return batch.append_column(
-            "shuffle_key", pa.array(k.astype(np.int64), pa.int64())
-        )
-
-    return mixed.map_batches(key, batch_format="pyarrow", zero_copy_batch=True).sort(
-        ["shuffle_key", "doc_id", "copy_idx"]
-    )
-
-
-def classifier_scores(sf_dir: str, *, threshold: float = 0.5):
-    """Model-inference filtering pass: score every doc with the
-    fasttext-shaped quality classifier (stages/classify.py) in an
-    actor pool — weights materialize once per ACTOR in ``__init__``
-    (the model-load amortization pattern, same as the extraction
-    parsers), batches score vectorized. Deterministic stand-in
-    weights (no ML runtime in the container — documented there), so
-    the checks pin reproducibility and plumbing, not model quality."""
-    from ..stages.classify import QualityClassifier
-
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    out = ds.map_batches(
-        QualityClassifier,
-        fn_constructor_kwargs={"threshold": threshold},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=(1, 4),
-        batch_size=256,
-    )
-    return out.to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-
-def training_order(sf_dir: str, *, seed: int = 0):
-    """Deterministic global shuffle for training order: every doc gets
-    ``shuffle_key = hash64(doc_id, seed)`` (the repo-owned hash family,
-    ``functions.scalar.hash_utf8``) and the corpus is range-partitioned
-    and sorted by it — the standard pre-training epoch-order shuffle,
-    reproducible from the seed alone (retries, repartitioning, and
-    layout changes cannot move a document).
-
-    Scale note: ``Dataset.sort`` is the one deliberate all-to-all here
-    (SCALE.md shuffle inventory); only (doc_id, key) pairs ride it —
-    the trained consumer joins text back by doc_id, or at 100 TB the
-    key column is attached at write time so epochs are a sorted read,
-    not a shuffle per epoch. A different epoch = a different seed.
-
-    Gate wrapper over ``training_order_ds`` — the Dataset-returning
-    core a corpus-scale caller uses (write/stream the sorted order;
-    no driver materialization)."""
-    ds = read_table(sf_dir, "documents", columns=["doc_id"])
-    return training_order_ds(ds, seed=seed).to_pandas().reset_index(drop=True)
-
-
-def training_order_ds(ds, *, seed: int = 0):
-    """Dataset-returning core: seeded keys-only epoch shuffle. Input is
-    any Dataset with a ``doc_id`` column; output stays a Dataset sorted
-    by (shuffle_key, doc_id)."""
-    from ..functions.scalar import hash_utf8
-
-    def key(batch: pa.Table) -> pa.Table:
-        k = hash_utf8(batch["doc_id"].cast(pa.string()), seed=seed)
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                # int64 view of the uint64 key: Ray sort + pandas both
-                # handle it natively and the order is irrelevant to
-                # shuffle quality (any fixed bijection works)
-                "shuffle_key": pa.array(k.astype(np.int64), pa.int64()),
-            }
-        )
-
-    # doc_id breaks 64-bit hash ties (~never at real corpus sizes, but
-    # determinism should not depend on that)
-    return ds.map_batches(key, batch_format="pyarrow", zero_copy_batch=True).sort(
-        ["shuffle_key", "doc_id"]
-    )
-
-
 # ---------------------------------------------------------------------------
 # Paragraph-level dedup (C4 / Dolma style)
 # ---------------------------------------------------------------------------
-
-PARA_DEDUP_BROADCAST_BUDGET = 5_000_000  # drop-pair rows the driver may hold
-
-
-def _patch_docs_with_drops(
-    docs,
-    drops,
-    patch_rows,
-    *,
-    id_col: str,
-    text_col: str,
-    idx_col: str,
-    drop_empty: bool,
-    num_buckets: int,
-    broadcast_budget: int,
-    check_types,
-):
-    """Shared reassembly back-end for span-cut dedup operators
-    (``paragraph_dedup_ds``, ``exact_substring_dedup_ds``): given a
-    MATERIALIZED ``drops`` Dataset of (id_col, idx_col) loser pairs,
-    patch the documents without ever reshuffling the corpus. Under
-    ``broadcast_budget`` the pairs broadcast once as CSR numpy arrays
-    (``ray.put``, zero-copy per batch) and documents stream through a
-    patch map whose untouched-doc majority takes a pure vectorized
-    fast path; past the budget a tag-union + doc_id-bucket co-group
-    patches with no driver materialization at all.
-
-    ``patch_rows(ids, texts, drop_map) -> pa.Table`` rebuilds only the
-    TOUCHED docs (drop_map: doc_id -> set of idx values to cut) and
-    returns (id_col:int64, text_col:string, n_dropped:int32) rows;
-    ``check_types(batch)`` raises the operator's typed column-contract
-    error at the first batch."""
-    import ray
-
-    from ..functions.scalar import stable_bucket
-
-    # strict <: budget 0 means "never broadcast", so the co-group path
-    # is forceable (and covered) even on a duplicate-free corpus
-    if drops.count() < broadcast_budget:
-        # broadcast as three flat numpy arrays (CSR-style: sorted
-        # unique touched ids + offsets + cut indices) — zero-copy out
-        # of the object store on every ray.get, unlike a pickled
-        # dict-of-sets which would re-deserialize per batch
-        dpdf = drops.to_pandas()
-        if len(dpdf) == 0:  # a fully empty drop table loses its schema
-            dpdf = pd.DataFrame(
-                {id_col: pd.Series(dtype="int64"), idx_col: pd.Series(dtype="int64")}
-            )
-        dpdf = dpdf.sort_values([id_col, idx_col])
-        touched_ids, counts = np.unique(
-            dpdf[id_col].to_numpy(np.int64), return_counts=True
-        )
-        offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        idx_vals = dpdf[idx_col].to_numpy(np.int64)
-        ref = ray.put((touched_ids, offsets, idx_vals))
-
-        def patch(batch: pa.Table) -> pa.Table:
-            check_types(batch)
-            uniq, offs, vals = ray.get(ref)
-            ids = (
-                batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-                if len(batch)
-                else np.empty(0, np.int64)
-            )
-            # vectorized fast path for rows with nothing to cut (the
-            # overwhelming majority at realistic duplicate densities)
-            if len(uniq):
-                pos = np.searchsorted(uniq, ids)
-                pos_c = np.minimum(pos, len(uniq) - 1)
-                hit = uniq[pos_c] == ids
-            else:
-                hit = np.zeros(len(ids), dtype=bool)
-            clean = batch.filter(pa.array(~hit))
-            t = pa.table(
-                {
-                    id_col: clean[id_col].cast(pa.int64()),
-                    text_col: pc.fill_null(clean[text_col], ""),
-                    "n_dropped": pa.array(
-                        np.zeros(len(clean), np.int32), pa.int32()
-                    ),
-                }
-            )
-            if drop_empty:
-                t = t.filter(pc.greater(pc.utf8_length(t[text_col]), 0))
-            if not hit.any():
-                return t
-            sub = batch.filter(pa.array(hit))
-            # cut sets materialized only for THIS batch's touched docs
-            drop_map = {
-                int(uniq[j]): set(vals[offs[j] : offs[j + 1]].tolist())
-                for j in np.unique(pos_c[hit])
-            }
-            patched = patch_rows(
-                sub[id_col].to_pylist(), sub[text_col].to_pylist(), drop_map
-            )
-            return pa.concat_tables([t, patched])
-
-        return docs.map_batches(patch, batch_format="pyarrow", zero_copy_batch=True)
-
-    # co-group fallback: union(docs side=0, drops side=1) bucketed by
-    # doc_id; each bucket patches its own documents — no driver state
-    def tag_docs(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                id_col: batch[id_col],
-                text_col: pc.fill_null(batch[text_col], ""),
-                idx_col: pa.nulls(len(batch), pa.int64()),
-                "_bucket": pa.array(
-                    stable_bucket(batch[id_col].cast(pa.string()), num_buckets),
-                    pa.int32(),
-                ),
-            }
-        )
-
-    def tag_drops(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                id_col: batch[id_col],
-                text_col: pa.nulls(len(batch), pa.string()),
-                idx_col: batch[idx_col],
-                "_bucket": pa.array(
-                    stable_bucket(batch[id_col].cast(pa.string()), num_buckets),
-                    pa.int32(),
-                ),
-            }
-        )
-
-    def rebuild(df: pd.DataFrame) -> pd.DataFrame:
-        dd = df[df[idx_col].notna()]
-        drop_map = {
-            int(k): set(int(v) for v in g)
-            for k, g in dd.groupby(id_col)[idx_col]
-        }
-        side = df[df[idx_col].isna()]
-        ids = side[id_col].astype("int64")
-        # same untouched-docs fast path as the broadcast patch
-        hit = ids.isin(drop_map.keys()).to_numpy() if drop_map else np.zeros(len(side), bool)
-        clean = pd.DataFrame(
-            {
-                id_col: ids[~hit],
-                text_col: side[text_col][~hit].fillna(""),
-                "n_dropped": np.zeros(int((~hit).sum()), np.int32),
-            }
-        )
-        if drop_empty:
-            clean = clean[clean[text_col].str.len() > 0]
-        if not hit.any():
-            return clean.reset_index(drop=True)
-        t = patch_rows(
-            ids[hit].tolist(), side[text_col][hit].tolist(), drop_map
-        )
-        return pd.concat([clean, t.to_pandas()], ignore_index=True)
-
-    unioned = docs.map_batches(tag_docs, batch_format="pyarrow").union(
-        drops.map_batches(tag_drops, batch_format="pyarrow")
-    )
-    return unioned.groupby("_bucket").map_groups(rebuild, batch_format="pandas")
-
-
-def paragraph_dedup_ds(
-    docs,
-    *,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    sep: str = "\n",
-    min_chars: int = 30,
-    num_buckets: int = 64,
-    drop_empty: bool = True,
-    broadcast_budget: int = PARA_DEDUP_BROADCAST_BUDGET,
-):
-    """Corpus-wide duplicate-PARAGRAPH removal (C4 §2.2 / Dolma style):
-    every paragraph (``sep``-delimited span) of length >= ``min_chars``
-    survives only at its globally first occurrence — smallest
-    (doc_id, para_idx) — and later occurrences are cut out of their
-    documents; spans shorter than ``min_chars`` (headers, blank lines)
-    bypass dedup and are always kept. Deterministic and
-    layout-invariant: the winner is an order statistic, not an
-    encounter order.
-
-    Distributed shape (SCALE.md inventory): one hash-bucket shuffle of
-    the *eligible paragraphs* co-locates equal texts
-    (exactness on the full string, no collision risk), each bucket
-    emits only its LOSERS as (doc_id, para_idx) pairs — O(duplicate
-    occurrences), not O(corpus). Reassembly never reshuffles the
-    corpus: under ``broadcast_budget`` the drop pairs broadcast via
-    ``ray.put`` and documents stream through a vectorized patch map
-    (untouched docs take a pure ``is_in`` fast path); past the budget
-    a tag-union + doc_id-bucket co-group patches without any driver
-    materialization. Returns (id_col, text_col, n_dropped) rows;
-    documents whose every span is cut disappear when ``drop_empty``.
-
-    Column contract: the id column must be an integer type (emitted as
-    int64) and the text column ``string`` — violations raise a typed
-    error at the first batch instead of an opaque Arrow crash deep in
-    reassembly.
-    """
-    from ..functions.scalar import stable_bucket
-
-    def _check_types(batch: pa.Table) -> None:
-        if not pa.types.is_integer(batch[id_col].type):
-            raise TypeError(
-                f"paragraph_dedup_ds: id column {id_col!r} must be integer, "
-                f"got {batch[id_col].type}"
-            )
-        if not pa.types.is_string(batch[text_col].type):
-            raise TypeError(
-                f"paragraph_dedup_ds: text column {text_col!r} must be string, "
-                f"got {batch[text_col].type}"
-            )
-
-    def explode(batch: pa.Table) -> pa.Table:
-        _check_types(batch)
-        text = pc.fill_null(batch[text_col].combine_chunks(), "")
-        parts = pc.split_pattern(text, sep)
-        flat = pc.list_flatten(parts)
-        parents = pc.list_parent_indices(parts)
-        lens = pc.list_value_length(parts).to_numpy(zero_copy_only=False)
-        starts = np.cumsum(lens) - lens
-        para_idx = np.arange(len(flat), dtype=np.int64) - np.repeat(starts, lens)
-        t = pa.table(
-            {
-                id_col: pc.take(batch[id_col], parents),
-                "para_idx": pa.array(para_idx, pa.int64()),
-                "para": flat,
-            }
-        )
-        return t.filter(pc.greater_equal(pc.utf8_length(t["para"]), min_chars))
-
-    def losers(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["para", id_col, "para_idx"], kind="mergesort")
-        dup = df.duplicated(subset=["para"], keep="first")
-        return df.loc[dup, [id_col, "para_idx"]]
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bucket", pa.array(stable_bucket(batch["para"], num_buckets), pa.int32())
-        )
-
-    def apply(df: pd.DataFrame) -> pd.DataFrame:
-        out = losers(df.drop(columns=["_bucket"]))
-        if len(out) == 0:
-            return pd.DataFrame(
-                {id_col: pd.Series(dtype="int64"), "para_idx": pd.Series(dtype="int64")}
-            )
-        return out
-
-    drops = (
-        docs.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(apply, batch_format="pandas")
-        .materialize()  # O(duplicate occurrences), reused twice below
-    )
-
-    def patch_rows(ids, texts, drop_map):
-        out_id, out_text, out_n = [], [], []
-        for i, t in zip(ids, texts):
-            cut = drop_map.get(i)
-            t = t or ""
-            if not cut:
-                new, n = t, 0
-            else:
-                paras = t.split(sep)
-                kept = [p for j, p in enumerate(paras) if j not in cut]
-                new, n = sep.join(kept), len(paras) - len(kept)
-            if drop_empty and not new:
-                continue
-            out_id.append(i)
-            out_text.append(new)
-            out_n.append(n)
-        return pa.table(
-            {
-                id_col: pa.array(out_id, pa.int64()),
-                text_col: pa.array(out_text, pa.string()),
-                "n_dropped": pa.array(out_n, pa.int32()),
-            }
-        )
-
-    return _patch_docs_with_drops(
-        docs,
-        drops,
-        patch_rows,
-        id_col=id_col,
-        text_col=text_col,
-        idx_col="para_idx",
-        drop_empty=drop_empty,
-        num_buckets=num_buckets,
-        broadcast_budget=broadcast_budget,
-        check_types=_check_types,
-    )
-
 
 # ---------------------------------------------------------------------------
 # Exact-substring dedup (Lee et al. 2021, ExactSubstr) at k-gram resolution
 # ---------------------------------------------------------------------------
 
-EXACT_SUBSTR_BROADCAST_BUDGET = 5_000_000  # drop-pair rows the driver may hold
-
-
-def exact_substring_dedup_ds(
-    docs,
-    *,
-    k: int = 20,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    num_buckets: int = 64,
-    drop_empty: bool = True,
-    broadcast_budget: int = EXACT_SUBSTR_BROADCAST_BUDGET,
-):
-    """Exact-substring dedup (Lee et al. 2021, arXiv:2107.06499
-    "Deduplicating Training Data Makes Language Models Better",
-    ExactSubstr) at k-token-gram resolution: any window of ``k``
-    whitespace tokens that occurs more than once CORPUS-WIDE survives
-    only at its globally-first occurrence — smallest (doc_id,
-    gram_idx), an order statistic, so the result is deterministic and
-    layout-invariant — and every later occurrence's token span
-    [gram_idx, gram_idx + k) is cut out of its document. Maximal
-    duplicated runs longer than k tokens are covered by their
-    overlapping k-grams merging into one contiguous cut (the paper's
-    "remove the entire duplicated span" behavior); in-document repeats
-    dedup too. Docs with fewer than k tokens never match (k IS the
-    paper's minimum-match-length threshold, 50 tokens there; default
-    20 here for the synthetic corpora).
-
-    Distributed shape — the paper's implementation builds ONE suffix
-    array over the concatenated corpus, which needs the whole corpus
-    (plus 8× index overhead) in a single address space and cannot
-    shard; this pipeline replaces it with machinery that scales out:
-
-    * duplicate detection is a KEYS-ONLY shuffle of (h1, h2, doc_id,
-      gram_idx) rows — 32 B per token position, no text on the wire —
-      hash-bucketed by h1 and reduced per bucket to LOSER pairs only
-      (O(duplicate occurrences), not O(corpus));
-    * gram identity is 128-bit (two independent token-hash seeds ×
-      two polynomial bases, ``functions.text.batch_gram_position_hashes``)
-      so a false merge is ~2^-64 per colliding pair — the one
-      approximation vs the suffix array's exactness, documented here
-      and negligible at 10^12 grams;
-    * reassembly is the shared span-cut back-end
-      (``_patch_docs_with_drops``): CSR broadcast + vectorized
-      untouched-doc fast path under ``broadcast_budget``, doc_id-bucket
-      co-group past it — the corpus text is never shuffled at all.
-
-    Character-exact cuts: untouched docs pass through byte-identical;
-    in a touched doc, token i's "segment" is the characters from its
-    first byte to the next token's first byte (the last token's
-    segment runs to end-of-string, the pre-first-token prefix belongs
-    to no segment), and the output concatenates the kept segments —
-    surviving text keeps its original inter-token whitespace.
-
-    Returns (id_col, text_col, n_dropped) where n_dropped counts
-    removed TOKENS; documents cut to nothing disappear when
-    ``drop_empty``.
-    """
-    from ..functions.text import batch_gram_position_hashes
-
-    def _check_types(batch: pa.Table) -> None:
-        if not pa.types.is_integer(batch[id_col].type):
-            raise TypeError(
-                f"exact_substring_dedup_ds: id column {id_col!r} must be integer, "
-                f"got {batch[id_col].type}"
-            )
-        if not pa.types.is_string(batch[text_col].type):
-            raise TypeError(
-                f"exact_substring_dedup_ds: text column {text_col!r} must be "
-                f"string, got {batch[text_col].type}"
-            )
-
-    def explode(batch: pa.Table) -> pa.Table:
-        _check_types(batch)
-        texts = pc.fill_null(batch[text_col].combine_chunks(), "").to_pylist()
-        d, gram_idx, h1, h2 = batch_gram_position_hashes(texts, k)
-        ids = (
-            batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            if len(batch)
-            else np.empty(0, np.int64)
-        )
-        return pa.table(
-            {
-                id_col: pa.array(ids[d], pa.int64()),
-                "gram_idx": pa.array(gram_idx, pa.int64()),
-                "h1": pa.array(h1.view(np.int64), pa.int64()),
-                "h2": pa.array(h2.view(np.int64), pa.int64()),
-                # h1 is already a full-avalanche hash — its low bits
-                # bucket directly, no second hash pass needed
-                "_bucket": pa.array(
-                    (h1 % np.uint64(num_buckets)).astype(np.int32), pa.int32()
-                ),
-            }
-        )
-
-    def losers(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["h1", "h2", id_col, "gram_idx"], kind="mergesort")
-        dup = df.duplicated(subset=["h1", "h2"], keep="first")
-        out = df.loc[dup, [id_col, "gram_idx"]]
-        if len(out) == 0:
-            return pd.DataFrame(
-                {id_col: pd.Series(dtype="int64"), "gram_idx": pd.Series(dtype="int64")}
-            )
-        return out
-
-    drops = (
-        docs.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(losers, batch_format="pandas")
-        .materialize()  # O(duplicate occurrences), reused twice below
-    )
-
-    tok_pat = re.compile(r"\S+")
-
-    def patch_rows(ids, texts, drop_map):
-        out_id, out_text, out_n = [], [], []
-        for i, t in zip(ids, texts):
-            cut = drop_map.get(i)
-            t = t or ""
-            if not cut:
-                new, n = t, 0
-            else:
-                starts = [m.start() for m in tok_pat.finditer(t)]
-                ntok = len(starts)
-                kill = np.zeros(ntok, dtype=bool)
-                for g in cut:
-                    kill[g : min(g + k, ntok)] = True
-                n = int(kill.sum())
-                if n == ntok:
-                    new = ""
-                else:
-                    seg_end = starts[1:] + [len(t)]
-                    new = "".join(
-                        t[starts[j] : seg_end[j]]
-                        for j in range(ntok)
-                        if not kill[j]
-                    )
-            if drop_empty and not new:
-                continue
-            out_id.append(i)
-            out_text.append(new)
-            out_n.append(n)
-        return pa.table(
-            {
-                id_col: pa.array(out_id, pa.int64()),
-                text_col: pa.array(out_text, pa.string()),
-                "n_dropped": pa.array(out_n, pa.int32()),
-            }
-        )
-
-    return _patch_docs_with_drops(
-        docs,
-        drops,
-        patch_rows,
-        id_col=id_col,
-        text_col=text_col,
-        idx_col="gram_idx",
-        drop_empty=drop_empty,
-        num_buckets=num_buckets,
-        broadcast_budget=broadcast_budget,
-        check_types=_check_types,
-    )
-
-
 # ---------------------------------------------------------------------------
 # C4 cleaning rules (Raffel et al. 2020 §2.2)
 # ---------------------------------------------------------------------------
-
-C4_TERMINAL_PUNCT = (".", "!", "?", '"')  # Raffel et al.'s terminal marks
-
-
-def c4_clean_ds(
-    docs,
-    *,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    min_words_per_line: int = 3,
-    min_sentences: int = 5,
-    bad_words: tuple = (),
-):
-    """The C4 heuristic cleaning pass (Raffel et al. 2020,
-    arXiv:1910.10683 §2.2), the canonical first stage of a web-scale
-    training corpus. Line level: keep only lines that (rtrimmed) end in
-    a terminal punctuation mark (. ! ? "), contain at least
-    ``min_words_per_line`` whitespace tokens, and do not contain the
-    word "javascript" (case-insensitive). Page level: after line
-    filtering, drop pages that contain a curly brace ``{`` (code), the
-    phrase "lorem ipsum" (placeholder), any word from ``bad_words``
-    (the paper's blocklist — caller-supplied, matched on word
-    boundaries; empty by default since no external list ships with the
-    repo), or fewer than ``min_sentences`` sentences, where a sentence
-    is counted as a ``[.!?]`` occurrence in the CLEANED text (the paper
-    used a sentence tokenizer; the count-of-terminals approximation is
-    documented here and pinned by the oracle test).
-
-    (The paper's remaining rule — drop every three-sentence span seen
-    more than once corpus-wide — is span-level dedup, covered by
-    ``paragraph_dedup_ds`` / ``exact_substring_dedup_ds``.)
-
-    Scale shape: NO shuffle at all — one vectorized ``map_batches``
-    pass. Lines explode/filter/rebuild entirely inside the batch with
-    Arrow list kernels (``list_flatten`` / ``list_parent_indices`` /
-    ``ListArray.from_arrays`` + ``binary_join``); no Python loop, no
-    text leaves the worker. Returns (id_col, text_col, n_dropped)
-    rows with n_dropped = removed line count; fully-dropped pages
-    disappear.
-    """
-    bad_pat = (
-        "(?i)\\b(" + "|".join(re.escape(w) for w in bad_words) + ")\\b"
-        if bad_words
-        else None
-    )
-
-    def clean(batch: pa.Table) -> pa.Table:
-        orig = pc.fill_null(batch[text_col].combine_chunks(), "")
-        parts = pc.split_pattern(orig, "\n")
-        flat = pc.list_flatten(parts)
-        parents = pc.list_parent_indices(parts).to_numpy(zero_copy_only=False)
-        n_lines = pc.list_value_length(parts).to_numpy(zero_copy_only=False)
-
-        trimmed = pc.utf8_rtrim_whitespace(flat)
-        ends_ok = np.zeros(len(flat), dtype=bool)
-        for mark in C4_TERMINAL_PUNCT:
-            ends_ok |= pc.ends_with(trimmed, pattern=mark).to_numpy(
-                zero_copy_only=False
-            )
-        enough_words = (
-            pc.count_substring_regex(flat, r"\S+").to_numpy(zero_copy_only=False)
-            >= min_words_per_line
-        )
-        has_js = pc.match_substring(
-            flat, "javascript", ignore_case=True
-        ).to_numpy(zero_copy_only=False)
-        keep_line = ends_ok & enough_words & ~has_js
-
-        kept_flat = flat.filter(pa.array(keep_line))
-        if isinstance(kept_flat, pa.ChunkedArray):
-            kept_flat = kept_flat.combine_chunks()
-        kept_parents = parents[keep_line]
-        counts = np.bincount(kept_parents, minlength=len(batch)).astype(np.int64)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        rebuilt = pc.binary_join(
-            pa.LargeListArray.from_arrays(offsets, kept_flat), "\n"
-        )
-
-        n_sentences = pc.count_substring_regex(rebuilt, r"[.!?]").to_numpy(
-            zero_copy_only=False
-        )
-        keep_doc = (
-            (n_sentences >= min_sentences)
-            & ~pc.match_substring(orig, "{").to_numpy(zero_copy_only=False)
-            & ~pc.match_substring(orig, "lorem ipsum", ignore_case=True).to_numpy(
-                zero_copy_only=False
-            )
-        )
-        if bad_pat is not None:
-            keep_doc &= ~pc.match_substring_regex(orig, bad_pat).to_numpy(
-                zero_copy_only=False
-            )
-
-        out = pa.table(
-            {
-                id_col: batch[id_col].cast(pa.int64()),
-                text_col: rebuilt.cast(pa.string()),
-                "n_dropped": pa.array(
-                    (n_lines - counts).astype(np.int32), pa.int32()
-                ),
-            }
-        )
-        return out.filter(pa.array(keep_doc))
-
-    return docs.map_batches(clean, batch_format="pyarrow", zero_copy_batch=True)
-
 
 # --- leakage-free train/val/test splits ---------------------------------------
 
@@ -2592,136 +1894,6 @@ def unigram_encode_corpus_ds(
     return docs.map_batches(encode, batch_format="pyarrow", zero_copy_batch=True)
 
 
-# ---------------------------------------------------------------------------
-# End-to-end pretraining-data preparation recipe
-# ---------------------------------------------------------------------------
-
-PREP_STAGES = ("quality", "paradedup", "substrdedup", "order", "pack")
-
-
-def pretraining_prep(
-    sf_dir: str,
-    out_dir: str,
-    *,
-    clean: bool = False,
-    linefreq_min_count: int = 3,
-    min_quality: float = 0.3,
-    k: int = 20,
-    capacity: int = 512,
-    seed: int = 0,
-    resume: bool = True,
-):
-    """The COMPOSED pretraining-data pipeline — the Dolma/C4-shaped
-    recipe chaining this engine's cores end to end, each stage
-    streaming and each stage's output persisted as parquet under
-    ``out_dir/<stage>/`` so a killed run resumes at the last completed
-    stage (directory + ``_DONE`` marker = completed; delete a stage dir
-    to force recompute):
-
-      0. ``clean``       (opt-in ``clean=True``) unicode/mojibake
-                         normalize + frequent-line boilerplate
-                         scrub                             [1 keys-only shuffle]
-      1. ``quality``     Gopher composite filter >= min_quality  [no shuffle]
-      2. ``paradedup``   C4 paragraph dedup                      [1 bucket shuffle]
-      3. ``substrdedup`` exact-substring dedup (Lee et al.)      [keys-only shuffle]
-      4. ``order``       seeded epoch-shuffle keys               [keys-only sort]
-      5. ``pack``        sequence packing (prefix sum)           [partials shuffle]
-
-    Persisting between stages is the 100-TB shape: downstream stages
-    re-read the (much smaller) survivor set instead of recomputing the
-    whole upstream chain, and every stage boundary is a checkpoint.
-    Returns the per-stage counters DataFrame (rows surviving each
-    stage) — the job-report shape, never the corpus."""
-    import os
-
-    import ray
-
-    from ..functions.text import quality_features
-
-    def _stage_dir(name: str) -> str:
-        return os.path.join(out_dir, name)
-
-    def _done(name: str) -> bool:
-        return resume and os.path.exists(os.path.join(_stage_dir(name), "_DONE"))
-
-    def _mark(name: str) -> None:
-        with open(os.path.join(_stage_dir(name), "_DONE"), "w") as f:
-            f.write("ok\n")
-
-    def _write(name: str, ds) -> None:
-        ds.write_parquet(_stage_dir(name))
-        _mark(name)
-
-    def _read(name: str):
-        return ray.data.read_parquet(_stage_dir(name))
-
-    stages = (("clean",) if clean else ()) + PREP_STAGES
-
-    # 0. opt-in cleaning: normalize + frequent-line scrub
-    if clean and not _done("clean"):
-        raw = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-        # materialize the normalized corpus ONCE: line_frequency_filter_ds
-        # consumes its input twice (frequency pass + scrub pass) and a lazy
-        # upstream would re-run the recipe's dominant Python-cost kernel
-        # (mojibake repair + NFC) over every document a second time; the
-        # materialized blocks live in the object store and spill at scale
-        normalized = normalize_text_ds(raw).materialize()
-        _write(
-            "clean",
-            line_frequency_filter_ds(
-                normalized, min_count=linefreq_min_count
-            ).select_columns(["doc_id", "text"]),
-        )
-
-    # 1. quality filter (vectorized, shuffle-free)
-    if not _done("quality"):
-        docs = (
-            _read("clean").select_columns(["doc_id", "text"])
-            if clean
-            else read_table(sf_dir, "documents", columns=["doc_id", "text"])
-        )
-
-        def qfilter(batch: pa.Table) -> pa.Table:
-            score = quality_features(batch["text"])["quality_score"]
-            return batch.filter(pc.greater_equal(score, min_quality))
-
-        _write(
-            "quality",
-            docs.map_batches(qfilter, batch_format="pyarrow", zero_copy_batch=True),
-        )
-
-    # 2. paragraph dedup over the quality survivors
-    if not _done("paradedup"):
-        _write(
-            "paradedup",
-            paragraph_dedup_ds(_read("quality").select_columns(["doc_id", "text"])),
-        )
-
-    # 3. exact-substring dedup over the paragraph survivors
-    if not _done("substrdedup"):
-        _write(
-            "substrdedup",
-            exact_substring_dedup_ds(
-                _read("paradedup").select_columns(["doc_id", "text"]), k=k
-            ),
-        )
-
-    survivors = _read("substrdedup").select_columns(["doc_id", "text"])
-
-    # 4. seeded epoch order (keys only)
-    if not _done("order"):
-        _write("order", training_order_ds(survivors.select_columns(["doc_id"]), seed=seed))
-
-    # 5. sequence packing
-    if not _done("pack"):
-        _write("pack", pack_sequences_ds(survivors, capacity=capacity))
-
-    rows = [("input", read_table(sf_dir, "documents", columns=["doc_id"]).count())]
-    for name in stages:
-        rows.append((name, _read(name).count()))
-    return pd.DataFrame(rows, columns=["stage", "rows"])
-
-
 # --- frequent-line boilerplate removal (CCNet §2.1 / RefinedWeb line-wise) ----
 
 LINE_FREQ_SET_BUDGET = 5_000_000
@@ -2743,9 +1915,8 @@ def line_frequency_filter_ds(
     'enable javascript' / cookie banners; RefinedWeb applies the same
     line-wise): a line (``sep``-delimited, length ≥ ``min_chars``)
     that occurs in ``min_count`` or more places corpus-wide is removed
-    from EVERY document — unlike ``paragraph_dedup_ds``, which keeps
-    the first occurrence. Short lines bypass (never counted, never
-    removed).
+    from EVERY document, first occurrence included. Short lines bypass
+    (never counted, never removed).
 
     Distributed shape: pass 1 ships per-batch pre-combined
     (line_hash, count) partials — 16 B per DISTINCT line per batch,
@@ -2754,9 +1925,8 @@ def line_frequency_filter_ds(
     ``ray.put``. Pass 2 is shuffle-free: lines explode / mask /
     rebuild inside each batch with Arrow list kernels + one
     ``searchsorted`` probe — no per-row Python. Line identity is the
-    64-bit repo hash (the keys-only trade ``paragraph_dedup_ds``
-    documents and declines; here the broadcast set must stay compact,
-    so ~2⁻⁶⁴-per-pair false removals are accepted and documented).
+    64-bit repo hash (the broadcast set must stay compact, so
+    ~2⁻⁶⁴-per-pair false removals are accepted and documented).
 
     Text replaced in place, all other columns pass through, n_dropped
     appended; documents whose every line
@@ -2858,10 +2028,9 @@ MOJIBAKE_MARKERS = "Ã|â€|Â|Ð|â„|â€š"
 def build_normalize_kernel(
     text_col: str = "text", form: str = "NFC", fix_mojibake: bool = True
 ):
-    """THE normalize kernel — shared by ``normalize_text_ds`` and the
-    ``normalize_text`` registry stage so the two surfaces can never
-    drift. Text is replaced in place as plain ``string()`` regardless
-    of input batch type (a conditional rebuild would leave some blocks
+    """The kernel of the ``normalize_text`` registry stage. Text is
+    replaced in place as plain ``string()`` regardless of input batch
+    type (a conditional rebuild would leave some blocks
     ``large_string`` and some ``string``, breaking schema unification
     at any downstream shuffle/write); all other columns pass through;
     ``mojibake_fixed`` is appended."""
@@ -2925,43 +2094,6 @@ def build_normalize_kernel(
         return out.append_column("mojibake_fixed", pa.array(fixed, pa.bool_()))
 
     return kernel
-
-
-def normalize_text_ds(
-    docs,
-    *,
-    text_col: str = "text",
-    form: str = "NFC",
-    fix_mojibake: bool = True,
-):
-    """Unicode text normalization (the ftfy-shaped cleanup every
-    crawl corpus needs before tokenization): CRLF/CR → LF, C0/C1
-    control characters stripped (tab and newline survive), UTF-8-read-
-    as-Latin-1/Windows-1252 mojibake repaired ("Ã©tÃ©" → "été"), then
-    canonical composition (NFC by default so visually-identical
-    strings hash identically in every dedup stage).
-
-    Scale shape: ZERO shuffle — one streaming map_batches. The fast
-    path is all Arrow kernels; mojibake repair costs Python only for
-    rows a vectorized marker regex flags (rare in real corpora), and a
-    repair is accepted only when the strict cp1252/latin-1 → UTF-8
-    round-trip succeeds AND strictly reduces marker count (so clean
-    text containing a literal "Ã" is never corrupted). Composition
-    runs ``unicodedata.normalize`` gated by a vectorized non-ASCII
-    detector (ASCII is normalization-invariant, so most web-text rows
-    never leave Arrow) — this container's
-    ``pc.utf8_normalize(form="NFC")`` DECOMPOSES (verified: composed
-    'café' comes back as 'e'+U+0301 under every form), so the Arrow
-    kernel cannot be trusted for canonical composition here.
-
-    Text column replaced in place (always ``string()``), all other
-    columns pass through, ``mojibake_fixed: bool`` appended.
-    Deterministic per row — layout/retry invariant by construction."""
-    return docs.map_batches(
-        build_normalize_kernel(text_col, form, fix_mojibake),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
 
 
 # --- sentence-boundary chunking ----------------------------------------------
@@ -3506,5 +2638,3 @@ def gopher_filter_ds(docs, *, text_col: str = "text", audit: bool = False):
         return batch.filter(passed)
 
     return docs.map_batches(kernel, batch_format="pyarrow", zero_copy_batch=True)
-
-

@@ -510,9 +510,9 @@ def hamming64_duplicate_assignments(
     locality hash column: two hashes within Hamming distance d must
     agree exactly on at least one of d+1 disjoint bit bands, so
     bucketing by each band finds all such pairs; Hamming distance
-    verifies inside the bucket. Shared back end for text SimHash
-    (`simhash_duplicate_assignments`) and image dHash
-    (`image_duplicate_assignments`).
+    verifies inside the bucket. Back end of text SimHash
+    (`simhash_duplicate_assignments`); any other 64-bit hash column
+    (e.g. ``ImageDHash``'s) bands the same way.
 
     Band count is DERIVED from max_hamming (n_bands = max_hamming + 1)
     so recall is complete for any accepted value. Bands narrower than
@@ -583,37 +583,6 @@ def simhash_duplicate_assignments(ds, text_col: str, id_col: str, max_hamming: i
     `hamming64_duplicate_assignments` for the recall argument)."""
     hashed = ds.map_batches(add_simhash(text_col), batch_format="pyarrow")
     return hamming64_duplicate_assignments(hashed, "simhash", id_col, max_hamming)
-
-
-def image_duplicate_assignments(
-    media_ds,
-    id_col: str = "media_id",
-    media_col: str = "media",
-    max_hamming: int = 3,
-    *,
-    strict: bool = False,
-):
-    """(id, keep_id) pairs for IMAGE near-dups: 64-bit perceptual
-    difference hash (dHash) per decodable payload in an actor-pool
-    stage, then the shared pigeonhole banding — the LAION-style
-    near-duplicate-image sweep. Undecodable payloads hash to null and
-    never pair (strict=True raises instead). Only (id, band, hash)
-    rows ride the shuffle — pixels never leave the hashing stage."""
-    from .multimodal import ImageDHash
-
-    hashed = media_ds.map_batches(
-        ImageDHash,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=64,
-        concurrency=(1, 8),
-        fn_constructor_kwargs={
-            "id_col": id_col,
-            "media_col": media_col,
-            "strict": strict,
-        },
-    ).filter(expr="status == 'ok'")
-    return hamming64_duplicate_assignments(hashed, "dhash", id_col, max_hamming)
 
 
 # --- embedding cosine near-dup ----------------------------------------------

@@ -174,8 +174,8 @@ class DecodeImage:
 class ImageDHash:
     """Actor-pool stage: image payload -> 64-bit perceptual difference
     hash (imageops.dhash64) for near-duplicate-image detection. The
-    hash feeds the shared pigeonhole hamming banding
-    (`stages.dedup.image_duplicate_assignments`) — pixels stay inside
+    hash feeds the pigeonhole hamming banding
+    (`stages.dedup.hamming64_duplicate_assignments`) — pixels stay inside
     this stage; only (id, dhash) leaves.
 
     Decode ladder mirrors PreprocessImage: PIL if importable, else the
@@ -654,21 +654,6 @@ class ResizeImage:
         return pa.table(cols)
 
 
-def resize_images(media_ds, *, size: int = 224, emit: str = "png",
-                  batch_size: int = 16, concurrency=(1, 8), strict: bool = False):
-    """media Dataset -> fixed-size image Dataset. Tensor mode adds
-    3·size²·4 bytes per row — size the batch so batch × concurrency
-    fits worker heaps (16 rows × 224² × 12 B ≈ 10 MB/batch)."""
-    return media_ds.map_batches(
-        ResizeImage,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-        fn_constructor_kwargs={"size": size, "emit": emit, "strict": strict},
-    )
-
-
 AUDIO_META_SCHEMA = pa.schema(
     [
         pa.field("media_id", pa.int64()),
@@ -770,20 +755,6 @@ def decode_images(media_ds, *, batch_size: int = 32, concurrency=(1, 8), strict:
     batch × concurrency of multi-MB payloads must fit worker heaps."""
     return media_ds.map_batches(
         DecodeImage,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-        fn_constructor_kwargs={"strict": strict},
-    )
-
-
-def preprocess_images(media_ds, *, batch_size: int = 16, concurrency=(1, 8), strict: bool = False):
-    """media Dataset -> enhanced-PNG media Dataset (decode → enhance →
-    re-encode per payload). Smaller default batch than decode: each
-    batch holds input AND output pixel buffers."""
-    return media_ds.map_batches(
-        PreprocessImage,
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
