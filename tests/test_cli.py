@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 
 
 def test_cli_extract_and_report(tmp_path, fixture_pages):
+    """`report --table` prints each committed job partition's meta:
+    note, counters, input shards and extractor version."""
     env = dict(os.environ, RAY_GRAFT_CPUS="4")
-    out_dir = str(tmp_path / "out")
+    tdir = str(tmp_path / "tbl")
     r = subprocess.run(
         [
             sys.executable,
@@ -18,8 +21,8 @@ def test_cli_extract_and_report(tmp_path, fixture_pages):
             "extract",
             "--input",
             os.path.dirname(fixture_pages[0]),
-            "--out",
-            out_dir,
+            "--table",
+            tdir,
             "--shards-per-partition",
             "2",
         ],
@@ -32,21 +35,24 @@ def test_cli_extract_and_report(tmp_path, fixture_pages):
     assert r.returncode == 0, r.stderr[-2000:]
     assert "partition_id" in r.stdout
 
-    # refusal without --resume
-    r2 = subprocess.run(
-        [sys.executable, "-m", "textextract_ray", "extract", "--input",
-         os.path.dirname(fixture_pages[0]), "--out", out_dir],
-        cwd="/root/repo", env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert r2.returncode == 2
-    assert "--resume" in r2.stderr
-
     r3 = subprocess.run(
-        [sys.executable, "-m", "textextract_ray", "report", "--out", out_dir],
+        [sys.executable, "-m", "textextract_ray", "report", "--table", tdir],
         cwd="/root/repo", env=env, capture_output=True, text=True, timeout=60,
     )
-    assert r3.returncode == 0
-    assert '"extractor_version": "1.0.0"' in r3.stdout
+    assert r3.returncode == 0, r3.stderr[-2000:]
+    parts = json.loads(r3.stdout)
+    assert [p["counters"]["partition_id"] for p in parts] == [0, 1]
+    assert all(p["note"].startswith(f"job-part:{i}:") for i, p in enumerate(parts))
+    assert all(p["extractor_version"] == "1.0.0" for p in parts)
+    assert sorted(s for p in parts for s in p["input_shards"]) == sorted(fixture_pages)
+
+    # a directory that holds no table: usage error
+    r4 = subprocess.run(
+        [sys.executable, "-m", "textextract_ray", "report", "--table",
+         str(tmp_path / "none")],
+        cwd="/root/repo", env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert r4.returncode == 2 and "no job partitions" in r4.stderr
 
 
 def test_cli_extract_table_mode(tmp_path, fixture_pages):
@@ -81,7 +87,7 @@ def test_cli_extract_table_mode(tmp_path, fixture_pages):
     )
     assert h2.stdout == h.stdout
 
-    # neither --out nor --table: clean usage error
+    # no --table: clean usage error
     r3 = subprocess.run(
         [sys.executable, "-m", "textextract_ray", "extract", "--input",
          os.path.dirname(fixture_pages[0])],

@@ -2,8 +2,8 @@
 shards from a localhost ``http.server``, then read → extract → write
 against ``http://127.0.0.1`` input. The reference streams its inputs
 over HTTP with retry (src/updater.py:105-120,545-715); the Ray shape is
-worker-side per-shard fetch (each read task downloads and parses its own
-url), so bytes scale with the cluster and never route through the
+worker-side per-shard fetch (each extract task downloads and parses its
+own url), so bytes scale with the cluster and never route through the
 driver.
 """
 
@@ -42,41 +42,27 @@ def http_fixture_server(fixture_pages):
         srv.shutdown()
 
 
-def test_http_read_matches_local(ray_session, fixture_pages, http_fixture_server):
-    from textextract_ray.sources import read_pages
+def test_http_read_matches_local(fixture_pages, http_fixture_server):
+    """Each shard read over HTTP (``open_shard``: one buffered GET with
+    the retry ladder, the read an extract task runs for an http shard)
+    holds exactly the local shard's pages, every column."""
+    import pyarrow.parquet as pq
 
-    local = (
-        read_pages(fixture_pages).to_pandas().sort_values("url").reset_index(drop=True)
-    )
-    over_http = (
-        read_pages(http_fixture_server)
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    assert local.equals(over_http)
+    from textextract_ray.sources import open_shard
 
-    # column pruning at parse time
-    pruned = read_pages(http_fixture_server, columns=["url", "lang"])
-    assert set(pruned.schema().names) == {"url", "lang"}
-
-    # single-url string form
-    one = read_pages(http_fixture_server[0]).to_pandas()
-    shard0 = read_pages(fixture_pages[0]).to_pandas()
-    assert len(one) == len(shard0)
+    for url, path in zip(http_fixture_server, fixture_pages):
+        assert pq.read_table(open_shard(url)).equals(pq.read_table(path))
 
 
 def test_http_extract_write_e2e(ray_session, http_fixture_server, tmp_path):
-    """read(http) -> actor-pool extract -> write_parquet, byte-identical
-    to the local-path pipeline on the same shards."""
+    """read(http) -> extract -> write_parquet over http shard urls
+    writes one row per page."""
     import ray.data as rd
 
-    from textextract_ray.pipelines.extract_pipeline import extract_dataset
-    from textextract_ray.sources import read_pages
+    from textextract_ray.pipelines.extract_pipeline import extract_files
 
     out = str(tmp_path / "http_out")
-    extracted = extract_dataset(read_pages(http_fixture_server))
-    extracted.write_parquet(out)
+    extract_files(http_fixture_server, dedup=False).write_parquet(out)
 
     written = (
         rd.read_parquet(out).to_pandas().sort_values("url").reset_index(drop=True)
@@ -133,23 +119,35 @@ def test_fsspec_scheme_fallback_read(ray_session, fixture_pages):
     """Object-store-shaped scheme e2e: ``local://`` resolves through
     the fsspec fallback (pyarrow has no native driver for it — the
     same route an s3/gcs-like scheme without a pyarrow driver takes),
-    wrapped as a PyFileSystem and read across worker processes."""
-    from textextract_ray.sources import read_pages
+    wrapped as a PyFileSystem and read inside worker processes."""
+    import pyarrow.parquet as pq
+    import ray
+    from pyarrow.fs import PyFileSystem
+
+    from textextract_ray.sources import _fs_from_uri, open_shard
 
     uris = [f"local://{p}" for p in fixture_pages]
-    got = read_pages(uris, columns=["url", "lang"]).to_pandas()
-    want = read_pages(list(fixture_pages), columns=["url", "lang"]).to_pandas()
-    assert sorted(got["url"]) == sorted(want["url"])
-    assert len(got) == len(want) > 0
+    assert isinstance(_fs_from_uri(uris[0])[0], PyFileSystem)
+
+    @ray.remote
+    def shard_urls(uri):
+        with open_shard(uri) as f:
+            return pq.read_table(f, columns=["url"])["url"].to_pylist()
+
+    got = ray.get([shard_urls.remote(u) for u in uris])
+    want = [pq.read_table(p, columns=["url"])["url"].to_pylist() for p in fixture_pages]
+    assert got == want and sum(map(len, got)) > 0
 
 
 def test_fsspec_scheme_fallback_directory_expansion(ray_session, fixture_pages):
-    from textextract_ray.sources import read_pages
+    import pyarrow.parquet as pq
+
+    from textextract_ray.pipelines.extract_pipeline import extract_files
 
     root = os.path.dirname(fixture_pages[0])
-    got = read_pages([f"local://{root}"], columns=["url"]).to_pandas()
-    want = read_pages(list(fixture_pages), columns=["url"]).to_pandas()
-    assert sorted(got["url"]) == sorted(want["url"])
+    got = extract_files([f"local://{root}"], dedup=False).to_pandas()["url"]
+    want = [u for p in fixture_pages for u in pq.read_table(p)["url"].to_pylist()]
+    assert sorted(got) == sorted(want)
 
 
 def test_fused_http_matches_local(ray_session, fixture_pages, http_fixture_server):

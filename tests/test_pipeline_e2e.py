@@ -29,9 +29,9 @@ def pipeline_df(ray_session, fixture_pages):
         dedup_by_url,
         extract_dataset,
     )
-    from textextract_ray.sources import read_pages
+    import ray.data as rd
 
-    ds = read_pages(fixture_pages)
+    ds = rd.read_parquet(fixture_pages)
     return dedup_by_url(extract_dataset(ds)).to_pandas()
 
 
@@ -67,9 +67,9 @@ def test_repartitioning_invariance(ray_session, fixture_pages, golden):
         dedup_by_url,
         extract_dataset,
     )
-    from textextract_ray.sources import read_pages
+    import ray.data as rd
 
-    ds = read_pages(list(reversed(fixture_pages))).repartition(7)
+    ds = rd.read_parquet(list(reversed(fixture_pages))).repartition(7)
     df = dedup_by_url(extract_dataset(ds, batch_size=17)).to_pandas()
     assert set(df["url"]) == set(golden)
     for _, row in df.iterrows():
@@ -77,29 +77,13 @@ def test_repartitioning_invariance(ray_session, fixture_pages, golden):
 
 
 def test_denylist_filter(ray_session, fixture_pages):
-    from textextract_ray.sources import read_pages
+    import ray.data as rd
     from textextract_ray.stages.validate import denylist_filter
 
-    ds = read_pages(fixture_pages)
+    ds = rd.read_parquet(fixture_pages)
     kept = denylist_filter(ds, ["host0.example", "host1.example"]).to_pandas()
     assert len(kept) > 0
     assert not kept["url"].str.contains("host0.example|host1.example").any()
-
-
-def test_metrics_sink_written(ray_session, fixture_pages, tmp_path):
-    import os
-
-    import pyarrow.parquet as pq
-
-    from textextract_ray.pipelines.extract_pipeline import run_job
-
-    out = str(tmp_path / "mjob")
-    run_job(fixture_pages, out, shards_per_partition=2)
-    path = os.path.join(out, "_metrics", "counters.parquet")
-    assert os.path.exists(path)
-    t = pq.read_table(path)
-    assert t.num_rows == 2  # 4 shards / 2 per partition
-    assert "parse_failures" in t.column_names
 
 
 def test_q3_hashjoin_matches_broadcast(ray_session, sf_dir):
@@ -229,12 +213,12 @@ def test_dedup_by_url_distributed_fallback_matches_driver_path(
     one budget forces its arm; each must equal the driver arm row for
     row."""
     from textextract_ray.pipelines import extract_pipeline as ep
-    from textextract_ray.sources import read_pages
+    import ray.data as rd
 
     import pandas as pd
 
     def run():
-        ds = ep.extract_dataset(read_pages(fixture_pages))
+        ds = ep.extract_dataset(rd.read_parquet(fixture_pages))
         out = ep.dedup_by_url(ds).to_pandas().drop(columns=["processing_time_ms"])
         return out.sort_values("url").reset_index(drop=True)
 
@@ -244,7 +228,7 @@ def test_dedup_by_url_distributed_fallback_matches_driver_path(
     assert driver["url"].is_unique
     pd.testing.assert_frame_equal(driver, forced)
     # dups actually existed in the fixture (else this test is vacuous)
-    raw = ep.extract_dataset(read_pages(fixture_pages)).count()
+    raw = ep.extract_dataset(rd.read_parquet(fixture_pages)).count()
     assert raw > len(driver)
 
 
@@ -271,11 +255,11 @@ def test_dedup_by_url_counters_equal_recount(
     duplicates must be the very rows subtracted), in the driver arm
     (None) and with each budget zeroed to force its distributed arm."""
     from textextract_ray.pipelines import extract_pipeline as ep
-    from textextract_ray.sources import read_pages
+    import ray.data as rd
 
     if budget is not None:
         monkeypatch.setattr(ep, budget, 0)
-    ds = ep.extract_dataset(read_pages(fixture_pages)).materialize()
+    ds = ep.extract_dataset(rd.read_parquet(fixture_pages)).materialize()
     out, counters = ep.dedup_by_url(ds, partition_id=3)
     out = out.materialize()
     assert out.count() == 184 < ds.count()  # the F9 duplicates dropped
@@ -321,7 +305,7 @@ def test_job_partition_execution_ratchet(
     driver arm, and exactly one (the scan and its groupby, no re-scan)
     past SCAN_FOLD_BUDGET_ROWS."""
     from textextract_ray.pipelines import extract_pipeline as ep
-    from textextract_ray.sources import read_pages
+    import ray.data as rd
 
     runs = _Executions(monkeypatch)
     ep.run_job_versioned(
@@ -330,7 +314,7 @@ def test_job_partition_execution_ratchet(
     assert len(runs.plans) <= 1, runs.plans
     assert not any("AllToAllOperator" in p for p in runs.plans), runs.plans
 
-    ds = ep.extract_dataset(read_pages(fixture_pages)).materialize()
+    ds = ep.extract_dataset(rd.read_parquet(fixture_pages)).materialize()
     n = len(runs.plans)
     out = ep.dedup_by_url(ds)
     assert runs.since(n) == []
@@ -384,7 +368,7 @@ def test_query_mix_scans_fuse_ratchet(ray_session, sf_dir, monkeypatch):
 
 def test_fused_matches_dataset_path(ray_session, fixture_pages):
     """extract_files (parquet decode inside the extract task) must be
-    byte-identical to dedup_by_url(extract_dataset(read_pages(...))) —
+    byte-identical to dedup_by_url(extract_dataset(rd.read_parquet(...))) —
     same stages, different data motion. Timing column excluded
     (wall-clock)."""
     import pandas as pd
@@ -394,7 +378,7 @@ def test_fused_matches_dataset_path(ray_session, fixture_pages):
         extract_dataset,
         extract_files,
     )
-    from textextract_ray.sources import read_pages
+    import ray.data as rd
 
     drop = ["processing_time_ms"]
     a = (
@@ -405,7 +389,7 @@ def test_fused_matches_dataset_path(ray_session, fixture_pages):
         .reset_index(drop=True)
     )
     b = (
-        dedup_by_url(extract_dataset(read_pages(fixture_pages)))
+        dedup_by_url(extract_dataset(rd.read_parquet(fixture_pages)))
         .to_pandas()
         .drop(columns=drop)
         .sort_values("url")

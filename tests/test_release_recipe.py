@@ -18,6 +18,8 @@ import pyarrow.compute as pc
 
 
 def test_release_recipe_end_to_end(ray_session, fixture_pages, tmp_path):
+    import ray.data as rd
+
     from textextract_ray.functions.scalar import stable_hash64
     from textextract_ray.pipelines.attributes import (
         filter_by_attributes_ds,
@@ -33,9 +35,9 @@ def test_release_recipe_end_to_end(ray_session, fixture_pages, tmp_path):
         filter_noindex_ds,
         line_frequency_filter_ds,
     )
-    from textextract_ray.sources import read_jsonl, read_pages, write_jsonl
+    from textextract_ray.sources import read_jsonl, write_jsonl
 
-    pages = read_pages(list(fixture_pages))
+    pages = rd.read_parquet(list(fixture_pages))
     n_pages = pages.count()
 
     compliant = filter_noindex_ds(pages)

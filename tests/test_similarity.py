@@ -55,6 +55,17 @@ def test_ivf_recall_reasonable(vec_ds):
 
     queries = {"query_id": np.arange(3, dtype=np.int64), "mat": mat[:3]}
     out = ivf_topk(ds, queries, k=10, n_centroids=8, nprobe=4).to_pandas()
+    # the same vectors keyed by another id column give the same answer
+    # (the centroid sample hashes the id column it is given)
+    keyed = ds.rename_columns({"vec_id": "chunk_id"})
+    out2 = ivf_topk(
+        keyed, queries, id_col="chunk_id", k=10, n_centroids=8, nprobe=4
+    ).to_pandas()
+    key = ["query_id", "vec_id"]
+    assert (
+        out2[key].sort_values(key).values.tolist()
+        == out[key].sort_values(key).values.tolist()
+    )
     expected = _exact_topk(mat, mat[:3], 10)
     recalls = []
     for q in range(3):

@@ -829,10 +829,9 @@ def test_run_job_versioned_kill_resume_time_travel(ray_session, tmp_path):
 def test_run_job_versioned_extractor_upgrade_reextracts(
     ray_session, tmp_path, monkeypatch
 ):
-    """A parser upgrade must re-extract committed partitions on resume
-    (the versioned-path analogue of run_job's is_committed version
-    check): same shard hash + older version note -> re-extract + merge,
-    latest rows win, pre-upgrade snapshot stays time-travelable."""
+    """A parser upgrade must re-extract committed partitions on resume:
+    same shard hash + older version note -> re-extract + merge, latest
+    rows win, pre-upgrade snapshot stays time-travelable."""
     from textextract_ray.datagen import generate_pages
     from textextract_ray.pipelines.extract_pipeline import run_job_versioned
     from textextract_ray.pipelines.tablelog import read_table_at, table_history
@@ -848,9 +847,9 @@ def test_run_job_versioned_extractor_upgrade_reextracts(
     assert int(table_history(t)["version"].max()) == head1
 
     # simulate a parser upgrade
-    from textextract_ray.state import checkpoint as ckpt
+    import textextract_ray
 
-    monkeypatch.setattr(ckpt, "EXTRACTOR_VERSION", "1.0.1")
+    monkeypatch.setattr(textextract_ray, "EXTRACTOR_VERSION", "1.0.1")
     report = run_job_versioned(files, t, shards_per_partition=1)
     hist = table_history(t)
     assert int(hist["version"].max()) == head1 + 2  # both partitions re-ran

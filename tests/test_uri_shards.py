@@ -51,7 +51,7 @@ def test_fused_matches_dataset_path_uri(ray_session, small_pages):
         extract_dataset,
         extract_files,
     )
-    from textextract_ray.sources import read_pages
+    import ray.data as rd
 
     local = _norm(extract_files(small_pages, batch_size=32))
     via_file = _norm(
@@ -61,7 +61,7 @@ def test_fused_matches_dataset_path_uri(ray_session, small_pages):
         extract_files(["local://" + p for p in small_pages], batch_size=32)
     )
     unfused = _norm(
-        dedup_by_url(extract_dataset(read_pages(small_pages)))
+        dedup_by_url(extract_dataset(rd.read_parquet(small_pages)))
     )
     pd.testing.assert_frame_equal(local, via_file)
     pd.testing.assert_frame_equal(local, via_fsspec)
@@ -109,37 +109,36 @@ def test_fused_warc_uri(ray_session, tmp_path):
 
 def test_run_job_uri_shards_e2e(ray_session, small_pages, tmp_path):
     """The resumable job over object-store-shaped (local://) input:
-    read → fused extract → partitioned write → manifest commit, then a
-    re-run skips every committed partition. This is the non-local
-    branch of the shard path end-to-end (VERDICT item 5)."""
-    from textextract_ray.pipelines.extract_pipeline import run_job
-    from textextract_ray.state import checkpoint
+    read → fused extract → table commit, then a re-run skips every
+    committed partition. This is the non-local branch of the shard path
+    end-to-end (VERDICT item 5)."""
+    from textextract_ray.pipelines.extract_pipeline import (
+        job_part_meta,
+        run_job_versioned,
+    )
+    from textextract_ray.pipelines.tablelog import table_history
 
     uris = ["local://" + p for p in small_pages]
-    out = str(tmp_path / "job_uri")
-    report = run_job(uris, out, shards_per_partition=2)
+    t = str(tmp_path / "job_uri")
+    report = run_job_versioned(uris, t, shards_per_partition=2)
     assert int(report["docs"].sum()) > 0
     n_parts = (len(uris) + 1) // 2
-    assert all(checkpoint.is_committed(out, pid) for pid in range(n_parts))
-    # manifests record the URI lineage verbatim
-    manifests = {m["partition_id"]: m for m in checkpoint.load_manifests(out)}
-    assert manifests[0]["input_shards"] == uris[:2]
-    # resume: identical stable counters, nothing re-extracted (manifest
-    # mtimes fixed; column order/timing cols legitimately vary between a
-    # fresh aggregate and a JSON-loaded one)
-    mtimes = {
-        pid: os.path.getmtime(checkpoint.manifest_path(out, pid))
-        for pid in range(n_parts)
-    }
-    report2 = run_job(uris, out, shards_per_partition=2)
+    metas = list(job_part_meta(t).values())
+    assert len(metas) == n_parts
+    # each partition's meta records the URI lineage verbatim
+    assert metas[0]["input_shards"] == uris[:2]
+    # resume: identical stable counters, nothing re-extracted (no new
+    # version; column order/timing cols legitimately vary between a
+    # fresh count and a JSON-loaded one)
+    head = int(table_history(t)["version"].max())
+    report2 = run_job_versioned(uris, t, shards_per_partition=2)
     stable = ["partition_id", "docs", "bytes_in", "bytes_out", "ok_count"]
     pd.testing.assert_frame_equal(
         report[stable].reset_index(drop=True),
         report2[stable].reset_index(drop=True),
         check_dtype=False,
     )
-    for pid in range(n_parts):
-        assert os.path.getmtime(checkpoint.manifest_path(out, pid)) == mtimes[pid]
+    assert int(table_history(t)["version"].max()) == head
 
 
 def test_run_job_auto_sizing_uri(ray_session, small_pages, tmp_path):

@@ -12,7 +12,7 @@ aggregation, versioned top-1 selection, dedup, retries/provenance), each
 re-expressed as idiomatic Ray Data stages.
 
 Layout:
-  schemas        pinned pyarrow schemas (pages / extracted / counters / manifest)
+  schemas        pinned pyarrow schemas (pages / extracted / counters)
   datagen        deterministic fixture-page generator (FIXTURES.md classes F0–F11)
   oracle         pure-Python single-doc extractor (the byte-identity reference)
   warc, pdf      stdlib WARC reader/writer and PDF text extraction
@@ -23,8 +23,8 @@ Layout:
   sources/       pruned parquet readers for the test tables + pages shards
   functions/     vectorized scalar kernels (text stats, hashing, versions, windows)
   pipelines/     end-to-end pipelines, the relational and text query
-                 libraries, and the versioned table log
-  state/         checkpoint manifests / resumable partition commit
+                 libraries, the versioned table log and the resumable job
+                 that commits into it (run_job_versioned)
 """
 
 __version__ = "0.1.0"

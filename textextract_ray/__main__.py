@@ -1,10 +1,8 @@
 """CLI entry point — the ``ray job submit`` surface.
 
-    python -m textextract_ray extract --input '/data/pages' --out /tmp/out \
-        [--shards-per-partition 4|0=auto] [--resume]
     python -m textextract_ray extract --input '/data/pages' --table /tmp/tbl \
         [--shards-per-partition 4|0=auto] [--release-tag NAME]
-    python -m textextract_ray report --out /tmp/out
+    python -m textextract_ray report --table /tmp/tbl
     python -m textextract_ray query --name q1_pricing_summary --sf-dir /root/testdata/sf0.01
 
 Owns the Ray session (init guarded, shutdown at exit) — library code
@@ -37,7 +35,7 @@ def _init_ray():
 
 
 def cmd_extract(args) -> int:
-    from .pipelines.extract_pipeline import run_job, run_job_versioned
+    from .pipelines.extract_pipeline import run_job_versioned
     from .sources import expand_shards
 
     if any(c in args.input for c in "*?["):
@@ -47,55 +45,27 @@ def cmd_extract(args) -> int:
     if not files:
         print(f"error: no parquet/warc shards under {args.input!r}", file=sys.stderr)
         return 2
-    if not args.table and not args.out:
-        print("error: pass --out (manifest mode) or --table (versioned mode)", file=sys.stderr)
-        return 2
-    if args.release_tag and not args.table:
-        # silently dropping a release pin is a misconfiguration the
-        # user would only notice when the tag is missing in production
-        print(
-            "error: --release-tag requires --table (release tags pin a "
-            "versioned-table snapshot; manifest mode has no versions)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.table:
-        # versioned mode: commits go to the table log (time travel /
-        # CDC / compaction); resume is note-based and always safe, so
-        # no --resume gate is needed
-        _init_ray()
-        report = run_job_versioned(
-            files,
-            args.table,
-            shards_per_partition=args.shards_per_partition or None,
-            tag=args.release_tag or None,
-        )
-        print(report.to_string(index=False))
-        return 0
-    if not args.resume and os.path.exists(os.path.join(args.out, "_manifests")):
-        print(
-            f"error: {args.out} already has manifests; pass --resume to continue it",
-            file=sys.stderr,
-        )
-        return 2
     _init_ray()
-    report = run_job(
+    report = run_job_versioned(
         files,
-        args.out,
+        args.table,
         shards_per_partition=args.shards_per_partition or None,
+        tag=args.release_tag or None,
     )
     print(report.to_string(index=False))
     return 0
 
 
 def cmd_report(args) -> int:
-    from .state.checkpoint import load_manifests
+    """The ``meta`` of each committed job partition, as JSON."""
+    from .pipelines.extract_pipeline import job_part_meta
+    from .pipelines.tablelog import _head_version
 
-    manifests = load_manifests(args.out)
-    if not manifests:
-        print(f"error: no manifests under {args.out}", file=sys.stderr)
+    parts = job_part_meta(args.table) if _head_version(args.table) >= 0 else {}
+    if not parts:
+        print(f"error: no job partitions committed to {args.table}", file=sys.stderr)
         return 2
-    print(json.dumps(manifests, indent=2))
+    print(json.dumps([{"note": n, **m} for n, m in parts.items()], indent=2))
     return 0
 
 
@@ -190,34 +160,32 @@ def main(argv=None) -> int:
 
     pe = sub.add_parser("extract", help="resumable extraction job over parquet shards")
     pe.add_argument("--input", required=True, help="shard glob, directory, or file")
-    pe.add_argument("--out", default="", help="manifest-mode output dir (unused with --table)")
     pe.add_argument(
         "--shards-per-partition",
         type=int,
         default=4,
         help="shards per committed partition; 0 = auto-size from "
         "parquet footers + cluster CPUs (resume keeps the original "
-        "sizing recorded in the manifests)",
+        "sizing recorded in the table)",
     )
     pe.add_argument(
         "--table",
-        default="",
-        help="commit partitions into this versioned table log instead "
-        "of manifest directories (time travel / change feeds / "
-        "compaction; resume is note-based and automatic)",
+        required=True,
+        help="commit partitions into this versioned table log (time "
+        "travel / change feeds / compaction; resume is note-based and "
+        "automatic)",
     )
     pe.add_argument(
         "--release-tag",
         default="",
-        help="with --table: pin the completed run's table version as "
+        help="pin the completed run's table version as "
         "this named snapshot (survives retention GC; re-running under "
         "the same name re-points it)",
     )
-    pe.add_argument("--resume", action="store_true")
     pe.set_defaults(fn=cmd_extract)
 
-    pr = sub.add_parser("report", help="print committed partition manifests")
-    pr.add_argument("--out", required=True)
+    pr = sub.add_parser("report", help="print the committed job partitions' meta")
+    pr.add_argument("--table", required=True)
     pr.set_defaults(fn=cmd_report)
 
     pq = sub.add_parser("query", help="run a named query from __ray_entry__")

@@ -16,14 +16,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ..sources import read_pages
 from ..stages.metrics import (
     COUNTER_FIELDS,
     aggregate_counters,
     counter_totals,
     counters_report,
 )
-from ..state import checkpoint
 
 
 def extract_dataset(pages_ds, *, batch_size: int = 256):
@@ -53,24 +51,20 @@ def extract_dataset(pages_ds, *, batch_size: int = 256):
 
 
 class _CommitOverlap:
-    """Background-commit machinery shared by ``run_job`` (manifest
-    verify+commit; ``drain(2)`` after each submit, so at most two
-    commits overlap the next partition's extraction) and
-    ``run_job_versioned`` (table commit; ``drain(0)`` before each
-    submit, one committer at a time): ``submit(pid, fn)`` runs ``fn`` on a
-    daemon thread catching its failure; ``drain(n)`` joins until at
-    most ``n`` are in flight; ``join_all()`` joins everything and
-    re-raises the FIRST failure as ``RuntimeError("partition <pid>
-    <what> failed")``. One copy so the error-surfacing / backlog
-    semantics cannot drift between the two resume protocols."""
+    """``run_job_versioned``'s background committer:
+    ``submit(pid, fn)`` runs ``fn`` on a daemon thread and keeps its
+    failure; ``drain()`` joins the thread in flight; ``join_all()``
+    drains and re-raises the FIRST failure as
+    ``RuntimeError("partition <pid> table commit failed")``. The job
+    drains before each submit, so at most one commit overlaps the next
+    partition's extraction."""
 
-    def __init__(self, what: str):
+    def __init__(self):
         import threading
 
         self._threading = threading
         self.pending: list = []
         self.errors: dict = {}
-        self.what = what
 
     def submit(self, pid: int, fn) -> None:
         def run():
@@ -83,17 +77,15 @@ class _CommitOverlap:
         t.start()
         self.pending.append(t)
 
-    def drain(self, n: int) -> None:
-        while len(self.pending) > n:
+    def drain(self) -> None:
+        while self.pending:
             self.pending.pop(0).join()
 
     def join_all(self) -> None:
-        self.drain(0)
+        self.drain()
         if self.errors:
             pid, exc = sorted(self.errors.items())[0]
-            raise RuntimeError(
-                f"partition {pid} {self.what} failed"
-            ) from exc
+            raise RuntimeError(f"partition {pid} table commit failed") from exc
 
 
 # prefetch doubles per-task heap to 2× one shard buffer — cap the shard
@@ -136,7 +128,7 @@ def extract_files(paths, *, batch_size: int = 64, dedup: bool = True):
 
     ``extract_dataset`` is the same extraction over a Dataset someone
     else already read (a filtered, deduped or synthesized page stream);
-    this is the shape for shard files. Reading them with ``read_pages``
+    this is the shape for shard files. Reading them with ``read_parquet``
     first would materialize every page block (url + html + metadata —
     the corpus' dominant bytes) into the object store between the read
     operator and the extract operator, because Ray 2.49's planner does
@@ -147,13 +139,13 @@ def extract_files(paths, *, batch_size: int = 64, dedup: bool = True):
     extract wall at 16 CPUs, and the first thing a 100 TB run would pay
     per node. Here the decode happens inside the extract task (exactly
     one shard per task, the same one-task-per-shard contract as
-    ``read_arrow_shards`` / ``read_pages_http``), so only the
+    ``read_arrow_shards``), so only the
     ~10×-smaller extracted rows are ever stored. Both entry
     points run one per-chunk kernel (``stages.extract.extract_chunk``:
     validate → annotate → ``ExtractBatch`` per ``batch_size`` slice), so
     with ``dedup=False`` output is byte-identical to
-    ``extract_dataset(read_pages(paths))``, and with the default to
-    ``dedup_by_url`` of it (pinned by
+    ``extract_dataset(ray.data.read_parquet(paths))``, and with the
+    default to ``dedup_by_url`` of it (pinned by
     ``test_pipeline_e2e.test_fused_matches_dataset_path``).
 
     Giant documents need no pool of their own: they run inside their
@@ -186,9 +178,10 @@ def extract_files(paths, *, batch_size: int = 64, dedup: bool = True):
     Dataset path on an adversarial same-box localhost server;
     BASELINE.md round 5 has the full trade, including why fused stays
     the default — plasma holds ~10× fewer bytes at scale). Parity with
-    the Dataset path over both ``file://`` and ``http://`` shard lists
-    is pinned in ``test_uri_shards.test_fused_matches_dataset_path_uri``
-    and ``test_http_source.test_fused_http_matches_local``.
+    the local-path run over ``file://``, ``local://`` and ``http://``
+    shard lists is pinned in
+    ``test_uri_shards.test_fused_matches_dataset_path_uri`` and
+    ``test_http_source.test_fused_http_matches_local``.
     """
     import ray.data as rd
 
@@ -570,28 +563,6 @@ def _drop_rows(block: pa.Table, rows: np.ndarray) -> pa.Table:
     return block.filter(pa.array(keep))
 
 
-def _ensure_partition_dir(pdir: str) -> None:
-    """write_parquet of an EMPTY dataset creates no directory at all
-    (verified on this Ray version) — an all-duplicate or all-filtered
-    partition would then crash the read-back verify. Materialize the
-    empty partition as one zero-row parquet file with the output
-    schema so downstream reads and counters see a real (empty) table."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    from ..schemas import EXTRACTED_SCHEMA
-    from ..state.checkpoint import fs_isdir, fs_listdir, fs_makedirs
-
-    if not fs_isdir(pdir) or not any(
-        f.endswith(".parquet") for f in fs_listdir(pdir)
-    ):
-        fs_makedirs(pdir)
-        pq.write_table(
-            EXTRACTED_SCHEMA.empty_table(), os.path.join(pdir, "empty-0.parquet")
-        )
-
-
 # Partition-sizing target for shards_per_partition=None: docs per
 # partition per cluster CPU. Measured on the 96k-doc soak (BASELINE.md
 # round-2): 12k docs/partition on 32 CPUs under-saturates the cluster
@@ -659,31 +630,35 @@ def run_job_versioned(
     fail_at_partition: int | None = None,
     tag: str | None = None,
 ) -> pd.DataFrame:
-    """The resumable extraction job committing INTO the versioned table
-    log: each partition publishes as one atomic table version (first as
-    an append, later ones as copy-on-write MERGE by url), so
-    extraction output gets time travel, change feeds, compaction and
-    retention GC for free — ``ingest_dumps_versioned`` proved the
-    composition per dump; this is the same contract at the primary
-    entry point's partition granularity (VERDICT r4 item 6).
+    """The resumable extraction job. A partition is a contiguous group
+    of input shards; each is extracted (``extract_files``), deduped by
+    url and published as one atomic version of the table log at
+    ``table_dir`` (first as an append, later ones as copy-on-write
+    MERGE by url), so extraction output gets time travel, change feeds,
+    compaction and retention GC for free — the same contract
+    ``ingest_dumps_versioned`` keeps per dump.
 
     Resume protocol: each committing manifest is stamped
-    ``note="job-part:<pid>:<sha1(shards)[:12]>:v<extractor_version>"``
+    ``note="job-part:<pid>:<sha1(shards)[:12]>:v<extractor_version>:s<spp>"``
     and carries the partition counters + lineage in the manifest
-    ``meta``; a rerun skips any partition whose (hash, version) note is
-    already in ``table_notes`` (notes survive retention GC). A same-pid
-    note with a DIFFERENT shard hash means the caller re-partitioned
-    the input — fail loudly, exactly like the manifest lineage guard in
-    ``run_job``. A same-hash note from an OLDER extractor version means
-    the parser was upgraded: the partition RE-extracts and merges
-    (latest capture of each url supersedes the stale-version rows; the
-    pre-upgrade snapshot stays time-travelable) — the versioned-path
-    analogue of ``run_job``'s is_committed extractor-version check.
+    ``meta`` (``job_part_meta`` reads them back); a rerun skips any
+    partition whose (hash, version) note is already in ``table_notes``
+    (notes survive retention GC). A same-pid note with a DIFFERENT
+    shard hash means the caller re-partitioned the input — fail
+    loudly. A same-hash note from an OLDER extractor version means the
+    parser was upgraded: the partition RE-extracts and merges (latest
+    capture of each url supersedes the stale-version rows; the
+    pre-upgrade snapshot stays time-travelable).
+
+    ``shards_per_partition=None`` auto-sizes partitions from parquet
+    footers + cluster CPUs (``_auto_shards_per_partition``); a resume
+    keeps the sizing the committed partitions recorded.
+    ``fail_at_partition`` is the fault-injection hook for the
+    kill-and-resume tests (FIXTURES.md §5).
 
     Cross-partition semantics: merge-by-url makes the table
-    exactly-once per url GLOBALLY (latest partition wins), not just per
-    partition — stronger than ``run_job``'s per-partition dedup, and
-    each pre-merge snapshot stays time-travelable. Bloom sidecars ride
+    exactly-once per url GLOBALLY (latest partition wins), and each
+    pre-merge snapshot stays time-travelable. Bloom sidecars ride
     every commit because url keys are hash-distributed (range stats
     alone would rewrite the whole table every partition).
 
@@ -695,14 +670,13 @@ def run_job_versioned(
 
         _tag_path(table_dir, tag)
     import hashlib
+    import time
 
-    from ..state.checkpoint import EXTRACTOR_VERSION
+    from .. import EXTRACTOR_VERSION
     from .tablelog import (
         _head_version,
-        _read_manifest,
         table_append,
         table_create,
-        table_history,
         table_merge,
         table_notes,
     )
@@ -714,18 +688,11 @@ def run_job_versioned(
     # notes survive table_expire; manifests may not — counters for
     # expired-but-noted partitions degrade to a bare row, never a rerun
     done = table_notes(table_dir)
-    committed_meta: dict = {}
-    hist = table_history(table_dir)
-    for _, h_row in hist.iterrows():
-        n = h_row.get("note")
-        if isinstance(n, str) and n.startswith("job-part:"):
-            m = _read_manifest(table_dir, int(h_row["version"]))
-            committed_meta[n] = m.get("meta") or {}
+    committed_meta = job_part_meta(table_dir)
     if shards_per_partition is None:
-        # resume rule identical to run_job's manifest mode: the sizing
-        # recorded by the committed job WINS over auto — partition
-        # boundaries must be identical across runs or pids would not
-        # line up with committed lineage (an auto recompute on a
+        # the sizing recorded by the committed job WINS over auto —
+        # partition boundaries must be identical across runs or pids
+        # would not line up with committed lineage (an auto recompute on a
         # different-sized cluster would shift every shard hash and make
         # the job permanently unresumable). Read it from the NOTE
         # stamps first (they survive retention GC via _notes_expired —
@@ -758,7 +725,7 @@ def run_job_versioned(
             ver = parts[3][1:] if len(parts) > 3 else ""  # pre-version notes
             seen_pids.setdefault(pid_i, {}).setdefault(hh_s, set()).add(ver)
     results: dict = {}
-    commits = _CommitOverlap("table commit")
+    commits = _CommitOverlap()
 
     for pid, shards in enumerate(partitions):
         hh = hashlib.sha1("\x00".join(map(str, shards)).encode()).hexdigest()[:12]
@@ -809,28 +776,42 @@ def run_job_versioned(
                 "shards_per_partition": shards_per_partition,
                 "extractor_version": EXTRACTOR_VERSION,
             }
-            if _head_version(table_dir) == 0:
-                table_append(
-                    table_dir, extracted, stats_cols=["url"], note=note,
-                    bloom_key="url", meta=meta,
-                )
-            else:
-                table_merge(
-                    table_dir, extracted, "url", stats_cols=["url"],
-                    note=note, bloom_key="url", meta=meta,
-                )
+            # transient fs errors (OSError) retry, 3 attempts with
+            # backoff; anything else fails fast through _CommitOverlap.
+            # An error raised after the manifest was published must not
+            # publish the partition twice, so a retry first looks for
+            # the partition's note.
+            for attempt in range(3):
+                if attempt and note in table_notes(table_dir):
+                    break
+                meta["commit_retries"] = attempt
+                try:
+                    if _head_version(table_dir) == 0:
+                        table_append(
+                            table_dir, extracted, stats_cols=["url"],
+                            note=note, bloom_key="url", meta=meta,
+                        )
+                    else:
+                        table_merge(
+                            table_dir, extracted, "url", stats_cols=["url"],
+                            note=note, bloom_key="url", meta=meta,
+                        )
+                    break
+                except OSError:
+                    if attempt == 2:
+                        raise
+                    time.sleep(0.3 * (attempt + 1))
             results[pid] = counters
 
         # bloom build + stage + commit run OVERLAPPED with the
-        # next partition's extraction (one deep — the same shape as
-        # run_job's verify_and_commit thread; measured ~10% of soak wall
-        # serialized otherwise, BASELINE.md round 5). The PREVIOUS
+        # next partition's extraction (one deep; measured ~10% of soak
+        # wall serialized otherwise, BASELINE.md round 5). The PREVIOUS
         # committer is drained BEFORE this one starts — the overlap is
         # commit N under extraction N+1, never two committers at once,
         # so the head==0 append-vs-merge decision inside the thread is
         # race-free (two live committers could both see head 0 and both
         # APPEND, silently dropping the cross-partition url merge).
-        commits.drain(0)
+        commits.drain()
         if commits.errors:
             commits.join_all()
         commits.submit(pid, commit_one)
@@ -848,171 +829,19 @@ def run_job_versioned(
     return counters_report([results[pid] for pid in sorted(results)])
 
 
-def run_job(
-    shard_files: list,
-    out_dir: str,
-    *,
-    shards_per_partition: int | None = 4,
-    fail_at_partition: int | None = None,
-) -> pd.DataFrame:
-    """Resumable extraction job over Parquet shards.
+def job_part_meta(table_dir: str) -> dict:
+    """``{note: meta}`` of every retained ``job-part:`` manifest of a
+    ``run_job_versioned`` table, in version order: each partition's
+    counters, input shards, sizing, extractor version and commit
+    retries. The job's resume and the CLI ``report`` read it."""
+    from .tablelog import _read_manifest, table_history
 
-    Extraction is the FUSED path (``extract_files`` — shard decode
-    inside the extract task, html never enters the object store;
-    measured 3.4× the former dual-pool giant/small shape at the
-    96k/32-shard config, 4474 vs 1309 docs/s). Giant documents run
-    inside their shard's task, which the scheduler interleaves with the
-    others — no pool-level head-of-line blocking.
-
-    Partition = a contiguous group of input shards; each partition is
-    extracted, written under ``out_dir/part-{pid:05d}/``, then committed
-    via an atomic manifest (lineage: shard list + counters). On re-run,
-    committed partitions (same extractor version) are SKIPPED and
-    partial uncommitted output is deleted first — exactly-once output.
-
-    ``fail_at_partition`` is the fault-injection hook for the
-    kill-and-resume test (FIXTURES.md §5).
-
-    Scale note: partitions are sized (shards_per_partition) so one
-    partition saturates the cluster under streaming execution; the
-    driver loop adds one manifest fsync per partition, not per row.
-    The write-verify + counters + manifest commit of partition N runs
-    in a background thread OVERLAPPED with partition N+1's extraction
-    (the commit barrier serialized the whole job otherwise — measured
-    ~40% of soak wall time in round 1). Commits are per-partition
-    manifests, so out-of-order completion is resume-safe: a crash
-    re-runs exactly the uncommitted partitions. At most two commits are
-    in flight, so a slow verify applies backpressure.
-
-    ``shards_per_partition=None`` auto-sizes partitions from parquet
-    footers + cluster CPUs (``_auto_shards_per_partition``). On a
-    resume, the sizing recorded in the existing manifests WINS over
-    auto — partition boundaries must be identical across runs or
-    partition ids would not line up with the committed lineage.
-    ``run_job_versioned`` is the same job committing to the versioned
-    table log instead. Returns the per-partition counters report.
-    """
-    committed = {m["partition_id"]: m for m in checkpoint.load_manifests(out_dir)}
-    if shards_per_partition is None:
-        if committed:
-            # every manifest records the JOB's sizing explicitly (any
-            # one suffices — including a short tail partition that
-            # happened to commit first under out-of-order overlap);
-            # pre-round-2 manifests lack the field, where max over
-            # shard-list lengths recovers it unless only the tail
-            # committed (then the lineage guard below fails loudly)
-            sizes = {
-                m["shards_per_partition"]
-                for m in committed.values()
-                if "shards_per_partition" in m
-            }
-            if sizes:
-                shards_per_partition = sizes.pop()
-            else:
-                shards_per_partition = max(
-                    len(m.get("input_shards") or []) for m in committed.values()
-                ) or 4
-        else:
-            shards_per_partition = _auto_shards_per_partition(shard_files)
-    partitions = [
-        shard_files[i : i + shards_per_partition]
-        for i in range(0, len(shard_files), shards_per_partition)
-    ]
-    # lineage guard: a committed manifest whose shard list does not
-    # match this run's partitioning means the caller re-sized or
-    # re-ordered the input — skipping by pid would silently mis-attach
-    # output to the wrong shards. Fail loudly instead.
-    for pid, m in committed.items():
-        want = m.get("input_shards")
-        if want and pid < len(partitions) and list(want) != list(partitions[pid]):
-            raise ValueError(
-                f"partition {pid} manifest lineage does not match this "
-                f"run's partitioning (shards_per_partition changed?); "
-                f"use the original sizing or a fresh out_dir"
-            )
-    results: dict = {}
-    commits = _CommitOverlap("verify/commit")
-
-    def verify_and_commit(pid: int, shards: list, pdir: str) -> None:
-        # retry ladder (mirrors the reference's write-verify sink,
-        # src/clipboard.py:20-44): TRANSIENT failures — fs hiccups
-        # surfacing as OSError/IOError anywhere in read-back, counter
-        # aggregation, or manifest write — retry 3× with increasing
-        # backoff; anything else (bad data, schema drift, logic errors)
-        # fails fast (raises to the _CommitOverlap wrapper). The whole
-        # attempt is idempotent: read-back is pure, and
-        # commit_partition writes the manifest atomically
-        # (tmp+fsync+rename), so a retry after a partially-failed
-        # attempt cannot double-commit or corrupt lineage — exactly-once
-        # is preserved because the manifest either exists (done) or not.
-        import time as _time
-
-        last_exc: BaseException | None = None
-        for attempt in range(3):
-            try:
-                _ensure_partition_dir(pdir)
-                written = read_pages(pdir)  # write-verify (read-back idiom S3)
-                counters = aggregate_counters(written, pid)
-                checkpoint.commit_partition(
-                    out_dir, pid, input_shards=shards, row_range=None,
-                    counters=counters, job_sizing=shards_per_partition,
-                )
-                results[pid] = counters
-                return
-            except (OSError, IOError) as exc:  # transient: retry w/ backoff
-                last_exc = exc
-                print(
-                    f"partition {pid} verify/commit attempt {attempt + 1} "
-                    f"failed ({type(exc).__name__}: {exc}); retrying"
-                )
-                _time.sleep(0.3 * (attempt + 1))
-        raise last_exc  # type: ignore[misc]
-
-    for pid, shards in enumerate(partitions):
-        if checkpoint.is_committed(out_dir, pid):
-            results[pid] = {"partition_id": pid, **committed[pid]["counters"]}
-            continue
-        if fail_at_partition is not None and pid >= fail_at_partition:
-            commits.join_all()  # earlier commits land; THIS one does not
-            raise RuntimeError(f"fault injection: killed before partition {pid}")
-        checkpoint.clean_uncommitted(out_dir, pid)
-        extracted = extract_files(shards, batch_size=256, dedup=True)
-        pdir = checkpoint.partition_dir(out_dir, pid)
-        extracted.write_parquet(pdir)
-        # commit barrier off the critical path: next partition's read +
-        # extract starts while this one verifies and commits
-        commits.submit(
-            pid, lambda pid=pid, shards=shards, pdir=pdir: verify_and_commit(
-                pid, shards, pdir
-            )
-        )
-        # bound the verify backlog: at most 2 in flight, so a slow
-        # verify applies backpressure instead of piling up read jobs
-        commits.drain(2)
-        if commits.errors:
-            commits.join_all()
-    commits.join_all()
-    report = counters_report([results[pid] for pid in sorted(results)])
-    # S6 metrics sink: the counters table rides next to the manifests
-    # (reference update-track event sink, update_routes.py:287-313)
-    if len(report):
-        import os
-
-        import pyarrow.parquet as pq
-
-        from ..schemas import COUNTERS_SCHEMA
-
-        from ..state.checkpoint import fs_makedirs
-
-        metrics_dir = os.path.join(out_dir, "_metrics")
-        fs_makedirs(metrics_dir)
-        pq.write_table(
-            pa.Table.from_pandas(
-                report[[f.name for f in COUNTERS_SCHEMA]], preserve_index=False
-            ).cast(COUNTERS_SCHEMA),
-            os.path.join(metrics_dir, "counters.parquet"),
-        )
-    return report
+    hist = table_history(table_dir)
+    return {
+        n: _read_manifest(table_dir, int(v)).get("meta") or {}
+        for v, n in zip(hist["version"], hist["note"])
+        if isinstance(n, str) and n.startswith("job-part:")
+    }
 
 
 # --- SQL-checkable extraction queries over the documents table ---------------
@@ -1123,9 +952,9 @@ def partition_pages_by_url(shard_files: list, out_dir: str, *, num_buckets: int 
     assumes ("repartition by url-hash").
 
     After this pass every occurrence of a url lives in exactly one
-    bucket, so ``run_job(..., shards_per_partition=1)`` can dedup
-    LOCALLY per partition and still be globally exact — extraction
-    output never needs a corpus-wide shuffle. The layout shuffle itself moves raw pages
+    bucket, so each ``run_job_versioned(..., shards_per_partition=1)``
+    partition's local dedup is globally exact and its merge replaces
+    no earlier row — no corpus-wide shuffle. The layout shuffle moves raw pages
     once; at 100 TB it is amortized across every downstream run (and
     is exactly the shuffle a crawl ingest already performs).
     """
@@ -1134,7 +963,7 @@ def partition_pages_by_url(shard_files: list, out_dir: str, *, num_buckets: int 
     from ..functions.scalar import stable_bucket
 
     os.makedirs(out_dir, exist_ok=True)
-    ds = read_pages(shard_files)
+    ds = ray.data.read_parquet(shard_files)
 
     def bucketize(batch: pa.Table) -> pa.Table:
         b = stable_bucket(batch["url"], num_buckets)

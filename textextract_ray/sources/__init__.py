@@ -20,9 +20,9 @@ def _pin_fsspec_http_import() -> None:
     read and catches only ModuleNotFoundError. In this container the
     import fails (no aiohttp), and Python removes the failed module
     from sys.modules — so two driver threads resolving paths
-    concurrently (e.g. the overlapped verify-commit thread plus the
-    next partition's read) can race the partial import and surface a
-    plain ImportError that Ray does not catch. Pin a stub module once:
+    concurrently (e.g. a background commit thread and a foreground
+    read) can race the partial import and surface a plain ImportError
+    that Ray does not catch. Pin a stub module once:
     the sentinel class can never match a real filesystem instance, so
     ``_is_http_filesystem`` correctly returns False ever after."""
     try:
@@ -77,37 +77,6 @@ def _http_get(url: str, *, retries: int = 3, backoff: float = 1.0,
             last = exc
             time.sleep(backoff * (attempt + 1))
     raise last  # type: ignore[misc]
-
-
-def read_pages_http(urls, columns=None) -> rd.Dataset:
-    """Distributed HTTP parquet source: one url per block, each read
-    TASK streams its own shard (stdlib urllib — no aiohttp/Range
-    support in this container or on bare crawl mirrors) and parses it
-    worker-side, so downloads scale with the cluster and bytes never
-    route through the driver. Column pruning happens at parse time
-    (``pq.read_table(columns=...)`` over the fetched buffer): without
-    server Range support whole-file transfer is the floor, which
-    matches the reference's full-file streamed download
-    (src/updater.py:545-715)."""
-    import io
-
-    import pyarrow as pa
-
-    url_list = [str(u) for u in urls]
-    if not url_list:
-        raise ValueError("read_pages_http: no urls")
-    cols = list(columns) if columns is not None else None
-
-    def fetch(batch: pa.Table):
-        import pyarrow.parquet as pq
-
-        for url in batch["url"].to_pylist():
-            data = _http_get(url)
-            yield pq.read_table(io.BytesIO(data), columns=cols)
-
-    return rd.from_items(
-        [{"url": u} for u in url_list], override_num_blocks=len(url_list)
-    ).map_batches(fetch, batch_format="pyarrow")
 
 
 def _fs_from_uri(uri: str):
@@ -171,75 +140,6 @@ def read_table(sf_dir: str, name: str, columns=None, filter=None) -> rd.Dataset:
     if filter is not None:
         kwargs["filter"] = filter
     return rd.read_parquet(path, override_num_blocks=1, **kwargs)
-
-
-def read_pages(paths, columns=None) -> rd.Dataset:
-    """Read pages shards (the input_hint table). ``paths`` may be a
-    directory, one file, or an explicit shard list (the resumable driver
-    passes per-partition shard lists). Entries may be plain local paths
-    or URIs (``file://...``, any pyarrow-resolvable scheme): Ray
-    resolves the filesystem only from the FIRST path of a list and
-    normalizes the rest as plain paths, so URI lists are resolved here
-    explicitly (scheme stripped, one shared filesystem passed down)."""
-    kwargs = {}
-    if columns is not None:
-        kwargs["columns"] = list(columns)
-    if isinstance(paths, str) and is_http(paths):
-        # a single http(s) shard url (directories can't be listed over
-        # bare HTTP — pass explicit shard lists)
-        return read_pages_http([paths], columns=columns)
-    if isinstance(paths, (list, tuple)):
-        # expand directories: read_parquet accepts one directory fine,
-        # but a LIST mixing directories and files does not
-        from pyarrow import fs as pafs
-
-        expanded = []
-        filesystem = None
-        uri_schemes = {str(p).split("://", 1)[0] for p in paths if "://" in str(p)}
-        if uri_schemes and uri_schemes <= {"http", "https"}:
-            # http(s) shards: worker-side streamed fetch (no pyarrow
-            # filesystem exists for bare HTTP in this container)
-            return read_pages_http(paths, columns=columns)
-        plain = [p for p in paths if "://" not in str(p)]
-        # one filesystem is passed to read_parquet for the WHOLE list —
-        # a mixed list would silently resolve the other entries against
-        # the first entry's filesystem (wrong data or FileNotFound)
-        if len(uri_schemes) > 1 or (uri_schemes and plain):
-            raise ValueError(
-                "read_pages: all shard paths must share one filesystem; got "
-                f"schemes {sorted(uri_schemes)}"
-                + (f" plus {len(plain)} plain local path(s)" if plain else "")
-            )
-        for p in paths:
-            if "://" in str(p):
-                f, sp = _fs_from_uri(str(p))
-                if filesystem is None:
-                    filesystem = f
-                info = f.get_file_info(sp)
-                if info.type == pafs.FileType.Directory:
-                    expanded.extend(
-                        sorted(
-                            e.path
-                            for e in f.get_file_info(pafs.FileSelector(sp))
-                            if e.path.endswith(".parquet")
-                        )
-                    )
-                else:
-                    expanded.append(sp)
-            elif os.path.isdir(p):
-                expanded.extend(
-                    sorted(
-                        os.path.join(p, f)
-                        for f in os.listdir(p)
-                        if f.endswith(".parquet")
-                    )
-                )
-            else:
-                expanded.append(p)
-        paths = expanded
-        if filesystem is not None:
-            kwargs["filesystem"] = filesystem
-    return rd.read_parquet(paths, **kwargs)
 
 
 def expand_shards(paths, suffixes: tuple) -> list:

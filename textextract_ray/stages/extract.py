@@ -50,7 +50,7 @@ TRANSIENT_EXCEPTIONS = (OSError, ConnectionError, TimeoutError)
 # pipeline on one input. 4 retries absorbs real transience (each http
 # attempt already runs a 3x backoff ladder internally = up to 15
 # connection attempts total); the 5th failure surfaces the error to
-# the driver, where run_job's partition granularity makes the retry
+# the driver, where run_job_versioned's partition granularity makes the retry
 # decision a human/scheduler one. Found the hard way: a round-5 test
 # against a dead localhost mirror retried one task 401 times before a
 # SIGINT ended the run.

@@ -225,7 +225,9 @@ def ivf_topk(ds, queries: dict, *, vec_col="embedding", id_col="vec_id", k=10,
     off by default so results stay bit-stable for existing callers."""
     import ray
 
-    cents = train_centroids(ds, vec_col=vec_col, n_centroids=n_centroids, seed=seed)
+    cents = train_centroids(
+        ds, vec_col=vec_col, id_col=id_col, n_centroids=n_centroids, seed=seed
+    )
     if refine_iters:
         from .kmeans import kmeans_refine
 
