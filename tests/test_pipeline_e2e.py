@@ -327,43 +327,202 @@ def test_job_partition_execution_ratchet(
     assert scans[0].count("MapBatches(_key_partials)") == 1, scans
 
 
-# Dataset executions per query_mix query, input-only ones included
-# (a driver-built ``rd.from_pandas`` result still starts one), as they
-# stood when every table scan became one fused read task
-QUERY_MIX_MAX_EXECUTIONS = {
-    "q1_pricing_summary": 1,
-    "q3_top_orders": 3,
-    "usage_rollup": 1,
-    "dedup_exact": 2,
-    "token_stats": 1,
-    "minhash_near_dups": 4,
-    "ann_topk": 3,
+class _Scans:
+    """Records the table of every table-file read that
+    ``sources.scan_table`` starts (block-input scan tasks are not
+    reads)."""
+
+    def __init__(self, monkeypatch):
+        import os
+
+        from textextract_ray import sources
+
+        self.tables: list = []
+        orig = sources._scan
+        tables = self.tables
+
+        class Counting:
+            def remote(self, src, *args):
+                if isinstance(src, str):
+                    tables.append(os.path.basename(src).removesuffix(".parquet"))
+                return orig.remote(src, *args)
+
+        monkeypatch.setattr(sources, "_scan", Counting())
+
+    def since(self, n: int) -> dict:
+        from collections import Counter
+
+        return dict(Counter(self.tables[n:]))
+
+
+# table-file reads per query_mix query: one per table the query reads
+# (ann_topk reads embeddings twice: the query nomination, then the
+# top-k scan)
+QUERY_MIX_SCANS = {
+    "q1_pricing_summary": {"lineitem": 1},
+    "q3_top_orders": {"customer": 1, "orders": 1, "lineitem": 1},
+    "usage_rollup": {"events": 1},
+    "dedup_exact": {"documents": 1},
+    "token_stats": {"documents": 1},
+    "minhash_near_dups": {"documents": 1},
+    "ann_topk": {"embeddings": 2},
 }
 
 
-def test_query_mix_scans_fuse_ratchet(ray_session, sf_dir, monkeypatch):
-    """Every table scan of the seven benchmark queries is one fused
-    ReadParquet->MapBatches task per file: no plan runs a standalone
-    MapBatches stage after its read (an output-split read never fuses),
-    and no query starts more executions than QUERY_MIX_MAX_EXECUTIONS."""
-    import re
-
+def test_query_mix_plain_task_ratchet(ray_session, sf_dir, monkeypatch):
+    """Under the default budgets none of the seven benchmark queries
+    starts a Dataset execution that runs an operator: every table scan
+    is one plain task per file (QUERY_MIX_SCANS), folded on the
+    driver. A query that returns a driver-built Dataset starts one
+    input-only execution when it is read back, and none starts more."""
     import __ray_entry__ as entry
 
     qs = entry.queries()
     runs = _Executions(monkeypatch)
-    for name, cap in QUERY_MIX_MAX_EXECUTIONS.items():
-        n = len(runs.every)
+    scans = _Scans(monkeypatch)
+    for name, tables in QUERY_MIX_SCANS.items():
+        n, m, r = len(runs.plans), len(runs.every), len(scans.tables)
         res = qs[name](sf_dir)
         if hasattr(res, "to_pandas"):
             res.to_pandas()
-        plans = runs.every[n:]
-        assert len(plans) <= cap, (name, plans)
-        assert any("[ReadParquet->MapBatches(" in p for p in plans), (name, plans)
-        assert not any(re.search(r"\[ReadParquet\] -> \w+\[MapBatches", p) for p in plans), (
-            name,
-            plans,
+        assert runs.since(n) == [], name
+        assert len(runs.every[m:]) <= 1, (name, runs.every[m:])
+        assert scans.since(r) == tables, name
+
+
+def _same_frame(got, want) -> None:
+    """The gate's comparison (``tools/check_queries.normalize``):
+    order-insensitive rows, floats to rtol 1e-9."""
+    import pandas as pd
+
+    from tools.check_queries import normalize
+
+    pd.testing.assert_frame_equal(
+        normalize(got), normalize(want), check_dtype=False, check_exact=False, rtol=1e-9
+    )
+
+
+def test_query_mix_forced_distributed_equals_driver_arms(ray_session, sf_dir, monkeypatch):
+    """With every budget a query_mix query checks at 0, the seven
+    queries run their distributed arms (each starts an execution that
+    runs an operator) over the refs their scans returned: the same
+    answer as the driver arms, and still one read per (query, table) —
+    no arm re-scans a table."""
+    import __ray_entry__ as entry
+    import textextract_ray.pipelines.relational as rel
+    import textextract_ray.stages.dedup as dd
+    import textextract_ray.stages.similarity as sim
+    from tools.check_queries import to_pandas
+
+    qs = entry.queries()
+    want = {name: to_pandas(qs[name](sf_dir)) for name in QUERY_MIX_SCANS}
+    for mod, budget in (
+        (rel, "AGG_FOLD_BUDGET_ROWS"),
+        (rel, "Q3_BROADCAST_BUDGET_KEYS"),
+        (dd, "GROUP_APPLY_FOLD_BUDGET_ROWS"),
+        (sim, "TOPK_MERGE_BUDGET_ROWS"),
+    ):
+        monkeypatch.setattr(mod, budget, 0)
+    runs = _Executions(monkeypatch)
+    scans = _Scans(monkeypatch)
+    for name, tables in QUERY_MIX_SCANS.items():
+        n, r = len(runs.plans), len(scans.tables)
+        got = to_pandas(qs[name](sf_dir))
+        assert runs.since(n), name
+        assert scans.since(r) == tables, name
+        assert len(got) > 0, name
+        _same_frame(got, want[name])
+
+
+def _duckdb_answer(tmp_path, tables: dict, query: str):
+    """DuckDB's answer to ``query``'s gate SQL over ``tables`` written
+    as parquet files under ``tmp_path``."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entry
+
+    con = duckdb.connect()
+    for name, t in tables.items():
+        pq.write_table(t, str(tmp_path / f"{name}.parquet"))
+        con.execute(
+            f"CREATE VIEW {name} AS SELECT * FROM read_parquet('{tmp_path}/{name}.parquet')"
         )
+    try:
+        return con.execute(entry.oracle_sql()[query]).fetchdf()
+    finally:
+        con.close()
+
+
+def test_usage_rollup_null_user_matches_duckdb_both_arms(ray_session, tmp_path, monkeypatch):
+    """NULL user_id events form their own day and month groups, as in
+    SQL GROUP BY, in the fold arm and in the distributed groupby arm;
+    so does a NULL ts (a NULL bucket)."""
+    import pyarrow as pa
+
+    import textextract_ray.pipelines.relational as rel
+
+    ts = pa.array(
+        ["2024-01-01 10:00", "2024-01-01 11:00", "2024-01-02 09:00",
+         "2024-02-03 08:00", "2024-01-01 12:00", None],
+        pa.string(),
+    ).cast(pa.timestamp("us"))
+    events = pa.table(
+        {
+            "user_id": pa.array([7, None, None, 7, 8, 8], pa.int64()),
+            "ts": ts,
+            "value": pa.array([1.5, 2.0, 4.0, None, 3.25, 1.0]),
+            "event_type": pa.array(["ok", "error", "ok", "error", "ok", "ok"]),
+        }
+    )
+    want = _duckdb_answer(tmp_path, {"events": events}, "usage_rollup")
+    assert want["user_id"].isna().sum() == 3  # two NULL-user days, one month
+    assert want["bucket"].isna().sum() == 2  # user 8's NULL-ts day and month
+    _same_frame(rel.usage_rollup(str(tmp_path)), want)
+    monkeypatch.setattr(rel, "AGG_FOLD_BUDGET_ROWS", 0)
+    _same_frame(rel.usage_rollup(str(tmp_path)), want)
+
+
+def test_q3_null_join_keys_match_duckdb_all_arms(ray_session, tmp_path, monkeypatch):
+    """q3 drops NULL o_custkey and NULL l_orderkey rows, as SQL's inner
+    join does, in the broadcast/fold arm, the distributed merge and
+    the bucketed hash join. A NULL o_orderkey joins nothing and
+    whitelists no customer, and a NULL revenue stays out of its
+    order's sum without letting its order into the join."""
+    import pyarrow as pa
+
+    import textextract_ray.pipelines.relational as rel
+
+    tables = {
+        "customer": pa.table(
+            {
+                "c_custkey": pa.array([1, 2, 3], pa.int64()),
+                "c_mktsegment": pa.array(["BUILDING", "BUILDING", "AUTOMOBILE"]),
+            }
+        ),
+        "orders": pa.table(
+            {
+                "o_orderkey": pa.array([10, 11, 12, 20, None, 30], pa.int64()),
+                "o_custkey": pa.array([1, 1, None, 2, 3, 3], pa.int64()),
+            }
+        ),
+        "lineitem": pa.table(
+            {
+                "l_orderkey": pa.array([10, 10, 11, 12, 20, None, 30, 30], pa.int64()),
+                "l_extendedprice": pa.array(
+                    [100.0, 50.0, 70.0, 900.0, None, 800.0, 40.0, None]
+                ),
+                "l_discount": pa.array([0.1, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]),
+            }
+        ),
+    }
+    want = _duckdb_answer(tmp_path, tables, "q3_top_orders")
+    assert sorted(want["o_orderkey"]) == [10, 11, 20]
+    _same_frame(rel.q3_top_orders(str(tmp_path)), want)
+    monkeypatch.setattr(rel, "AGG_FOLD_BUDGET_ROWS", 0)
+    _same_frame(rel.q3_top_orders(str(tmp_path)), want)
+    monkeypatch.setattr(rel, "Q3_BROADCAST_BUDGET_KEYS", 0)
+    _same_frame(rel.q3_top_orders(str(tmp_path)), want)
 
 
 def test_fused_matches_dataset_path(ray_session, fixture_pages):

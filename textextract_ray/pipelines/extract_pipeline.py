@@ -16,6 +16,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from ..sources import scan_blocks
 from ..stages.metrics import (
     COUNTER_FIELDS,
     aggregate_counters,
@@ -381,8 +382,10 @@ def dedup_by_url(extracted_ds, *, partition_id: int | None = None):
     if ds.count() <= SCAN_FOLD_BUDGET_ROWS:
         # one plain task per block, no Dataset execution: the fold is
         # a few ms of work against ~0.1 s of streaming-executor start
-        parts = ray.get([_scan_block.remote(r, with_counters) for r in refs])
-        folded = pa.concat_tables([_PARTIALS_SCHEMA.empty_table(), *parts]).to_pandas()
+        parts = ray.get(scan_blocks(refs, _key_partials, fn_args=(with_counters,)))
+        folded = pa.concat_tables(
+            [_PARTIALS_SCHEMA.empty_table(), *(p for p in parts if p.num_rows)]
+        ).to_pandas()
     else:
         # Second-level combine. The partials are pre-combined per
         # block, so their total is ~O(distinct keys) 17-byte rows — but
@@ -504,8 +507,6 @@ def _key_partials(batch: pa.Table, with_counters: bool) -> pa.Table:
     rows: (index into ``COUNTER_FIELDS``, the batch's total)."""
     from ..functions.scalar import stable_hash64
 
-    if batch.num_rows == 0:  # a zero-row block may have no columns
-        return _PARTIALS_SCHEMA.empty_table()
     uh, cnt = np.unique(stable_hash64(batch["url"]), return_counts=True)
     # int64 view of the uint64 hash (bijective; Ray's groupby/sort
     # handles int64 natively)
@@ -518,10 +519,6 @@ def _key_partials(batch: pa.Table, with_counters: bool) -> pa.Table:
     return pa.table(
         [kind, np.concatenate(keys), np.concatenate(ns)], schema=_PARTIALS_SCHEMA
     )
-
-
-# the key scan's driver arm: one plain task per whole block
-_scan_block = ray.remote(_key_partials)
 
 
 def _first_per_url(tbl: pa.Table) -> np.ndarray:

@@ -19,10 +19,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
+import ray.data as rd
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from ..functions.scalar import date_bucket
-from ..sources import read_table
+from ..sources import read_table, scan_table
 
 
 def _round_floats(df: pd.DataFrame, ndigits: int = 4) -> pd.DataFrame:
@@ -41,20 +42,8 @@ def _round_floats(df: pd.DataFrame, ndigits: int = 4) -> pd.DataFrame:
 
 def q1_pricing_summary(sf_dir: str):
     """Grouped sums/means over lineitem (the usage_stats daily-upsert
-    shape G1 at analytic scale). Partial per-batch combine → tiny final
-    groupby: the shuffle moves O(batches × groups) rows."""
-    ds = read_table(
-        sf_dir,
-        "lineitem",
-        columns=[
-            "l_returnflag",
-            "l_linestatus",
-            "l_quantity",
-            "l_extendedprice",
-            "l_discount",
-        ],
-    )
-
+    shape G1 at analytic scale). Partial per-block combine in the scan
+    task → tiny final merge: the fold moves O(blocks × groups) rows."""
     # one Arrow hash aggregate per block; the non-null counts n_* carry
     # SQL AVG's denominator (a NULL measure counts in count(*), not in
     # its avg) and let an all-NULL group's sum stay NULL
@@ -90,7 +79,10 @@ def q1_pricing_summary(sf_dir: str):
         cols += [g[f"{c}_{fn}"] for c, fn, _ in aggs] + [g["count_all"]]
         return pa.Table.from_arrays(cols, names=schema.names).cast(schema)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    partials = scan_table(
+        sf_dir, "lineitem", partial,
+        columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
+    )
     sums = schema.names[2:]
     folded = _fold_partials(partials)
     if folded is not None:
@@ -123,7 +115,8 @@ def q1_pricing_summary(sf_dir: str):
             )
 
         out = (
-            partials.map_batches(mask_null, batch_format="pyarrow")
+            rd.from_arrow_refs(partials)
+            .map_batches(mask_null, batch_format="pyarrow")
             .groupby(["rf", "rf_n", "ls", "ls_n"])
             .aggregate(*(Sum(c, alias_name=c) for c in sums))
             .to_pandas()
@@ -163,105 +156,98 @@ AGG_FOLD_BUDGET_ROWS = 5_000_000
 
 
 def _fold_partials(partials):
-    """Budgeted driver fold of partial-aggregate rows — the shared
-    engine idiom (`stages.fold.fold_partials`): pandas frame under the
-    budget, None past it (callers fall back to the distributed groupby
-    over the SAME partials lineage; sums of partial sums). The budget
-    is ``AGG_FOLD_BUDGET_ROWS`` as it reads at call time, so a test can
+    """Budgeted driver fold of partial-aggregate refs
+    (`stages.fold.fold_partials`): pandas frame under the budget, None
+    past it (callers fall back to the distributed groupby over the
+    SAME partials; sums of partial sums). The budget is
+    ``AGG_FOLD_BUDGET_ROWS`` as it reads at call time, so a test can
     set it to 0 to force every fold query onto its distributed arm.
 
-    Null group keys: the fold arms keep them (``dropna=False``, SQL
-    GROUP BY semantics). Ray's sort-based groupby cannot shuffle a
-    null key, so a past-budget arm whose key column may be null must
-    mask-and-restore (see ``token_stats``; q1 does the same). q3 and
-    usage_rollup group on keys that are non-null by schema and
-    document the limitation here instead."""
+    Null group keys survive both arms (SQL GROUP BY): the fold groups
+    with ``dropna=False``; Ray's sort-based groupby cannot sort a null
+    string key, so q1 and ``token_stats`` mask and restore theirs,
+    while usage_rollup's int64 ``user_id`` groups NULL as it is. q3
+    groups only after its inner joins, which drop NULL keys in every
+    arm. tests/test_pipeline_e2e.py pins usage_rollup and q3 against
+    DuckDB in both arms."""
     from ..stages.fold import fold_partials
 
     return fold_partials(partials, budget_rows=AGG_FOLD_BUDGET_ROWS)
 
 
-def _segment_customer_keys_ds(sf_dir: str, segment: str):
-    """Keys-only Dataset of the segment's customers — filtered and
-    materialized DISTRIBUTED (blocks stay in the object store)."""
-    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
+def _broadcast_keys(refs: list, col: str):
+    """The non-null ``col`` keys behind ``refs`` as one sorted int64
+    array, or None once they pass Q3_BROADCAST_BUDGET_KEYS (the fold
+    stops fetching there, so past the budget the driver holds at most
+    one table's keys)."""
+    from ..stages.fold import fold_partials
+
+    df = fold_partials(refs, budget_rows=Q3_BROADCAST_BUDGET_KEYS)
+    if df is None:
+        return None
+    keys = df[col].dropna().to_numpy(np.int64) if len(df) else np.empty(0, np.int64)
+    return pa.array(np.sort(keys), pa.int64())
+
+
+def _segment_customer_keys(sf_dir: str, segment: str) -> list:
+    """Refs of the segment's customer keys, one scan task per file."""
 
     def pick(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.equal(batch["c_mktsegment"], segment)).select(
             ["c_custkey"]
         )
 
-    return cust.map_batches(pick, batch_format="pyarrow").materialize()
-
-
-def _segment_customer_keys(sf_dir: str, segment: str):
-    """(broadcastable key array | None, keys Dataset). Customer is
-    dimension-sized by ASSUMPTION only — the same budget that guards
-    the second join level guards this pull: past
-    Q3_BROADCAST_BUDGET_KEYS the array is None and callers must join
-    against the Dataset with the bucketed co-partition path instead of
-    broadcasting."""
-    ds = _segment_customer_keys_ds(sf_dir, segment)
-    if ds.count() > Q3_BROADCAST_BUDGET_KEYS:
-        return None, ds
-    return pa.array(sorted(ds.to_pandas()["c_custkey"]), pa.int64()), ds
+    return scan_table(sf_dir, "customer", pick, columns=["c_custkey", "c_mktsegment"])
 
 
 def q3_top_orders(sf_dir: str, *, segment: str = "BUILDING", k: int = 10):
     """customer ⋈ orders ⋈ lineitem, revenue per order, top-k.
 
-    First join level is a broadcast semi-join (reference J1: the
-    quota-path lookup is a broadcast dimension probe): the segment's
-    customer keys are dimension-sized, collected once, shipped via
-    ray.put, probed with vectorized is_in — but only after a
-    distributed count clears Q3_BROADCAST_BUDGET_KEYS (customer is
+    Three chained scans, one plain task per table file. First join
+    level is a broadcast semi-join (reference J1: the quota-path
+    lookup is a broadcast dimension probe): the segment's customer
+    keys are dimension-sized, folded once, shipped via ray.put and
+    probed with vectorized is_in inside the orders scan — but only
+    while they fit Q3_BROADCAST_BUDGET_KEYS (customer is
     dimension-sized by assumption, the budget makes it a checked
     fact). The SECOND level's key set (surviving orders) is fact-scale
-    × selectivity — it is built DISTRIBUTED (the filtered key column
-    materializes in the object store, never as a driver list),
-    counted, and only pulled + broadcast when it fits the same budget.
-    Past either budget the query falls back to the bucketed
-    co-partition join (q3_top_orders_hashjoin), which never
-    materializes keys anywhere.
+    × selectivity: the orders scan's key tables stay in the object
+    store and are pulled + broadcast to the lineitem scan only while
+    they fit the same budget. Past either budget the query falls back
+    to the bucketed co-partition join (q3_top_orders_hashjoin), which
+    takes over the key refs already scanned and never broadcasts keys.
     """
-    ckeys, ckeys_ds = _segment_customer_keys(sf_dir, segment)
+    ckey_refs = _segment_customer_keys(sf_dir, segment)
+    ckeys = _broadcast_keys(ckey_refs, "c_custkey")
     if ckeys is None:
         # the customer side itself is past broadcast budget: fully
-        # bucketed plan, reusing the already-materialized key dataset
-        return q3_top_orders_hashjoin(sf_dir, segment=segment, k=k, _ckeys_ds=ckeys_ds)
-    ckeys_ref = ray.put(ckeys)
+        # bucketed plan over the customer keys already scanned
+        return q3_top_orders_hashjoin(sf_dir, segment=segment, k=k, _ckey_refs=ckey_refs)
 
-    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
+    def semi_orders(batch: pa.Table, ckeys: pa.Array) -> pa.Table:
+        # is_in gives NULL for a NULL o_custkey and filter drops it
+        # (the inner join's semantics)
+        return batch.filter(pc.is_in(batch["o_custkey"], value_set=ckeys)).select(
+            ["o_orderkey"]
+        )
 
-    def semi_orders(batch: pa.Table) -> pa.Table:
-        mask = pc.is_in(batch["o_custkey"], value_set=ray.get(ckeys_ref))
-        return batch.filter(mask).select(["o_orderkey"])
-
-    # keys-only dataset, materialized in the OBJECT STORE (blocks stay
-    # distributed; the driver sees only the count until it fits budget)
-    okeys_ds = orders.map_batches(semi_orders, batch_format="pyarrow").materialize()
-    if okeys_ds.count() > Q3_BROADCAST_BUDGET_KEYS:
+    okey_refs = scan_table(
+        sf_dir, "orders", semi_orders, columns=["o_orderkey", "o_custkey"],
+        fn_args=(ray.put(ckeys),),
+    )
+    order_keys = _broadcast_keys(okey_refs, "o_orderkey")
+    if order_keys is None:
         # past-budget fallback REUSES the work already done: the
-        # materialized surviving-order keys become the hashjoin's
-        # orders side directly (no second customer read, no second
-        # orders semi-join scan)
-        return q3_top_orders_hashjoin(sf_dir, segment=segment, k=k, _okeys_ds=okeys_ds)
-    order_keys = pa.array(
-        sorted(okeys_ds.to_pandas()["o_orderkey"]), pa.int64()
-    )
-    okeys_ref = ray.put(order_keys)
+        # surviving-order key tables become the hashjoin's orders side
+        # directly (no second customer or orders scan)
+        return q3_top_orders_hashjoin(sf_dir, segment=segment, k=k, _okey_refs=okey_refs)
 
-    li = read_table(
-        sf_dir,
-        "lineitem",
-        columns=["l_orderkey", "l_extendedprice", "l_discount"],
-    )
-
-    def rev(batch: pa.Table) -> pa.Table:
+    def rev(batch: pa.Table, okeys: pa.Array) -> pa.Table:
         # per-block PARTIAL revenue sums (combiner): each block
         # collapses to its distinct surviving orders before anything
-        # leaves the task, so the merge sees aggregate-sized rows
-        batch = batch.filter(pc.is_in(batch["l_orderkey"], value_set=ray.get(okeys_ref)))
+        # leaves the task, so the merge sees aggregate-sized rows. A
+        # NULL l_orderkey is dropped here, as by the inner join
+        batch = batch.filter(pc.is_in(batch["l_orderkey"], value_set=okeys))
         r = pc.multiply(
             batch["l_extendedprice"], pc.subtract(pa.scalar(1.0), batch["l_discount"])
         )
@@ -269,11 +255,16 @@ def q3_top_orders(sf_dir: str, *, segment: str = "BUILDING", k: int = 10):
         g = t.group_by("l_orderkey").aggregate([("rev", "sum")])
         return pa.table({"l_orderkey": g["l_orderkey"], "rev": g["rev_sum"]})
 
-    li_r = li.map_batches(rev, batch_format="pyarrow", zero_copy_batch=True)
+    li_r = scan_table(
+        sf_dir, "lineitem", rev, columns=["l_orderkey", "l_extendedprice", "l_discount"],
+        fn_args=(ray.put(order_keys),),
+    )
     folded = _fold_partials(li_r)
     if folded is None:
         # past-budget regime: distributed merge of the same partials
-        agg = li_r.groupby("l_orderkey").aggregate(Sum("rev", alias_name="revenue"))
+        agg = rd.from_arrow_refs(li_r).groupby("l_orderkey").aggregate(
+            Sum("rev", alias_name="revenue")
+        )
         out = agg.to_pandas()
     else:
         out = (
@@ -288,43 +279,47 @@ def q3_top_orders(sf_dir: str, *, segment: str = "BUILDING", k: int = 10):
     return _round_floats(out.rename(columns={"l_orderkey": "o_orderkey"}).reset_index(drop=True))
 
 
-def _semi_join_order_keys_bucketed(ckeys_ds, orders, *, num_buckets: int = 64):
+def _bucket_tag(key, val, is_key: bool, num_buckets: int) -> pa.Table:
+    """One side of a bucketed co-group: (key, val, is_key, _bucket),
+    ``is_key`` marking the side whose keys whitelist the other's."""
+    from ..functions.scalar import stable_bucket
+
+    return pa.table(
+        {
+            "key": key,
+            "val": val,
+            "is_key": pa.array(np.full(len(key), is_key)),
+            "_bucket": pa.array(stable_bucket(key, num_buckets), pa.int32()),
+        }
+    )
+
+
+def _semi_join_order_keys_bucketed(ckey_refs, order_refs, *, num_buckets: int = 64):
     """First-level customer⋈orders semi-join as a bucketed co-group
     (the past-budget path): both sides tagged with the same stable
     bucket of custkey, one shuffle co-locates each key, in-bucket
     pandas semi-join emits surviving o_orderkey rows. No key set ever
     reaches the driver."""
-    from ..functions.scalar import stable_bucket
 
     def cust_side(batch: pa.Table) -> pa.Table:
-        key = batch["c_custkey"]
-        return pa.table(
-            {
-                "ckey": key,
-                "okey": pa.nulls(len(batch), pa.int64()),
-                "_bucket": pa.array(stable_bucket(key, num_buckets), pa.int32()),
-            }
+        return _bucket_tag(
+            batch["c_custkey"], pa.nulls(len(batch), pa.int64()), True, num_buckets
         )
 
     def ord_side(batch: pa.Table) -> pa.Table:
-        key = batch["o_custkey"]
-        return pa.table(
-            {
-                "ckey": key,
-                "okey": batch["o_orderkey"],
-                "_bucket": pa.array(stable_bucket(key, num_buckets), pa.int32()),
-            }
-        )
+        return _bucket_tag(batch["o_custkey"], batch["o_orderkey"], False, num_buckets)
 
-    tagged = orders.map_batches(ord_side, batch_format="pyarrow").union(
-        ckeys_ds.map_batches(cust_side, batch_format="pyarrow")
+    tagged = (
+        rd.from_arrow_refs(order_refs)
+        .map_batches(ord_side, batch_format="pyarrow")
+        .union(rd.from_arrow_refs(ckey_refs).map_batches(cust_side, batch_format="pyarrow"))
     )
 
     def semi(df: pd.DataFrame) -> pd.DataFrame:
-        # null-okey rows are the customer side (the key whitelist)
-        keys = df.loc[df["okey"].isna(), "ckey"].unique()
-        sub = df[df["okey"].notna() & df["ckey"].isin(keys)]
-        return pd.DataFrame({"o_orderkey": sub["okey"].astype("int64")})
+        # a NULL key on either side joins nothing (SQL inner join)
+        keys = df.loc[df["is_key"], "key"].dropna().unique()
+        sub = df[~df["is_key"] & df["key"].isin(keys) & df["val"].notna()]
+        return pd.DataFrame({"o_orderkey": sub["val"].astype("int64")})
 
     return tagged.groupby("_bucket").map_groups(semi, batch_format="pandas")
 
@@ -335,8 +330,8 @@ def q3_top_orders_hashjoin(
     segment: str = "BUILDING",
     k: int = 10,
     num_buckets: int = 64,
-    _okeys_ds=None,
-    _ckeys_ds=None,
+    _okey_refs=None,
+    _ckey_refs=None,
 ):
     """The same query as a bucketed co-partition join — THE scale path
     for big-big: both sides are tagged with the same stable hash bucket
@@ -345,79 +340,49 @@ def q3_top_orders_hashjoin(
     top-k WITHIN the group (every key lives wholly in one bucket, so
     per-bucket aggregation is exact and per-bucket top-k is globally
     safe). The driver merges num_buckets × k candidate rows — nothing
-    fact-scale ever leaves the workers, no key set is materialized
-    anywhere. One all-to-all over (key, rev) pairs; Ray's Dataset.join
-    was measured ~6x slower on the same shape (hash-shuffle operator
-    dispatch dominates at this scale)."""
-    from ..functions.scalar import stable_bucket
+    fact-scale ever leaves the workers, no key set is broadcast. One
+    all-to-all over (key, rev) pairs; Ray's Dataset.join was measured
+    ~6x slower on the same shape (hash-shuffle operator dispatch
+    dominates at this scale). Both join levels are bucketed co-groups;
+    ``_okey_refs`` / ``_ckey_refs`` are the key tables q3_top_orders
+    scanned before a budget sent it here."""
 
     def keys_side(batch: pa.Table) -> pa.Table:
-        key = batch["o_orderkey"]
-        return pa.table(
-            {
-                "key": key,
-                "rev": pa.nulls(len(batch), pa.float64()),
-                "_bucket": pa.array(stable_bucket(key, num_buckets), pa.int32()),
-            }
+        return _bucket_tag(
+            batch["o_orderkey"], pa.nulls(len(batch), pa.float64()), True, num_buckets
         )
 
-    if _okeys_ds is not None:
-        # surviving order keys handed over by q3_top_orders' budget
-        # check — already semi-joined and materialized
-        orders_tagged = _okeys_ds.map_batches(keys_side, batch_format="pyarrow")
-    else:
-        orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-        if _ckeys_ds is None:
-            ckeys, _ckeys_ds = _segment_customer_keys(sf_dir, segment)
-        else:
-            ckeys = None  # handed over precisely because it is past budget
-        if ckeys is not None:
-            # customer fits broadcast budget: probe per batch
-            ckeys_ref = ray.put(ckeys)
-
-            def orders_side(batch: pa.Table) -> pa.Table:
-                batch = batch.filter(
-                    pc.is_in(batch["o_custkey"], value_set=ray.get(ckeys_ref))
-                ).select(["o_orderkey"])
-                return keys_side(batch)
-
-            orders_tagged = orders.map_batches(orders_side, batch_format="pyarrow")
-        else:
-            # past budget: first level is itself a bucketed co-group
-            okeys = _semi_join_order_keys_bucketed(
-                _ckeys_ds, orders, num_buckets=num_buckets
-            )
-            orders_tagged = okeys.map_batches(keys_side, batch_format="pyarrow")
+    okeys = (
+        rd.from_arrow_refs(_okey_refs)
+        if _okey_refs is not None  # already semi-joined by q3_top_orders
+        else _semi_join_order_keys_bucketed(
+            _ckey_refs or _segment_customer_keys(sf_dir, segment),
+            scan_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"]),
+            num_buckets=num_buckets,
+        )
+    )
+    orders_tagged = okeys.map_batches(keys_side, batch_format="pyarrow")
 
     def lineitem_side(batch: pa.Table) -> pa.Table:
         r = pc.multiply(
             batch["l_extendedprice"], pc.subtract(pa.scalar(1.0), batch["l_discount"])
         )
-        key = batch["l_orderkey"]
-        return pa.table(
-            {
-                "key": key,
-                "rev": r.cast(pa.float64()),
-                "_bucket": pa.array(stable_bucket(key, num_buckets), pa.int32()),
-            }
-        )
+        return _bucket_tag(batch["l_orderkey"], r.cast(pa.float64()), False, num_buckets)
 
-    li = read_table(
-        sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"]
+    li = scan_table(
+        sf_dir, "lineitem", lineitem_side,
+        columns=["l_orderkey", "l_extendedprice", "l_discount"],
     )
-    tagged = li.map_batches(
-        lineitem_side, batch_format="pyarrow", zero_copy_batch=True
-    ).union(orders_tagged)
+    tagged = rd.from_arrow_refs(li).union(orders_tagged)
 
     def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # rows with null rev are the orders side (the key whitelist)
-        right = df["rev"].isna()
-        keys = df.loc[right, "key"].unique()
-        left = df[~right]
-        left = left[left["key"].isin(keys)]
-        agg = left.groupby("key", as_index=False)["rev"].sum()
-        agg = agg.sort_values(["rev", "key"], ascending=[False, True]).head(k)
-        return agg.rename(columns={"key": "l_orderkey", "rev": "revenue"})
+        # the orders side is the key whitelist; a NULL key joins
+        # nothing, a NULL revenue stays out of the sum (SQL)
+        keys = df.loc[df["is_key"], "key"].dropna().unique()
+        left = df[~df["is_key"] & df["key"].isin(keys)].astype({"key": "int64"})
+        agg = left.groupby("key", as_index=False)["val"].sum(min_count=1)
+        agg = agg.sort_values(["val", "key"], ascending=[False, True]).head(k)
+        return agg.rename(columns={"key": "l_orderkey", "val": "revenue"})
 
     cand = (
         tagged.groupby("_bucket")
@@ -443,7 +408,6 @@ def usage_rollup(sf_dir: str):
     order differs from the oracle's flat sum by ≤1e-12 relative,
     absorbed by the symmetric round(4) (same documented trade as
     perplexity_buckets)."""
-    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "value", "event_type"])
 
     def day_partials(batch: pa.Table) -> pa.Table:
         # per-block PARTIAL (user, day) aggregates — the combiner: each
@@ -472,7 +436,9 @@ def usage_rollup(sf_dir: str):
             }
         )
 
-    partials = ds.map_batches(day_partials, batch_format="pyarrow", zero_copy_batch=True)
+    partials = scan_table(
+        sf_dir, "events", day_partials, columns=["user_id", "ts", "value", "event_type"]
+    )
     cols = ["user_id", "bucket", "requests_count", "total_value", "error_count"]
     sums = ["requests_count", "total_value", "error_count"]
     folded = _fold_partials(partials)
@@ -480,9 +446,8 @@ def usage_rollup(sf_dir: str):
         # aggregate-sized fold: both rollup levels are driver pandas
         # (the month level reaggregates the |users|×|days| day frame)
         if len(folded):
-            # user_id / bucket are non-null by schema (the past-budget
-            # Ray groupby cannot shuffle a NULL key); dropna=False only
-            # keeps the driver fold from silently dropping one
+            # dropna=False: a NULL user_id or bucket (NULL ts) keeps
+            # its group, as in SQL GROUP BY and the Ray groupby arm
             d = folded.groupby(
                 ["user_id", "bucket"], as_index=False, dropna=False
             )[sums].sum(min_count=1)
@@ -506,7 +471,7 @@ def usage_rollup(sf_dir: str):
         # same partials — events shuffle ONCE into the (user, day)
         # aggregate; the month level is a second groupby over the
         # day-agg DATASET, whose input is |users|×|days| rows
-        day = partials.groupby(["user_id", "bucket"]).aggregate(
+        day = rd.from_arrow_refs(partials).groupby(["user_id", "bucket"]).aggregate(
             Sum("requests_count", alias_name="requests_count"),
             Sum("total_value", alias_name="total_value"),
             Sum("error_count", alias_name="error_count"),
@@ -534,6 +499,8 @@ def usage_rollup(sf_dir: str):
         [d[cols].assign(scope="day"), m[cols].assign(scope="month")],
         ignore_index=True,
     )[["scope", "user_id", "bucket", "requests_count", "total_value", "error_count"]]
+    # one NULL-bucket spelling (None, not the fold's NaN) for both arms
+    out["bucket"] = out["bucket"].astype(object).where(out["bucket"].notna(), None)
     return _round_floats(
         out.sort_values(["scope", "user_id", "bucket"]).reset_index(drop=True)
     )
@@ -995,8 +962,8 @@ def dedup_exact_documents(sf_dir: str):
     distinct text (D2: hash-partition + per-group first)."""
     from ..stages.dedup import exact_dedup
 
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    out = exact_dedup(ds, "text", "doc_id")
+    docs = scan_table(sf_dir, "documents", columns=["doc_id", "text"])
+    out = exact_dedup(docs, "text", "doc_id")
     return (
         out.to_pandas()[["doc_id", "text"]].sort_values("doc_id").reset_index(drop=True)
     )

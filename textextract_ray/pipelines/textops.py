@@ -17,10 +17,11 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray.data as rd
 from ray.data.aggregate import Count, Sum
 
 from ..functions.text import lang_id, md5_hex, quality_features, token_count
-from ..sources import read_table
+from ..sources import read_table, scan_table
 
 
 def _lower_token_lists(col, pattern: str = "[^a-z]+"):
@@ -62,15 +63,14 @@ def _exact_top(counts_ds, key_col: str, count_col: str, k: int) -> pd.DataFrame:
 def token_stats(sf_dir: str):
     """Whitespace + BPE-ish token counts per doc, aggregated per lang.
 
-    One map_batches computes BOTH tokenizers (vectorized Arrow split
-    for whitespace runs; GPT-2-style pre-tokenizer shape — letter runs
-    + single digits + punctuation marks — for the BPE proxy) and a
-    single groupby rolls them up, so the pass over the corpus is paid
-    once. (Consolidated from the former separate ``bpe_token_stats``
-    query: the driver gate reports at most 50 queries.)"""
+    One scan task per file computes BOTH tokenizers (vectorized Arrow
+    split for whitespace runs; GPT-2-style pre-tokenizer shape — letter
+    runs + single digits + punctuation marks — for the BPE proxy) and
+    one merge of the per-lang partials rolls them up, so the pass over
+    the corpus is paid once. (Consolidated from the former separate
+    ``bpe_token_stats`` query: the driver gate reports at most 50
+    queries.)"""
     from ..functions.text import bpeish_token_count
-
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
 
     def counts(batch: pa.Table) -> pa.Table:
         # per-block PARTIAL per-lang sums (combiner): integer sums are
@@ -107,7 +107,7 @@ def token_stats(sf_dir: str):
 
     from .relational import _fold_partials
 
-    partials = ds.map_batches(counts, batch_format="pyarrow", zero_copy_batch=True)
+    partials = scan_table(sf_dir, "documents", counts, columns=["doc_id", "text", "lang"])
     folded = _fold_partials(partials)
     if folded is not None:
         df = (
@@ -144,7 +144,8 @@ def token_stats(sf_dir: str):
             )
 
         df = (
-            partials.map_batches(mask_null, batch_format="pyarrow")
+            rd.from_arrow_refs(partials)
+            .map_batches(mask_null, batch_format="pyarrow")
             .groupby(["lang_f", "lang_n"])
             .aggregate(
                 Sum("n_docs", alias_name="n_docs"),
@@ -563,8 +564,10 @@ def minhash_near_dups(sf_dir: str, *, threshold: float = 0.6):
     """MinHash-LSH near-duplicate assignments over documents."""
     from ..stages.dedup import minhash_duplicate_assignments
 
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    return _pairs_df(minhash_duplicate_assignments(ds, "text", "doc_id", threshold=threshold))
+    docs = scan_table(sf_dir, "documents", columns=["doc_id", "text"])
+    return _pairs_df(
+        minhash_duplicate_assignments(docs, "text", "doc_id", threshold=threshold)
+    )
 
 
 def simhash_near_dups(sf_dir: str, *, max_hamming: int = 3):
@@ -628,16 +631,15 @@ def semantic_dedup(sf_dir: str, *, threshold: float = 0.45):
 def _first_queries(sf_dir: str, nq: int) -> dict:
     """The first nq embeddings double as the query set (deterministic).
 
-    Pushed-down selection in ONE pass (never materializes the table
-    on the driver): each block nominates its local nq-smallest ids
-    WITH their vectors; the driver keeps the global nq smallest of
-    O(blocks × nq) nominated rows. At 10^12 rows the driver holds
+    Pushed-down selection in ONE scan (never materializes the table
+    on the driver): each file's scan task nominates its local
+    nq-smallest ids WITH their vectors; the driver keeps the global nq
+    smallest of O(files × nq) nominated rows. At 10^12 rows the driver holds
     blocks × nq vectors (e.g. 10^4 blocks × 5 × 128 floats ≈ 25 MB),
     not the corpus — strictly less I/O than the former two-pass
     id-scan + is_in fetch, which decoded the embedding column in full
     for the fetch pass anyway (VERDICT r2 finding 2)."""
-
-    vecs = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
+    import ray
 
     def nominate(batch: pa.Table) -> pa.Table:
         v = batch["vec_id"].to_numpy(zero_copy_only=False)
@@ -647,12 +649,8 @@ def _first_queries(sf_dir: str, nq: int) -> dict:
         idx = np.argpartition(v, take - 1)[:take]
         return batch.take(pa.array(np.sort(idx)))
 
-    q = (
-        vecs.map_batches(nominate, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values("vec_id")
-        .head(nq)
-    )
+    refs = scan_table(sf_dir, "embeddings", nominate, columns=["vec_id", "embedding"])
+    q = pa.concat_tables(ray.get(refs)).to_pandas().sort_values("vec_id").head(nq)
     return {
         "query_id": q["vec_id"].to_numpy(np.int64),
         "mat": np.array(q["embedding"].tolist(), dtype=np.float32),
@@ -669,8 +667,8 @@ def ann_topk(sf_dir: str, *, nq: int = 5, k: int = 10):
     is impossible; the score-bearing variant is ann_topk_ivf."""
     from ..stages.similarity import brute_force_topk
 
-    ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    out = brute_force_topk(ds, _first_queries(sf_dir, nq), k=k).to_pandas()
+    vecs = scan_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
+    out = brute_force_topk(vecs, _first_queries(sf_dir, nq), k=k).to_pandas()
     return (
         out[["query_id", "vec_id"]]
         .sort_values(["query_id", "vec_id"])

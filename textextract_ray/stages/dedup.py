@@ -10,8 +10,8 @@ near-dup), each built from map_batches + groupby primitives:
              keep deterministic winner (min id). One shuffle.
   * minhash: shingle→signature per batch → explode to (band, key, id)
              (signatures do NOT ride the shuffle) → groupby(band, key)
-             → candidate pairs → signatures recomputed for candidate
-             ids only → agreement verify → winner assignment.
+             → candidate pairs → candidate signatures rebuilt from
+             their band rows → agreement verify → winner assignment.
   * simhash: 64-bit fingerprint, 4×16-bit band buckets, Hamming
              verification within buckets.
   * embedding: random-hyperplane LSH buckets → within-bucket cosine.
@@ -58,21 +58,26 @@ def exact_dedup(
 ):
     """Keep exactly one row per distinct ``text_col`` value — the row
     with the smallest ``id_col`` (deterministic winner; reference
-    uniqueness-check idiom D2). Two arms, identical results:
+    uniqueness-check idiom D2). ``ds`` is a Dataset or a list of Arrow
+    block refs; every pass below is over its blocks. Two arms,
+    identical results:
 
-    * keys-only loser scan (default): one pass ships (md5, id) rows —
-      ~40 B each, never the text — folded on the driver under
-      ``fold_budget_rows``; losers (rows beaten by a smaller id with
-      the same hash) are O(duplicates), broadcast once via ray.put,
-      and a vectorized is_in filter drops them from the original
-      rows. The corpus itself never shuffles.
+    * keys-only loser scan (default): one plain task per block ships
+      (md5, id) rows — ~40 B each, never the text — folded on the
+      driver under ``fold_budget_rows``; losers (rows beaten by a
+      smaller id with the same hash) are O(duplicates), broadcast once
+      via ray.put, and one more task per block drops them with a
+      vectorized is_in filter. The corpus itself never shuffles.
     * past the budget, or when duplicate (hash, id) pairs exist
       (identical full rows need the grouped single-winner), the exact
-      bucketed shuffle: coarse md5 bucket (one all-to-all,
-      O(num_buckets) dispatch), min-id winner per hash inside each
-      bucket. (The fallback re-executes ``ds``'s lineage once more —
-      the documented budget-idiom trade.)"""
+      bucketed shuffle over the same blocks: coarse md5 bucket (one
+      all-to-all, O(num_buckets) dispatch), min-id winner per hash
+      inside each bucket."""
     import ray
+    import ray.data as rd
+
+    from ..sources import block_refs, scan_blocks
+    from .fold import fold_partials
 
     if fold_budget_rows is None:
         fold_budget_rows = GROUP_APPLY_FOLD_BUDGET_ROWS
@@ -85,34 +90,32 @@ def exact_dedup(
             }
         )
 
-    from .fold import fold_partials
-
-    keys = ds.map_batches(keys_only, batch_format="pyarrow")
-    df = fold_partials(keys, budget_rows=fold_budget_rows)
-    if df is None:
-        return _exact_dedup_bucketed(ds, text_col, id_col, num_buckets=num_buckets)
-    if len(df) == 0:
-        return ds
+    refs = block_refs(ds)
+    df = fold_partials(scan_blocks(refs, keys_only), budget_rows=fold_budget_rows)
     # duplicate ids (same full row, or one id across different texts)
     # and null ids (is_in can't drop them; idxmin can) both break the
     # filter-by-id contract — only the grouped single-winner arm is
     # exact there
-    if df["id"].duplicated().any() or df["id"].isna().any():
-        return _exact_dedup_bucketed(ds, text_col, id_col, num_buckets=num_buckets)
-    mins = df.groupby("h")["id"].transform("min")
-    losers = df.loc[df["id"] != mins, "id"]
+    if df is None or (len(df) and (df["id"].duplicated().any() or df["id"].isna().any())):
+        return _exact_dedup_bucketed(
+            rd.from_arrow_refs(refs), text_col, id_col, num_buckets=num_buckets
+        )
+    losers = (
+        df.loc[df["id"] != df.groupby("h")["id"].transform("min"), "id"]
+        if len(df)
+        else []
+    )
     if len(losers) == 0:
-        return ds
-    drop_ref = ray.put(pa.Array.from_pandas(losers))
+        return rd.from_arrow_refs(refs)
 
-    def keep(batch: pa.Table) -> pa.Table:
-        drops = ray.get(drop_ref)
+    def keep(batch: pa.Table, drops: pa.Array) -> pa.Table:
         col = batch[id_col]
         vs = drops if drops.type == col.type else drops.cast(col.type)
         hit = pc.is_in(col, value_set=vs)
         return batch.filter(pc.invert(pc.fill_null(hit, False)))
 
-    return ds.map_batches(keep, batch_format="pyarrow")
+    drop_ref = ray.put(pa.Array.from_pandas(losers))
+    return rd.from_arrow_refs(scan_blocks(refs, keep, fn_args=(drop_ref,)))
 
 
 def _exact_dedup_bucketed(ds, text_col: str, id_col: str, *, num_buckets: int = 256):
@@ -238,24 +241,8 @@ def _bucketed_group_apply(
     frame_fn=None,
 ):
     """Apply ``fn`` per (group_cols) group WITHOUT paying per-group Ray
-    dispatch. Two arms, identical results:
-
-    * under ``fold_budget_rows`` (these inputs are keys-only LSH/band
-      rows by design — ~44 B each, so the budget is ~220 MB) the rows
-      FOLD ON THE DRIVER and one pandas groupby applies ``fn`` to the
-      real groups — no all-to-all at all. A Ray groupby costs seconds
-      of fixed overhead per hundred input blocks regardless of row
-      count (SCALE.md round-4 audit), which dwarfs the group work at
-      bench scale.
-    * past the budget — the corpus-scale regime — groups coarsen into
-      ``num_buckets`` hash buckets (one shuffle, O(buckets) dispatch),
-      then a vectorized pandas groupby inside each bucket applies
-      ``fn``. LSH keys are mostly singletons — per-key map_groups
-      costs ~2 ms of dispatch per key, which at millions of keys
-      dwarfs the actual work; bucketing keeps the same shuffle volume
-      with O(num_buckets) dispatch. (The fallback re-executes ``ds``'s
-      lineage once more — only paid in the regime where the hashing
-      pass is a vanishing fraction of the group work.)
+    dispatch, over the blocks of ``ds`` (a Dataset or a list of Arrow
+    block refs) in the two arms of `_group_arms`.
 
     ``frame_fn``, when given, replaces the per-group ``fn`` loop with
     ONE call over the whole duplicate-filtered frame (all groups at
@@ -264,7 +251,39 @@ def _bucketed_group_apply(
     the bucket tasks at corpus scale, not just the driver fold."""
     import ray.data as rd
 
+    from ..sources import block_refs
+
+    if fold_budget_rows is None:
+        fold_budget_rows = GROUP_APPLY_FOLD_BUDGET_ROWS
+    folded, out = _group_arms(
+        block_refs(ds), group_cols, fn, frame_fn, num_buckets, fold_budget_rows
+    )
+    return out if folded is None else rd.from_pandas(out)
+
+
+def _group_arms(refs: list, group_cols, fn, frame_fn, num_buckets: int,
+                fold_budget_rows: int):
+    """``(folded rows, pandas result)`` or ``(None, result Dataset)``;
+    identical results:
+
+    * under ``fold_budget_rows`` (these inputs are keys-only LSH/band
+      rows by design — ~44 B each, so the budget is ~220 MB) the rows
+      FOLD ON THE DRIVER and one pandas groupby applies ``fn`` to the
+      real groups — no all-to-all at all. A Ray groupby costs seconds
+      of fixed overhead per hundred input blocks regardless of row
+      count (SCALE.md round-4 audit), which dwarfs the group work at
+      bench scale.
+    * past the budget — the corpus-scale regime — the same blocks
+      coarsen into ``num_buckets`` hash buckets (one shuffle,
+      O(buckets) dispatch), then a vectorized pandas groupby inside
+      each bucket applies ``fn``. LSH keys are mostly singletons —
+      per-key map_groups costs ~2 ms of dispatch per key, which at
+      millions of keys dwarfs the actual work; bucketing keeps the
+      same shuffle volume with O(num_buckets) dispatch."""
+    import ray.data as rd
+
     from ..functions.scalar import stable_bucket
+    from .fold import fold_partials
 
     cols = list(group_cols)
 
@@ -284,23 +303,18 @@ def _bucketed_group_apply(
             return _typed_pair_empty(df)
         return pd.concat(outs, ignore_index=True)
 
-    from .fold import fold_partials
-
-    if fold_budget_rows is None:
-        fold_budget_rows = GROUP_APPLY_FOLD_BUDGET_ROWS
-    folded = fold_partials(ds, budget_rows=fold_budget_rows)
+    folded = fold_partials(refs, budget_rows=fold_budget_rows)
     if folded is not None:
-        if len(folded) == 0:
-            folded = pd.DataFrame(columns=cols)
-        return rd.from_pandas(apply_bucket(folded))
+        return folded, apply_bucket(folded if len(folded) else pd.DataFrame(columns=cols))
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         keys = list(zip(*(batch[c].to_pylist() for c in cols)))
         b = stable_bucket(keys, num_buckets)
         return batch.append_column("_bucket", pa.array(b, pa.int32()))
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
+    return None, (
+        rd.from_arrow_refs(refs)
+        .map_batches(add_bucket, batch_format="pyarrow")
         .groupby("_bucket")
         .map_groups(apply_bucket, batch_format="pandas")
     )
@@ -336,17 +350,16 @@ def _min_keep_per_id_df(df: pd.DataFrame):
 # --- MinHash + LSH near-dup --------------------------------------------------
 
 class MinHashBandKeys:
-    """Actor-pool stage: per-doc shingle → MinHash signature → exploded
-    (band_id, band_key, id) rows. Permutation parameters built once per
-    actor in __init__.
+    """Per-block kernel: per-doc shingle → MinHash signature → exploded
+    (band_id, band_key, id) rows. Permutation parameters built once in
+    __init__.
 
     A band row carries only its own band's signature values, as the
     exact key bytes (``functions.text.band_keys``; ~44 B per row at the
     defaults), so a doc ships its signature once, split across its
-    bands, not bands × the whole num_perm signature. Signatures are
-    recomputed later for candidate ids only (`candidate_signatures`)
-    — candidates are O(similar pairs), so the recompute touches a
-    vanishing corpus fraction."""
+    bands, not bands × the whole num_perm signature: a doc's band keys
+    in band order ARE its signature (`_band_signatures`), so candidate
+    verification never re-shingles a document."""
 
     def __init__(self, text_col: str, id_col: str, num_perm: int = 64,
                  bands: int = 16, k_shingle: int = 3):
@@ -385,37 +398,26 @@ class MinHashBandKeys:
         )
 
 
-def candidate_signatures(ds, text_col: str, id_col: str, cand_ref,
-                         *, num_perm: int = 64, k_shingle: int = 3):
-    """(id, sig) rows for the broadcast candidate id set only — the
-    deferred signature fetch for LSH candidate verification. The
-    candidate set rides the object store once (``ray.put``); each batch
-    probes it with a vectorized is_in and shingles only the hits."""
-    import ray
+def _band_signatures(band_rows: pd.DataFrame, ids) -> tuple:
+    """``(ids, [len(ids), P] uint64 signatures)`` of the docs among
+    ``ids`` that have band rows, rebuilt from those rows: a doc's band
+    keys in band order are its signature bytes. A doc id that occurs
+    twice keeps the bands of its first occurrence."""
+    sub = (
+        band_rows[band_rows["id"].isin(ids)]
+        .drop_duplicates(["id", "band_id"])
+        .sort_values(["id", "band_id"], kind="stable")
+    )
+    got = pd.unique(sub["id"])
+    sig = np.frombuffer(b"".join(sub["band_key"]), dtype=np.uint64)
+    return got, sig.reshape(len(got), -1)
 
-    a, b = minhash_params(num_perm)
 
-    def kernel(batch: pa.Table) -> pa.Table:
-        from ..functions.text import batch_shingle_hashes
-
-        cand = ray.get(cand_ref)
-        col = batch[id_col]
-        vs = cand if cand.type == col.type else cand.cast(col.type)
-        sub = batch.filter(pc.fill_null(pc.is_in(col, value_set=vs), False))
-        ids = sub[id_col].to_pylist()
-        from ..functions.text import minhash_signatures_batch
-
-        sigs = minhash_signatures_batch(
-            batch_shingle_hashes(sub[text_col].to_pylist(), k_shingle), a, b
-        ).tolist()
-        return pa.table(
-            {
-                "id": pa.array(ids, type=col.type),
-                "sig": pa.array(sigs, pa.list_(pa.uint64())),
-            }
-        )
-
-    return ds.map_batches(kernel, batch_format="pyarrow")
+def _rows_of_ids(batch: pa.Table, ids: pa.Array) -> pa.Table:
+    """The rows of ``batch`` whose ``id`` is in ``ids``."""
+    col = batch["id"]
+    vs = ids if ids.type == col.type else ids.cast(col.type)
+    return batch.filter(pc.fill_null(pc.is_in(col, value_set=vs), False))
 
 
 def minhash_duplicate_assignments(
@@ -430,31 +432,38 @@ def minhash_duplicate_assignments(
 ):
     """Dataset of (id, keep_id) pairs: id is a near-duplicate that
     should be dropped in favor of keep_id (keep_id < id always).
+    ``ds`` is a Dataset or a list of Arrow block refs.
 
-    Three phases, shuffle-lean: (1) band rows (id, band, that band's
-    signature bytes: ~44 B each) find candidate pairs; (2) signatures
-    are recomputed for candidate ids only (broadcast is_in probe, one
-    extra pass over the candidate docs — O(similar pairs) of the
-    corpus); (3) signature-agreement fraction verifies each pair
-    (E[agree] = J estimates Jaccard). The verified-pair result is
-    identical to verifying inside every bucket: a pair co-occurs in
-    ≥1 bucket iff it is a candidate, agreement is a pure function of
-    the two signatures, and the final min-keep reduction takes the
-    global min over agreeing candidates either way.
+    Three phases, shuffle-lean: (1) one plain task per block emits the
+    band rows (id, band, that band's signature bytes: ~44 B each),
+    which find candidate pairs (`_group_arms`: a driver fold, or past
+    ``GROUP_APPLY_FOLD_BUDGET_ROWS`` a bucketed shuffle over the same
+    band blocks); (2) each candidate's signature is its band keys in
+    band order, taken from the folded band rows, or past the budget
+    from the candidates' band rows alone (one filter task per band
+    block) — no document is read or shingled twice; (3)
+    signature-agreement fraction verifies each pair (E[agree] = J
+    estimates Jaccard). The verified-pair result is identical to
+    verifying inside every bucket: a pair co-occurs in ≥1 bucket iff
+    it is a candidate, agreement is a pure function of the two
+    signatures, and the final min-keep reduction takes the global min
+    over agreeing candidates either way.
     """
     import ray
-    import ray.data as rd
 
-    # a constructed INSTANCE runs as stateless tasks (no actor-pool
-    # spin-up); the permutation params it carries are 2×num_perm
-    # uint64s — trivial to serialize per task
-    band_rows = ds.map_batches(
+    from ..sources import scan_blocks
+
+    if num_perm % bands:
+        raise ValueError(
+            f"num_perm={num_perm} must be a multiple of bands={bands}: the "
+            "band keys are the whole signature"
+        )
+    band_refs = scan_blocks(
+        ds,
         MinHashBandKeys(
             text_col=text_col, id_col=id_col, num_perm=num_perm,
             bands=bands, k_shingle=k_shingle,
         ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
     )
 
     def bucket_candidates(df: pd.DataFrame) -> pd.DataFrame:
@@ -468,26 +477,27 @@ def minhash_duplicate_assignments(
             df, ["band_id", "band_key"], cap=1024, log_label="minhash"
         )
 
-    cand = _bucketed_group_apply(
-        band_rows, ["band_id", "band_key"], None, frame_fn=bucket_candidates
+    band_rows, cand = _group_arms(
+        band_refs, ["band_id", "band_key"], None, bucket_candidates, 64,
+        GROUP_APPLY_FOLD_BUDGET_ROWS,
     )
     # candidate-pair table is O(similar pairs) — driver-side from here.
     # (an all-empty map_groups output loses its schema, hence the
     # column check before drop_duplicates)
-    cand_df = cand.to_pandas()
+    cand_df = cand if band_rows is not None else cand.to_pandas()
     if "id" not in cand_df.columns or len(cand_df) == 0:
         return _min_keep_per_id_df(pd.DataFrame())
     cand_df = cand_df.drop_duplicates(["id", "keep_id"])
 
     cand_ids = pd.unique(pd.concat([cand_df["id"], cand_df["keep_id"]]))
-    cand_ref = ray.put(pa.Array.from_pandas(pd.Series(cand_ids)))
-    sig_df = candidate_signatures(
-        ds, text_col, id_col, cand_ref, num_perm=num_perm, k_shingle=k_shingle
-    ).to_pandas()
-    sig_mat = np.array(sig_df["sig"].tolist(), dtype=np.uint64)
-    row_of = {i: r for r, i in enumerate(sig_df["id"])}
-    a_rows = cand_df["id"].map(row_of).to_numpy()
-    b_rows = cand_df["keep_id"].map(row_of).to_numpy()
+    if band_rows is None:
+        # past the budget only the candidates' band rows come over
+        cand_ref = ray.put(pa.Array.from_pandas(pd.Series(cand_ids)))
+        tables = ray.get(scan_blocks(band_refs, _rows_of_ids, fn_args=(cand_ref,)))
+        band_rows = pa.concat_tables(t for t in tables if t.num_rows).to_pandas()
+    ids, sig_mat = _band_signatures(band_rows, cand_ids)
+    a_rows = pd.Index(ids).get_indexer(cand_df["id"])
+    b_rows = pd.Index(ids).get_indexer(cand_df["keep_id"])
     agree = (sig_mat[a_rows] == sig_mat[b_rows]).mean(axis=1)
     return _min_keep_per_id_df(cand_df[agree >= threshold])
 
@@ -749,9 +759,8 @@ def ngram_jaccard_pairs(ds, text_col: str, id_col: str, *, k: int = 3, threshold
     Shingle sets do NOT ride the shuffle: the explode ships (id, anchor)
     only (~16 B/row instead of each doc's full unique-shingle set ×8
     anchors), anchor buckets emit candidate id pairs, and shingles are
-    recomputed for candidate ids only via the broadcast is_in probe —
-    the same deferred-fetch shape MinHash uses (candidate_signatures
-    above). Verification cost is O(candidate pairs), a vanishing corpus
+    recomputed for candidate ids only via the broadcast is_in probe.
+    Verification cost is O(candidate pairs), a vanishing corpus
     fraction."""
     import ray
     import ray.data as rd

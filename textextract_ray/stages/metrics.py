@@ -53,7 +53,7 @@ def counter_totals(batch: pa.Table) -> dict:
 
 
 def partial_counters(partition_id: int):
-    """map_batches kernel: one partial counters row per batch."""
+    """Per-block kernel: one partial counters row per block."""
 
     def kernel(batch: pa.Table) -> pa.Table:
         row = {"partition_id": partition_id} | counter_totals(batch)
@@ -75,12 +75,12 @@ def counters_dict(partition_id: int, totals) -> dict:
 
 def aggregate_counters(extracted_ds, partition_id: int) -> dict:
     """Counters dict for one partition (drives the manifest): one
-    partial row per block, summed on the driver."""
+    partial row per block (a plain task per block of the materialized
+    Dataset), summed on the driver."""
+    from ..sources import scan_blocks
     from .fold import fold_partials
 
-    partials = extracted_ds.map_batches(
-        partial_counters(partition_id), batch_format="pyarrow"
-    )
+    partials = scan_blocks(extracted_ds, partial_counters(partition_id))
     # O(blocks) rows: no budget can bind
     folded = fold_partials(partials, budget_rows=sys.maxsize)
     return counters_dict(

@@ -15,6 +15,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..sources import scan_blocks
+
 
 def _as_matrix(col) -> np.ndarray:
     # float64: match the SQL oracle's double arithmetic closely enough
@@ -29,52 +31,38 @@ def _unit(mat: np.ndarray) -> np.ndarray:
 
 
 TOPK_MERGE_BUDGET_ROWS = 5_000_000
+# the partial and merged rows of every top-k stage
+_TOPK_SCHEMA = pa.schema(
+    [("query_id", pa.int64()), ("vec_id", pa.int64()), ("score", pa.float64())]
+)
 
 
-def _merge_topk(partial, k: int):
-    """Final top-k per query over the partial nominations.
+def _merge_topk(partial: list, k: int):
+    """Final top-k per query over the partial nominations' refs.
 
     Partial rows are O(blocks · nq · k) by construction — vanishing
-    next to the corpus — so the merge FOLDS ON THE DRIVER while the
-    stream fits ``TOPK_MERGE_BUDGET_ROWS`` (one vectorized lexsort +
-    segment cut; no all-to-all — a Ray groupby over the tiny partial
-    blocks costs ~2s of fixed shuffle overhead regardless of data
-    size). Past the budget (huge block counts × many queries) the
-    key-partitioned groupby arm engages. Both arms apply the same
-    (score desc, vec_id asc) order; results are identical."""
+    next to the corpus — so the merge FOLDS ON THE DRIVER while they
+    fit ``TOPK_MERGE_BUDGET_ROWS`` (`stages.fold.fold_partials`, then
+    one pandas sort + per-query head; no all-to-all — a Ray
+    groupby over the tiny partial blocks costs ~2s of fixed shuffle
+    overhead regardless of data size). Past the budget (huge block
+    counts × many queries) the key-partitioned groupby arm engages
+    over the same refs. Both arms apply the same (score desc, vec_id
+    asc) order; results are identical."""
     import ray.data as rd
 
-    tables, rows = [], 0
-    for b in partial.iter_batches(
-        batch_size=None, batch_format="pyarrow", prefetch_batches=16
-    ):
-        tables.append(b)
-        rows += b.num_rows
-        if rows > TOPK_MERGE_BUDGET_ROWS:
-            break
-    if rows <= TOPK_MERGE_BUDGET_ROWS:
-        empty = pa.table(
-            {
-                "query_id": pa.array([], pa.int64()),
-                "vec_id": pa.array([], pa.int64()),
-                "score": pa.array([], pa.float64()),
-            }
+    from .fold import fold_partials
+
+    df = fold_partials(partial, budget_rows=TOPK_MERGE_BUDGET_ROWS)
+    if df is not None:
+        if not len(df):
+            return rd.from_arrow(_TOPK_SCHEMA.empty_table())
+        top = (
+            df.sort_values(["query_id", "score", "vec_id"], ascending=[True, False, True])
+            .groupby("query_id")
+            .head(k)
         )
-        live = [t for t in tables if t.num_rows]
-        if not live:
-            return rd.from_arrow(empty)
-        t = pa.concat_tables(live).combine_chunks()
-        qid = t["query_id"].to_numpy(zero_copy_only=False)
-        vid = t["vec_id"].to_numpy(zero_copy_only=False)
-        sc = t["score"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((vid, -sc, qid))  # qid asc, score desc, id asc
-        qs = qid[order]
-        starts = np.concatenate(([0], np.nonzero(qs[1:] != qs[:-1])[0] + 1))
-        rank = np.arange(len(qs)) - np.repeat(
-            starts, np.diff(np.concatenate((starts, [len(qs)])))
-        )
-        keep = order[rank < k]
-        return rd.from_arrow(t.take(keep))
+        return rd.from_arrow(pa.Table.from_pandas(top, _TOPK_SCHEMA, preserve_index=False))
 
     def merge(group: pa.Table) -> pa.Table:
         # pyarrow in/out: a pandas merge emitting PandasBlockSchema
@@ -85,7 +73,11 @@ def _merge_topk(partial, k: int):
         )
         return group.take(order[: min(k, len(group))])
 
-    return partial.groupby("query_id").map_groups(merge, batch_format="pyarrow")
+    return (
+        rd.from_arrow_refs(partial)
+        .groupby("query_id")
+        .map_groups(merge, batch_format="pyarrow")
+    )
 
 
 def brute_force_topk(ds, queries: dict, *, vec_col="embedding", id_col="vec_id", k=10):
@@ -133,8 +125,7 @@ def brute_force_topk(ds, queries: dict, *, vec_col="embedding", id_col="vec_id",
             }
         )
 
-    partial = ds.map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
-    return _merge_topk(partial, k)
+    return _merge_topk(scan_blocks(ds, local_topk), k)
 
 
 # --- IVF (scale path) --------------------------------------------------------
@@ -271,13 +262,7 @@ def ivf_topk(ds, queries: dict, *, vec_col="embedding", id_col="vec_id", k=10,
             out_id.append(sel_ids[idx])
             out_s.append(s[idx].astype(np.float64))
         if not out_q:
-            return pa.table(
-                {
-                    "query_id": pa.array([], pa.int64()),
-                    "vec_id": pa.array([], pa.int64()),
-                    "score": pa.array([], pa.float64()),
-                }
-            )
+            return _TOPK_SCHEMA.empty_table()
         return pa.table(
             {
                 "query_id": pa.array(np.concatenate(out_q), pa.int64()),
@@ -286,8 +271,7 @@ def ivf_topk(ds, queries: dict, *, vec_col="embedding", id_col="vec_id", k=10,
             }
         )
 
-    partial = ds.map_batches(probed_topk, batch_format="pyarrow", zero_copy_batch=True)
-    return _merge_topk(partial, k)
+    return _merge_topk(scan_blocks(ds, probed_topk), k)
 
 
 def embedding_pca(ds, *, k: int = 8, vec_col: str = "embedding", id_col: str = "vec_id"):
