@@ -261,6 +261,19 @@ def test_exact_dedup_arms_and_guards(ray_session):
 
     assert got() == want  # fold arm
     assert got(fold_budget_rows=2) == want  # forced bucketed arm
+    # a zero-row block (as a filter leaves) is dropped, so every block
+    # of the result keeps the input schema
+    import pyarrow as pa
+    import ray
+
+    t = pa.Table.from_pylist(rows)
+    out = exact_dedup(rd.from_arrow([t.slice(0, 2), t.slice(0, 0), t.slice(2)]), "text", "doc_id")
+    blocks = ray.get(out.to_arrow_refs())
+    assert all(b.schema == t.schema for b in blocks), [b.schema for b in blocks]
+    assert sorted(zip(out.to_pandas()["doc_id"], out.to_pandas()["text"])) == want
+    # no rows at all: an empty result that still has the input schema
+    none = exact_dedup(rd.from_arrow([t.slice(0, 0)]), "text", "doc_id")
+    assert none.count() == 0 and none.schema().names == ["doc_id", "text"]
     # duplicate ids (one id, two texts) must route to the grouped arm:
     # filter-by-id would over-drop doc 1's surviving text
     dup = rows + [{"doc_id": 1, "text": "alpha"}]

@@ -16,7 +16,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ..sources import scan_blocks
+from ..sources import block_refs, scan_blocks
 from ..stages.metrics import (
     COUNTER_FIELDS,
     aggregate_counters,
@@ -378,14 +378,12 @@ def dedup_by_url(extracted_ds, *, partition_id: int | None = None):
             pc.or_(pc.equal(batch["kind"], 1), pc.greater(batch["n"], 1))
         )
 
-    refs = ds.to_arrow_refs()
+    refs = block_refs(ds)
     if ds.count() <= SCAN_FOLD_BUDGET_ROWS:
         # one plain task per block, no Dataset execution: the fold is
         # a few ms of work against ~0.1 s of streaming-executor start
         parts = ray.get(scan_blocks(refs, _key_partials, fn_args=(with_counters,)))
-        folded = pa.concat_tables(
-            [_PARTIALS_SCHEMA.empty_table(), *(p for p in parts if p.num_rows)]
-        ).to_pandas()
+        folded = pa.concat_tables([_PARTIALS_SCHEMA.empty_table(), *parts]).to_pandas()
     else:
         # Second-level combine. The partials are pre-combined per
         # block, so their total is ~O(distinct keys) 17-byte rows — but
@@ -467,22 +465,17 @@ def dedup_by_url(extracted_ds, *, partition_id: int | None = None):
 
     # past either driver budget: a url-bucketed groupby resolves the
     # duplicate rows, and the counters are recounted from the output
-    out = ds.map_batches(keep_unique, batch_format="pyarrow").union(
-        ds.map_batches(keep_dup, batch_format="pyarrow")
-        .map_batches(bucketize, batch_format="pyarrow")
-        .groupby("url_bucket")
-        .map_groups(winner_per_bucket, batch_format="pyarrow")
-    ).materialize()
-    # the shuffle's empty partitions come out as zero-row blocks with no
-    # columns, which Ray's map stages pass through untouched: keeping
-    # only the non-empty blocks leaves every block with the input schema
+    # (block_refs drops the shuffle's empty, column-less partitions,
+    # which Ray's map stages pass through untouched)
     out = rd.from_arrow_refs(
-        [
-            block
-            for bundle in out.iter_internal_ref_bundles()
-            for block, meta in bundle.blocks
-            if meta.num_rows
-        ]
+        block_refs(
+            ds.map_batches(keep_unique, batch_format="pyarrow").union(
+                ds.map_batches(keep_dup, batch_format="pyarrow")
+                .map_batches(bucketize, batch_format="pyarrow")
+                .groupby("url_bucket")
+                .map_groups(winner_per_bucket, batch_format="pyarrow")
+            )
+        )
     )
     if not with_counters:
         return out

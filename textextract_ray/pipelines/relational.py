@@ -24,6 +24,7 @@ from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from ..functions.scalar import date_bucket
 from ..sources import read_table, scan_table
+from ..stages.fold import fold_partials
 
 
 def _round_floats(df: pd.DataFrame, ndigits: int = 4) -> pd.DataFrame:
@@ -170,8 +171,6 @@ def _fold_partials(partials):
     groups only after its inner joins, which drop NULL keys in every
     arm. tests/test_pipeline_e2e.py pins usage_rollup and q3 against
     DuckDB in both arms."""
-    from ..stages.fold import fold_partials
-
     return fold_partials(partials, budget_rows=AGG_FOLD_BUDGET_ROWS)
 
 
@@ -180,8 +179,6 @@ def _broadcast_keys(refs: list, col: str):
     array, or None once they pass Q3_BROADCAST_BUDGET_KEYS (the fold
     stops fetching there, so past the budget the driver holds at most
     one table's keys)."""
-    from ..stages.fold import fold_partials
-
     df = fold_partials(refs, budget_rows=Q3_BROADCAST_BUDGET_KEYS)
     if df is None:
         return None

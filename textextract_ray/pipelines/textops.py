@@ -11,6 +11,7 @@ pytest instead.
 from __future__ import annotations
 
 import re
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -564,7 +565,7 @@ def minhash_near_dups(sf_dir: str, *, threshold: float = 0.6):
     """MinHash-LSH near-duplicate assignments over documents."""
     from ..stages.dedup import minhash_duplicate_assignments
 
-    docs = scan_table(sf_dir, "documents", columns=["doc_id", "text"])
+    docs = partial(scan_table, sf_dir, "documents", columns=["doc_id", "text"])
     return _pairs_df(
         minhash_duplicate_assignments(docs, "text", "doc_id", threshold=threshold)
     )
@@ -667,7 +668,7 @@ def ann_topk(sf_dir: str, *, nq: int = 5, k: int = 10):
     is impossible; the score-bearing variant is ann_topk_ivf."""
     from ..stages.similarity import brute_force_topk
 
-    vecs = scan_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
+    vecs = partial(scan_table, sf_dir, "embeddings", columns=["vec_id", "embedding"])
     out = brute_force_topk(vecs, _first_queries(sf_dir, nq), k=k).to_pandas()
     return (
         out[["query_id", "vec_id"]]

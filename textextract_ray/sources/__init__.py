@@ -13,6 +13,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
+from ray.data.block import BlockAccessor
 
 
 def _pin_fsspec_http_import() -> None:
@@ -148,43 +149,53 @@ def read_table(sf_dir: str, name: str, columns=None, filter=None) -> rd.Dataset:
 
 
 @ray.remote
-def _scan(src, fn, columns, filters, *fn_args):
-    """``fn(block, *fn_args)`` over a table file (``src`` a path) or
-    one Arrow block (a ref; Ray resolves it, and every ref in
-    ``fn_args``); ``fn`` None returns the block. As in ``map_batches``,
-    a kernel never sees a zero-row block: that comes back empty."""
+def _scan(src, fn, columns, *fn_args):
+    """``fn(table, *fn_args)`` over a table file (``src`` a path) or a
+    block (a ref, resolved by Ray like every ref in ``fn_args``) as an
+    Arrow table; ``fn`` None returns the table."""
     if isinstance(src, str):
-        src = pq.read_table(src, columns=columns, filters=filters)
-    elif src.num_rows == 0:
-        return pa.table({})
+        src = pq.read_table(src, columns=columns)
+    src = BlockAccessor.for_block(src).to_arrow()
     return src if fn is None else fn(src, *fn_args)
 
 
-def scan_table(sf_dir: str, name: str, fn=None, *, columns=None, filter=None,
-               fn_args=()) -> list:
+def scan_table(sf_dir: str, name: str, fn=None, *, columns=None, fn_args=()) -> list:
     """``fn`` over one test table as one plain Ray task per table file
-    (``pq.read_table`` with ``columns`` and the ``filter`` expression
-    pushed down); returns the outputs' ObjectRefs in file order. A
-    file is one block, as in `read_table`, so a kernel sees the same
-    rows in the same order, minus ~0.07 s of streaming-executor start
-    per scan. Callers fold the refs on the driver
-    (`stages.fold.fold_partials`) or, past a budget, run their Dataset
-    arm over ``rd.from_arrow_refs`` of them: nothing is scanned twice."""
+    (``pq.read_table`` with ``columns`` pruned); returns the outputs'
+    ObjectRefs in file order. A file is one block, as in `read_table`,
+    so a kernel sees the same rows in the same order, minus ~0.07 s of
+    streaming-executor start per scan. Callers fold the refs on the
+    driver (`stages.fold.fold_partials`) or, past a budget, run their
+    Dataset arm over ``rd.from_arrow_refs`` of them: nothing is
+    scanned twice. Bound to its table (``functools.partial``) it is a
+    `scan_blocks` source that runs the kernel in the read task."""
     path = os.path.join(sf_dir, f"{name}.parquet")
     cols = list(columns) if columns is not None else None
-    return [_scan.remote(path, fn, cols, filter, *fn_args)]
+    return [_scan.remote(path, fn, cols, *fn_args)]
 
 
 def scan_blocks(src, fn, *, fn_args=()) -> list:
     """``fn(block, *fn_args)`` as one plain task per block of ``src``
-    (see `block_refs`); returns the outputs' ObjectRefs in order."""
-    return [_scan.remote(ref, fn, None, None, *fn_args) for ref in block_refs(src)]
+    (`block_refs`), or in the read tasks of a bound `scan_table`;
+    returns the outputs' ObjectRefs in order."""
+    if callable(src):
+        return src(fn, fn_args=fn_args)
+    return [_scan.remote(ref, fn, None, *fn_args) for ref in block_refs(src)]
 
 
 def block_refs(src) -> list:
-    """Arrow block refs: a list of them (what `scan_table` returns)
-    passes through, a Dataset is materialized."""
-    return src if isinstance(src, list) else src.to_arrow_refs()
+    """Arrow block refs: a list of them passes through; a Dataset is
+    executed, its zero-row blocks (a shuffle's have no columns) are
+    dropped and a pandas block is converted, so every ref has rows and
+    the input schema."""
+    if isinstance(src, list):
+        return src
+    return [
+        ref if isinstance(bundle.schema, pa.Schema) else _scan.remote(ref, None, None)
+        for bundle in src.iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks
+        if meta.num_rows
+    ]
 
 
 def expand_shards(paths, suffixes: tuple) -> list:

@@ -33,6 +33,7 @@ from ..functions.text import (
     md5_hex,
     minhash_params,
 )
+from ..sources import block_refs, scan_blocks
 
 
 # --- exact dedup -------------------------------------------------------------
@@ -76,7 +77,6 @@ def exact_dedup(
     import ray
     import ray.data as rd
 
-    from ..sources import block_refs, scan_blocks
     from .fold import fold_partials
 
     if fold_budget_rows is None:
@@ -91,6 +91,8 @@ def exact_dedup(
         )
 
     refs = block_refs(ds)
+    if not refs:  # every block of the Dataset was empty
+        return ds
     df = fold_partials(scan_blocks(refs, keys_only), budget_rows=fold_budget_rows)
     # duplicate ids (same full row, or one id across different texts)
     # and null ids (is_in can't drop them; idxmin can) both break the
@@ -250,8 +252,6 @@ def _bucketed_group_apply(
     `_group_all_pairs`). Both arms use it, so the speedup applies to
     the bucket tasks at corpus scale, not just the driver fold."""
     import ray.data as rd
-
-    from ..sources import block_refs
 
     if fold_budget_rows is None:
         fold_budget_rows = GROUP_APPLY_FOLD_BUDGET_ROWS
@@ -432,7 +432,8 @@ def minhash_duplicate_assignments(
 ):
     """Dataset of (id, keep_id) pairs: id is a near-duplicate that
     should be dropped in favor of keep_id (keep_id < id always).
-    ``ds`` is a Dataset or a list of Arrow block refs.
+    ``ds`` is a Dataset, a list of Arrow block refs or a bound
+    `sources.scan_table` (`sources.scan_blocks`).
 
     Three phases, shuffle-lean: (1) one plain task per block emits the
     band rows (id, band, that band's signature bytes: ~44 B each),
@@ -450,8 +451,6 @@ def minhash_duplicate_assignments(
     over agreeing candidates either way.
     """
     import ray
-
-    from ..sources import scan_blocks
 
     if num_perm % bands:
         raise ValueError(

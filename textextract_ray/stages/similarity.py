@@ -16,6 +16,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources import scan_blocks
+from .fold import fold_partials
 
 
 def _as_matrix(col) -> np.ndarray:
@@ -51,8 +52,6 @@ def _merge_topk(partial: list, k: int):
     asc) order; results are identical."""
     import ray.data as rd
 
-    from .fold import fold_partials
-
     df = fold_partials(partial, budget_rows=TOPK_MERGE_BUDGET_ROWS)
     if df is not None:
         if not len(df):
@@ -85,7 +84,8 @@ def brute_force_topk(ds, queries: dict, *, vec_col="embedding", id_col="vec_id",
     per-query merge (budgeted driver fold — see ``_merge_topk``).
     ``queries`` = {"query_id": int64 array, "mat": float32 [nq, d]}.
     Returns (query_id, vec_id, score) rows, exactly k per query, ties
-    broken by smaller vec_id (deterministic).
+    broken by smaller vec_id (deterministic). ``ds`` is a Dataset, a
+    list of Arrow block refs or a bound `sources.scan_table`.
 
     The partial stage runs as STATELESS TASKS, not an actor pool: the
     query matrix is unit-normalized ONCE before ``ray.put``, so each
