@@ -390,6 +390,20 @@ def test_query_mix_plain_task_ratchet(ray_session, sf_dir, monkeypatch):
         assert scans.since(r) == tables, name
 
 
+def test_ann_topk_ivf_reads_embeddings_once(ray_session, sf_dir, monkeypatch):
+    """ann_topk_ivf reads its table file once: the query nomination, the
+    centroid training and the probed top-k all run over the blocks of
+    one scan_table read, and no Dataset execution reads parquet."""
+    from textextract_ray.pipelines.textops import ann_topk_ivf
+
+    runs = _Executions(monkeypatch)
+    scans = _Scans(monkeypatch)
+    out = ann_topk_ivf(sf_dir)
+    assert len(out) > 0
+    assert scans.since(0) == {"embeddings": 1}
+    assert not any("ReadParquet" in p for p in runs.every), runs.every
+
+
 def _same_frame(got, want) -> None:
     """The gate's comparison (``tools/check_queries.normalize``):
     order-insensitive rows, floats to rtol 1e-9."""

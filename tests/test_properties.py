@@ -212,58 +212,6 @@ def test_dhash_is_deterministic_and_valid(s):
     assert dhash64(px) == h
 
 
-@given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=1200))
-@settings(max_examples=150, deadline=None)
-def test_parse_robots_total_function(blob):
-    # arbitrary bytes-as-text never crash the parser, and compiled
-    # rules always evaluate over arbitrary paths
-    from textextract_ray.functions.robots import (
-        compile_rules,
-        match_allowed,
-        parse_robots,
-    )
-
-    rules = parse_robots(blob, agent="testbot")
-    comp = compile_rules(rules)
-    got = match_allowed(pa.array(["/", "/a/b?c=1", ""]), comp)
-    assert got.dtype == bool and len(got) == 3
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(["/a", "/b/c", "/d", "/b", "/a/b/c.html", "/"]),
-        ),
-        min_size=1,
-        max_size=6,
-    ),
-    st.lists(
-        st.sampled_from(["/a", "/a/x", "/b/c/d", "/bx", "/d/e", "/", "/q"]),
-        min_size=1,
-        max_size=8,
-    ),
-)
-@settings(max_examples=80, deadline=None)
-def test_robots_disallow_only_stdlib_parity(dis, paths):
-    # property form of the stdlib parity pin: any wildcard-free
-    # Disallow-only file agrees with urllib.robotparser on any path
-    import urllib.robotparser
-
-    from textextract_ray.functions.robots import (
-        compile_rules,
-        match_allowed,
-        parse_robots,
-    )
-
-    body = "User-agent: *\n" + "\n".join(f"Disallow: {d[0]}" for d in dis)
-    rp = urllib.robotparser.RobotFileParser()
-    rp.parse(body.splitlines())
-    comp = compile_rules(parse_robots(body, "*"))
-    got = match_allowed(pa.array(paths), comp).tolist()
-    want = [rp.can_fetch("*", p) for p in paths]
-    assert got == want
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     rows=st.lists(

@@ -606,59 +606,3 @@ def test_dataset_cores_stream_to_parquet_without_driver_pull(
 
     bins = pack_bins_ds(docs, capacity=64)
     assert isinstance(bins, ray.data.Dataset)
-
-
-def test_group_split_leakage_free(ray_session, sf_dir):
-    """Leakage-free splits: every group lands wholly in one split
-    (DuckDB md5-parity on the exact assignment), proportions are
-    governed by the configured fractions at the GROUP level, and the
-    assignment is stable across partitionings."""
-    import duckdb
-    import ray.data as rd
-
-    from textextract_ray.pipelines.textops import group_split, group_split_ds
-    from textextract_ray.sources import read_table
-
-    df = group_split(sf_dir)
-    assert set(df.columns) == {"doc_id", "source", "split"}
-    # group atomicity: one split per source
-    per_group = df.groupby("source")["split"].nunique()
-    assert (per_group == 1).all()
-
-    # exact DuckDB parity of the md5-prefix decision
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM '{sf_dir}/documents.parquet'"
-    )
-    want = con.execute(
-        """
-        SELECT doc_id, source,
-            CASE
-                WHEN u < CAST(0.9 * 4294967296 AS BIGINT) THEN 'train'
-                WHEN u < CAST(0.95 * 4294967296 AS BIGINT) THEN 'val'
-                ELSE 'test'
-            END AS split
-        FROM (
-            SELECT doc_id, source,
-                CAST(('0x' || substr(md5('split:' || source), 1, 8)) AS BIGINT) AS u
-            FROM documents
-        ) ORDER BY doc_id
-        """
-    ).df()
-    assert df["split"].tolist() == want["split"].tolist()
-
-    # stable under re-partitioning
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "source"])
-    alt = (
-        group_split_ds(ds.repartition(7), "source")
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    assert alt["split"].tolist() == df["split"].tolist()
-
-    # custom fractions must sum to 1
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError, match="sum to 1"):
-        group_split_ds(ds, "source", fractions=(("a", 0.5), ("b", 0.2)))

@@ -1,11 +1,9 @@
-"""End-to-end web-corpus RELEASE recipe over the round-4 operator set:
-pages -> robots-noindex compliance -> extraction (actor pool, url
-dedup) -> unicode normalize (registry stage) -> frequent-line scrub
--> attribute tagging -> quality mix -> JSONL release shards ->
-read-back. Every
-stage is the library's own public surface; the test pins the
-COMPOSITION (columns thread through, counts only shrink, release
-round-trips), not any one kernel — each has its own suite."""
+"""End-to-end web-corpus RELEASE recipe: pages -> extraction (actor
+pool, url dedup) -> attribute tagging -> quality mix -> JSONL release
+shards -> read-back. Every stage is the library's own public surface;
+the test pins the COMPOSITION (columns thread through, counts only
+shrink, release round-trips), not any one kernel — each has its own
+suite."""
 
 from __future__ import annotations
 
@@ -30,18 +28,12 @@ def test_release_recipe_end_to_end(ray_session, fixture_pages, tmp_path):
         dedup_by_url,
         extract_dataset,
     )
-    from textextract_ray.pipelines.registry import build_pipeline
-    from textextract_ray.pipelines.textops import (
-        filter_noindex_ds,
-        line_frequency_filter_ds,
-    )
     from textextract_ray.sources import read_jsonl, write_jsonl
 
     pages = rd.read_parquet(list(fixture_pages))
     n_pages = pages.count()
 
-    compliant = filter_noindex_ds(pages)
-    extracted = dedup_by_url(extract_dataset(compliant)).materialize()
+    extracted = dedup_by_url(extract_dataset(pages)).materialize()
     ok = extracted.filter(expr="status == 'ok'")
 
     def to_docs(batch: pa.Table) -> pa.Table:
@@ -55,19 +47,13 @@ def test_release_recipe_end_to_end(ray_session, fixture_pages, tmp_path):
             }
         )
 
-    docs = ok.map_batches(to_docs, batch_format="pyarrow")
-    normalized = build_pipeline(docs, [{"stage": "normalize_text"}])
-    scrubbed = line_frequency_filter_ds(normalized, min_count=5).materialize()
-    n_docs = scrubbed.count()
+    docs = ok.map_batches(to_docs, batch_format="pyarrow").materialize()
+    n_docs = docs.count()
     assert 0 < n_docs <= n_pages
-    # pass-through columns survived both text stages
-    assert {"doc_id", "url", "text", "mojibake_fixed", "n_dropped"} <= set(
-        scrubbed.schema().names
-    )
 
-    attrs = tag_attributes_ds(scrubbed, standard_taggers())
+    attrs = tag_attributes_ds(docs, standard_taggers())
     kept = filter_by_attributes_ds(
-        scrubbed, attrs, lambda b: pc.greater(b["n_tokens"], 3)
+        docs, attrs, lambda b: pc.greater(b["n_tokens"], 3)
     ).materialize()
     n_kept = kept.count()
     assert 0 < n_kept <= n_docs

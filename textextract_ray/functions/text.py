@@ -511,246 +511,3 @@ def split_sentences(col: "pa.ChunkedArray | pa.Array") -> pa.Array:
         replacement="\\1 ",
     )
     return pc.split_pattern(unmarked, _SENT_MARK)
-
-
-# Gopher quality-filter thresholds (Rae et al. 2021, arXiv:2112.11446
-# table A1 — public paper). Our repetition signals measure the
-# occurrence fraction of repeated n-grams (not the paper's
-# character-mass fraction); the thresholds below are applied to that
-# statistic and the delta is documented here and in the filter test.
-GOPHER_MIN_WORDS = 50
-GOPHER_MAX_WORDS = 100_000
-GOPHER_MEAN_WORD_LEN = (3.0, 10.0)
-GOPHER_MAX_SYMBOL_RATIO = 0.1       # '#' and ellipsis per word
-GOPHER_MAX_BULLET_LINE_FRAC = 0.9   # drop only when MORE than 90% of lines are bullets
-GOPHER_MAX_ELLIPSIS_LINE_FRAC = 0.3
-GOPHER_MIN_ALPHA_WORD_FRAC = 0.8
-GOPHER_MIN_STOPWORD_HITS = 2
-GOPHER_REQUIRED_STOPWORDS = ("the", "be", "to", "of", "and", "that", "have", "with")
-GOPHER_MAX_TOP_BIGRAM_FRAC = 0.20
-GOPHER_MAX_TOP_3GRAM_FRAC = 0.18
-GOPHER_MAX_TOP_4GRAM_FRAC = 0.16
-
-
-def gopher_rules(col: "pa.ChunkedArray | pa.Array") -> pa.Table:
-    """Per-rule boolean columns for the Gopher document filter — all
-    Arrow/RE2 vectorized (the repetition rules live in
-    ``repetition_features``; ``gopher_filter_ds`` combines both).
-    True = the rule PASSES (doc survives that rule)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    col = pc.fill_null(col, "")
-    n_tokens = token_count(col).cast(pa.float64())
-    safe_tokens = pc.max_element_wise(n_tokens, 1.0)
-    n_chars = pc.utf8_length(col).cast(pa.float64())
-    n_spaces = pc.count_substring_regex(col, r"\s").cast(pa.float64())
-    mean_tok = pc.divide(pc.subtract(n_chars, n_spaces), safe_tokens)
-
-    symbols = pc.count_substring_regex(col, r"#|\.\.\.|…").cast(pa.float64())
-    n_lines = pc.add(
-        pc.count_substring_regex(col, r"\n").cast(pa.float64()), 1.0
-    )
-    bullet_lines = pc.count_substring_regex(
-        col, r"(?m)^[ \t]*[-*•‣▪]"
-    ).cast(pa.float64())
-    ellipsis_lines = pc.count_substring_regex(
-        col, r"(?m)(\.\.\.|…)[ \t]*$"
-    ).cast(pa.float64())
-    alpha_words = pc.count_substring_regex(
-        col, r"[^\s]*[A-Za-z][^\s]*"
-    ).cast(pa.float64())
-    lower = pc.utf8_lower(col)
-    stop_hits = None
-    for w in GOPHER_REQUIRED_STOPWORDS:
-        hit = pc.match_substring_regex(lower, r"\b" + w + r"\b").cast(pa.int32())
-        stop_hits = hit if stop_hits is None else pc.add(stop_hits, hit)
-
-    return pa.table(
-        {
-            "rule_word_count": pc.and_(
-                pc.greater_equal(n_tokens, GOPHER_MIN_WORDS),
-                pc.less_equal(n_tokens, GOPHER_MAX_WORDS),
-            ),
-            "rule_mean_word_len": pc.and_(
-                pc.greater_equal(mean_tok, GOPHER_MEAN_WORD_LEN[0]),
-                pc.less_equal(mean_tok, GOPHER_MEAN_WORD_LEN[1]),
-            ),
-            "rule_symbol_ratio": pc.less(
-                pc.divide(symbols, safe_tokens), GOPHER_MAX_SYMBOL_RATIO
-            ),
-            # table A1 removes a doc only when MORE than 90% of its
-            # lines start with a bullet (a README with a modest list
-            # must pass — the inverted <=10% reading over-filters)
-            "rule_bullet_lines": pc.less_equal(
-                pc.divide(bullet_lines, n_lines), GOPHER_MAX_BULLET_LINE_FRAC
-            ),
-            "rule_ellipsis_lines": pc.less_equal(
-                pc.divide(ellipsis_lines, n_lines), GOPHER_MAX_ELLIPSIS_LINE_FRAC
-            ),
-            "rule_alpha_words": pc.greater_equal(
-                pc.divide(alpha_words, safe_tokens), GOPHER_MIN_ALPHA_WORD_FRAC
-            ),
-            "rule_stopwords": pc.greater_equal(
-                stop_hits, GOPHER_MIN_STOPWORD_HITS
-            ),
-        }
-    )
-
-
-def top_ngram_fractions(texts: list, ns=(2, 3, 4)) -> pa.Table:
-    """Per-doc share of all n-gram occurrences taken by the single
-    most frequent n-gram, for each n — the statistic the Gopher
-    top-n-gram rules threshold (0.20/0.18/0.16 for n=2/3/4, table A1;
-    the paper measures the character mass of that n-gram, this is the
-    occurrence share — same detector, documented variant). Shares one
-    token-hash pass across all n (the repetition_features machinery;
-    kept separate because that function's column set is pinned by a
-    gate oracle)."""
-    h, offs = _flat_token_hashes(texts)
-    n_docs = len(texts)
-    out = {n: np.zeros(n_docs, dtype=np.float64) for n in ns}
-    for d in range(n_docs):
-        hd = h[offs[d] : offs[d + 1]]
-        for n in ns:
-            m = len(hd) - n + 1
-            if m < 1:
-                continue
-            acc = np.zeros(m, dtype=np.uint64)
-            for j in range(n):
-                acc = acc * _SHINGLE_B + hd[j : j + m]
-            _, counts = np.unique(acc, return_counts=True)
-            out[n][d] = counts.max() / m
-    return pa.table(
-        {f"top_{n}gram_frac": pa.array(out[n], pa.float64()) for n in ns}
-    )
-
-
-# --- script detection / readability / Luhn audit ------------------------------
-
-_SCRIPTS = ("Latin", "Cyrillic", "Han", "Arabic", "Greek", "Hangul",
-            "Hiragana", "Katakana", "Devanagari", "Hebrew")
-
-
-def script_fractions(col) -> pa.Table:
-    """Per-document Unicode-script composition: fraction of LETTER
-    characters in each major script (RE2 ``\\p{Script}`` classes — one
-    vectorized count pass per script) plus ``main_script`` (argmax;
-    "none" for letterless docs). The multilingual routing signal that
-    survives when trigram language ID cannot separate same-script
-    languages — and the cheap CJK/Arabic/Cyrillic detector before any
-    per-language stage dispatch."""
-    text = pc.fill_null(col, "")
-    total = pc.count_substring_regex(text, r"\p{L}").to_numpy(
-        zero_copy_only=False
-    ).astype(np.float64)
-    denom = np.maximum(total, 1.0)
-    cols = {}
-    counts = []
-    for s in _SCRIPTS:
-        c = pc.count_substring_regex(text, rf"\p{{{s}}}").to_numpy(
-            zero_copy_only=False
-        ).astype(np.float64)
-        counts.append(c)
-        cols[f"frac_{s.lower()}"] = pa.array(c / denom, pa.float64())
-    mat = np.stack(counts)  # [script, doc]
-    best = np.argmax(mat, axis=0)
-    main = np.where(
-        mat[best, np.arange(mat.shape[1])] > 0,
-        np.array([s.lower() for s in _SCRIPTS], dtype=object)[best],
-        "none",
-    )
-    cols["main_script"] = pa.array(main.tolist(), pa.string())
-    cols["n_letters"] = pa.array(total.astype(np.int64), pa.int64())
-    return pa.table(cols)
-
-
-def readability_features(col) -> pa.Table:
-    """Flesch reading ease (Flesch 1948; Kincaid et al. 1975 for the
-    grade form) from three vectorized counts: words (whitespace
-    tokens), sentences (``[.!?]+`` runs, min 1), syllables (vowel
-    GROUPS ``(?i)[aeiouy]+`` — the standard cheap approximation).
-    ``flesch = 206.835 − 1.015·(words/sentences) −
-    84.6·(syllables/words)``; also returns the two ratios. Heuristic
-    by construction (as every corpus-scale readability signal is) and
-    a pure function of the text — layout/retry-stable."""
-    text = pc.fill_null(col, "")
-    words = token_count(text).to_numpy(zero_copy_only=False).astype(np.float64)
-    sents = np.maximum(
-        pc.count_substring_regex(text, r"[.!?]+")
-        .to_numpy(zero_copy_only=False)
-        .astype(np.float64),
-        1.0,
-    )
-    syll = pc.count_substring_regex(text, r"(?i)[aeiouy]+").to_numpy(
-        zero_copy_only=False
-    ).astype(np.float64)
-    wps = words / sents
-    spw = syll / np.maximum(words, 1.0)
-    flesch = np.where(
-        words > 0, 206.835 - 1.015 * wps - 84.6 * spw, 0.0
-    )
-    return pa.table(
-        {
-            "words_per_sentence": pa.array(np.where(words > 0, wps, 0.0)),
-            "syllables_per_word": pa.array(spw, pa.float64()),
-            "flesch_reading_ease": pa.array(flesch, pa.float64()),
-        }
-    )
-
-
-_CC_CAND_RE = r"\b(?:\d[ -]?){12,18}\d\b"  # 13-19 digits, sep-tolerant
-
-
-def luhn_valid(digits: str) -> bool:
-    """Luhn mod-10 checksum (ISO/IEC 7812) over a digit string."""
-    total = 0
-    for i, ch in enumerate(reversed(digits)):
-        d = ord(ch) - 48
-        if i % 2 == 1:
-            d *= 2
-            if d > 9:
-                d -= 9
-        total += d
-    return total % 10 == 0
-
-
-def cc_audit(col) -> pa.Table:
-    """Credit-card PII audit with checksum precision: candidates are
-    13-19 digit runs (space/dash tolerant), and each candidate is
-    verified with the Luhn checksum — cutting the false-positive rate
-    of a bare digit-run pattern by ~10× (a random digit run passes
-    Luhn 1-in-10). Returns per-doc ``n_cc_candidates`` and
-    ``n_cc_luhn_valid``.
-
-    Scale shape — the deferred-verification pattern: ONE vectorized
-    RE2 prefilter finds the (rare) docs with any candidate; Python
-    ``finditer`` + Luhn run only on those hits, so the per-match work
-    touches a vanishing corpus fraction. Complements ``scrub_pii``
-    (which redacts broadly, recall-oriented); this measures precisely,
-    precision-oriented — run it as an attribute tagger and filter or
-    route on the counts."""
-    import re
-
-    text = pc.fill_null(col, "")
-    n = len(text)
-    cand_counts = pc.count_substring_regex(text, _CC_CAND_RE).to_numpy(
-        zero_copy_only=False
-    ).astype(np.int64)
-    valid = np.zeros(n, dtype=np.int64)
-    hits = np.flatnonzero(cand_counts > 0)
-    if len(hits):
-        rx = re.compile(_CC_CAND_RE)
-        texts = text.take(pa.array(hits, pa.int64())).to_pylist()
-        for row, t in zip(hits, texts):
-            v = 0
-            for m in rx.finditer(t):
-                digits = re.sub(r"[ -]", "", m.group())
-                if 13 <= len(digits) <= 19 and luhn_valid(digits):
-                    v += 1
-            valid[row] = v
-    return pa.table(
-        {
-            "n_cc_candidates": pa.array(cand_counts, pa.int64()),
-            "n_cc_luhn_valid": pa.array(valid, pa.int64()),
-        }
-    )

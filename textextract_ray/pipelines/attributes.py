@@ -230,61 +230,3 @@ def code_taggers(text_col: str = "text") -> dict:
         "alnum_frac": lambda b: _frac(b, r"[a-zA-Z0-9]"),
         "alpha_frac": lambda b: _frac(b, r"[a-zA-Z]"),
     }
-
-
-def _batch_memo(kernel, text_col: str):
-    """Share one multi-column kernel evaluation across several taggers
-    of the same batch: taggers run sequentially over the same batch
-    object, so caching the last (batch, result) pair — with a strong
-    ref to the batch so its id cannot be reused — makes each extra
-    column free."""
-    state: dict = {}
-
-    def get(b: pa.Table) -> pa.Table:
-        if state.get("batch") is not b:
-            state["batch"] = b
-            state["result"] = kernel(
-                pc.fill_null(b[text_col].combine_chunks(), "")
-            )
-        return state["result"]
-
-    return get
-
-
-def script_taggers(text_col: str = "text") -> dict:
-    """Unicode-script composition taggers (functions.text
-    .script_fractions): the multilingual routing signals — main script
-    plus the per-script letter fractions that separate what trigram
-    language ID cannot (same-script languages vs different-script
-    noise). One vectorized RE2 count per script, computed once per
-    batch and shared across the columns."""
-    from ..functions.text import script_fractions
-
-    get = _batch_memo(script_fractions, text_col)
-    cols = ["main_script", "frac_latin", "frac_cyrillic", "frac_han",
-            "frac_arabic", "n_letters"]
-    return {c: (lambda b, c=c: get(b)[c]) for c in cols}
-
-
-def readability_taggers(text_col: str = "text") -> dict:
-    """Flesch reading ease + its two ratio components
-    (functions.text.readability_features) — the classic cheap
-    readability signals quality pipelines bin on."""
-    from ..functions.text import readability_features
-
-    get = _batch_memo(readability_features, text_col)
-    cols = ["flesch_reading_ease", "words_per_sentence", "syllables_per_word"]
-    return {c: (lambda b, c=c: get(b)[c]) for c in cols}
-
-
-def pii_audit_taggers(text_col: str = "text") -> dict:
-    """Checksum-precise credit-card audit (functions.text.cc_audit):
-    candidate digit runs vs Luhn-valid ones — the precision
-    counterpart of the recall-oriented ``scrub_pii`` redactor."""
-    from ..functions.text import cc_audit
-
-    get = _batch_memo(cc_audit, text_col)
-    return {
-        "n_cc_candidates": lambda b: get(b)["n_cc_candidates"],
-        "n_cc_luhn_valid": lambda b: get(b)["n_cc_luhn_valid"],
-    }

@@ -235,21 +235,6 @@ def _resize_image_factory(size: int = 224, emit: str = "png",
     )
 
 
-@register("decode_video")
-def _decode_video_factory(batch_size: int = 16, concurrency=(1, 8), strict: bool = False):
-    from ..stages.multimodal import DecodeVideo
-
-    return (
-        DecodeVideo,
-        dict(
-            zero_copy_batch=True,
-            batch_size=batch_size,
-            concurrency=concurrency,
-            fn_constructor_kwargs={"strict": strict},
-        ),
-    )
-
-
 @register("frame_sample")
 def _frame_sample_factory(n_frames: int = 4, batch_size: int = 8, concurrency=(1, 4)):
     from ..stages.multimodal import FrameSample
@@ -263,44 +248,6 @@ def _frame_sample_factory(n_frames: int = 4, batch_size: int = 8, concurrency=(1
             fn_constructor_kwargs={"n_frames": n_frames},
         ),
     )
-
-
-@register("group_split")
-def _group_split_factory(group_col: str = "source", salt: str = "split"):
-    from ..pipelines.textops import SPLIT_FRACTIONS
-    from ..functions.text import md5_hex
-    import numpy as np
-
-    cum, acc = [], 0.0
-    for label, f in SPLIT_FRACTIONS:
-        acc += f
-        cum.append((label, int(min(1.0, acc) * 16**8)))
-    cum[-1] = (cum[-1][0], 16**8)
-
-    def kernel(batch: pa.Table) -> pa.Table:
-        keys = [f"{salt}:{k}" for k in batch[group_col].to_pylist()]
-        u = np.array([int(h[:8], 16) for h in md5_hex(keys)], dtype=np.int64)
-        labels = np.empty(len(u), dtype=object)
-        labels[:] = cum[-1][0]
-        prev = 0
-        for label, hi in cum:
-            labels[(u >= prev) & (u < hi)] = label
-            prev = hi
-        return batch.append_column("split", pa.array(labels, pa.string()))
-
-    return kernel
-
-
-@register("normalize_text")
-def _normalize_text_factory(
-    text_col: str = "text", form: str = "NFC", fix_mojibake: bool = True
-):
-    """Unicode/mojibake cleanup stage (textops.build_normalize_kernel:
-    text replaced in place, mojibake_fixed appended, all other columns
-    pass through)."""
-    from ..pipelines.textops import build_normalize_kernel
-
-    return build_normalize_kernel(text_col, form, fix_mojibake)
 
 
 @register("sentence_chunks")
@@ -340,76 +287,6 @@ def _image_dhash_factory(
     )
 
 
-@register("gopher_filter")
-def _gopher_filter_factory(text_col: str = "text", audit: bool = False):
-    from ..pipelines.textops import gopher_filter_ds
-
-    def ds_op(ds):
-        return gopher_filter_ds(ds, text_col=text_col, audit=audit)
-
-    ds_op.is_dataset_op = True
-    return ds_op
-
-
-@register("noindex_filter")
-def _noindex_filter_factory(html_col: str = "html", audit: bool = False):
-    from ..pipelines.textops import filter_noindex_ds
-
-    def ds_op(ds):
-        return filter_noindex_ds(ds, html_col=html_col, audit=audit)
-
-    ds_op.is_dataset_op = True
-    return ds_op
-
-
-@register("line_frequency_filter")
-def _linefreq_factory(text_col: str = "text", min_chars: int = 30,
-                      min_count: int = 3, drop_empty: bool = True):
-    from ..pipelines.textops import line_frequency_filter_ds
-
-    def ds_op(ds):
-        return line_frequency_filter_ds(
-            ds, text_col=text_col, min_chars=min_chars,
-            min_count=min_count, drop_empty=drop_empty,
-        )
-
-    ds_op.is_dataset_op = True
-    return ds_op
-
-
-@register("fim_transform")
-def _fim_factory(rate: float = 0.5, seed: int = 0xF1E, min_chars: int = 32,
-                 id_col: str = "doc_id", text_col: str = "text"):
-    from ..pipelines.textops import fim_transform_ds
-
-    def ds_op(ds):
-        return fim_transform_ds(
-            ds, rate=rate, seed=seed, min_chars=min_chars,
-            id_col=id_col, text_col=text_col,
-        )
-
-    ds_op.is_dataset_op = True
-    return ds_op
-
-
-@register("span_corrupt")
-def _span_corrupt_factory(rate: float = 0.15, mean_span: int = 3,
-                          seed: int = 0x55C, min_tokens: int = 8,
-                          max_sentinels: int = 100,
-                          id_col: str = "doc_id", text_col: str = "text"):
-    from ..pipelines.textops import span_corrupt_ds
-
-    def ds_op(ds):
-        return span_corrupt_ds(
-            ds, rate=rate, mean_span=mean_span, seed=seed,
-            min_tokens=min_tokens, max_sentinels=max_sentinels,
-            id_col=id_col, text_col=text_col,
-        )
-
-    ds_op.is_dataset_op = True
-    return ds_op
-
-
 @register("embed_text")
 def _embed_text_factory(text_col: str = "text", id_col: str = "doc_id",
                         dim: int = 64, keep_cols=()):
@@ -420,58 +297,6 @@ def _embed_text_factory(text_col: str = "text", id_col: str = "doc_id",
             ds, text_col=text_col, id_col=id_col, dim=dim,
             keep_cols=tuple(keep_cols),
         )
-
-    ds_op.is_dataset_op = True
-    return ds_op
-
-
-@register("robots_filter")
-def _robots_filter_factory(robots_path: str, url_col: str = "url",
-                           agent: str = "*", audit: bool = False):
-    from ..pipelines.textops import robots_filter_ds
-
-    def ds_op(ds):
-        import ray.data as rd
-
-        robots = rd.read_parquet(robots_path)
-        return robots_filter_ds(ds, robots, url_col=url_col, agent=agent,
-                                audit=audit)
-
-    ds_op.is_dataset_op = True
-    return ds_op
-
-
-@register("text_signal_tags")
-def _text_signal_tags_factory(text_col: str = "text", scripts: bool = True,
-                              readability: bool = True, pii_audit: bool = True):
-    """Append the script/readability/Luhn signal columns to the docs
-    themselves (the in-line form; use pipelines.attributes for the
-    sidecar-store form)."""
-    from ..pipelines.attributes import (
-        pii_audit_taggers,
-        readability_taggers,
-        script_taggers,
-    )
-
-    taggers = {}
-    if scripts:
-        taggers.update(script_taggers(text_col))
-    if readability:
-        taggers.update(readability_taggers(text_col))
-    if pii_audit:
-        taggers.update(pii_audit_taggers(text_col))
-
-    def ds_op(ds):
-        import pyarrow as pa
-
-        def kernel(batch: pa.Table) -> pa.Table:
-            out = batch
-            for name, fn in taggers.items():
-                out = out.append_column(name, fn(batch))
-            return out
-
-        return ds.map_batches(kernel, batch_format="pyarrow",
-                              zero_copy_batch=True)
 
     ds_op.is_dataset_op = True
     return ds_op

@@ -10,7 +10,6 @@ pytest instead.
 
 from __future__ import annotations
 
-import re
 from functools import partial
 
 import numpy as np
@@ -22,7 +21,7 @@ import ray.data as rd
 from ray.data.aggregate import Count, Sum
 
 from ..functions.text import lang_id, md5_hex, quality_features, token_count
-from ..sources import read_table, scan_table
+from ..sources import read_table, scan_blocks, scan_table
 
 
 def _lower_token_lists(col, pattern: str = "[^a-z]+"):
@@ -629,13 +628,14 @@ def semantic_dedup(sf_dir: str, *, threshold: float = 0.45):
     )
 
 
-def _first_queries(sf_dir: str, nq: int) -> dict:
-    """The first nq embeddings double as the query set (deterministic).
+def _first_queries(vecs, nq: int) -> dict:
+    """The first nq embeddings of ``vecs`` (a `scan_blocks` source of
+    the embeddings table) double as the query set (deterministic).
 
     Pushed-down selection in ONE scan (never materializes the table
-    on the driver): each file's scan task nominates its local
+    on the driver): each block's scan task nominates its local
     nq-smallest ids WITH their vectors; the driver keeps the global nq
-    smallest of O(files × nq) nominated rows. At 10^12 rows the driver holds
+    smallest of O(blocks × nq) nominated rows. At 10^12 rows the driver holds
     blocks × nq vectors (e.g. 10^4 blocks × 5 × 128 floats ≈ 25 MB),
     not the corpus — strictly less I/O than the former two-pass
     id-scan + is_in fetch, which decoded the embedding column in full
@@ -650,8 +650,8 @@ def _first_queries(sf_dir: str, nq: int) -> dict:
         idx = np.argpartition(v, take - 1)[:take]
         return batch.take(pa.array(np.sort(idx)))
 
-    refs = scan_table(sf_dir, "embeddings", nominate, columns=["vec_id", "embedding"])
-    q = pa.concat_tables(ray.get(refs)).to_pandas().sort_values("vec_id").head(nq)
+    q = pa.concat_tables(ray.get(scan_blocks(vecs, nominate)))
+    q = q.to_pandas().sort_values("vec_id").head(nq)
     return {
         "query_id": q["vec_id"].to_numpy(np.int64),
         "mat": np.array(q["embedding"].tolist(), dtype=np.float32),
@@ -669,7 +669,7 @@ def ann_topk(sf_dir: str, *, nq: int = 5, k: int = 10):
     from ..stages.similarity import brute_force_topk
 
     vecs = partial(scan_table, sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    out = brute_force_topk(vecs, _first_queries(sf_dir, nq), k=k).to_pandas()
+    out = brute_force_topk(vecs, _first_queries(vecs, nq), k=k).to_pandas()
     return (
         out[["query_id", "vec_id"]]
         .sort_values(["query_id", "vec_id"])
@@ -678,11 +678,14 @@ def ann_topk(sf_dir: str, *, nq: int = 5, k: int = 10):
 
 
 def ann_topk_ivf(sf_dir: str, *, nq: int = 5, k: int = 10):
-    """IVF-bucketed approximate top-k (the scale path)."""
+    """IVF-bucketed approximate top-k (the scale path). The table is
+    read once: the query nomination, the centroid training and the
+    probed top-k all run over the blocks of that one scan."""
     from ..stages.similarity import ivf_topk
 
-    ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    out = ivf_topk(ds, _first_queries(sf_dir, nq), k=k).to_pandas()
+    refs = scan_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
+    queries = _first_queries(refs, nq)
+    out = ivf_topk(rd.from_arrow_refs(refs), queries, k=k).to_pandas()
     out["score"] = out["score"].round(6)
     return out.sort_values(["query_id", "score", "vec_id"], ascending=[True, False, True]).reset_index(
         drop=True
@@ -1555,77 +1558,6 @@ def pack_bins_ds(ds, *, capacity: int = 512, num_buckets: int = 64):
     )
 
 
-# ---------------------------------------------------------------------------
-# Paragraph-level dedup (C4 / Dolma style)
-# ---------------------------------------------------------------------------
-
-# ---------------------------------------------------------------------------
-# Exact-substring dedup (Lee et al. 2021, ExactSubstr) at k-gram resolution
-# ---------------------------------------------------------------------------
-
-# ---------------------------------------------------------------------------
-# C4 cleaning rules (Raffel et al. 2020 §2.2)
-# ---------------------------------------------------------------------------
-
-# --- leakage-free train/val/test splits ---------------------------------------
-
-SPLIT_FRACTIONS = (("train", 0.9), ("val", 0.05), ("test", 0.05))
-
-
-def group_split_ds(ds, group_col: str, *, fractions=SPLIT_FRACTIONS,
-                   salt: str = "split"):
-    """Assign every row a train/val/test split BY GROUP: the decision
-    hashes the GROUP key (md5 hex prefix, the corpus_mix recipe), so
-    all rows of a group land in the same split. Splitting training
-    corpora row-wise leaks near-duplicates across train/test (same
-    host, same cluster, same source); group-keyed assignment is the
-    standard fix. Pure per-row decision — embarrassingly parallel, no
-    shuffle, stable under re-partitioning/retries, exactly
-    SQL-expressible (md5 both sides, pinned by DuckDB-parity pytest).
-
-    ``fractions`` is an ordered (label, fraction) sequence summing to
-    1; the group's u = first-8-hex-digits(md5(salt:group))/16^8 picks
-    the first label whose cumulative fraction exceeds u."""
-    from ..functions.text import md5_hex
-
-    fr = list(fractions)
-    total = sum(f for _, f in fr)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {total}")
-    cum, acc = [], 0.0
-    for label, f in fr:
-        acc += f
-        cum.append((label, int(min(1.0, acc) * 16**8)))
-    cum[-1] = (cum[-1][0], 16**8)  # closed top end
-
-    def assign(batch: pa.Table) -> pa.Table:
-        keys = [f"{salt}:{k}" for k in batch[group_col].to_pylist()]
-        u = np.array(
-            [int(h[:8], 16) for h in md5_hex(keys)], dtype=np.int64
-        )
-        labels = np.empty(len(u), dtype=object)
-        labels[:] = cum[-1][0]
-        prev = 0
-        for label, hi in cum:
-            labels[(u >= prev) & (u < hi)] = label
-            prev = hi
-        return batch.append_column("split", pa.array(labels, pa.string()))
-
-    return ds.map_batches(assign, batch_format="pyarrow")
-
-
-def group_split(sf_dir: str, *, group_col: str = "source",
-                fractions=SPLIT_FRACTIONS, salt: str = "split"):
-    """Gate-style wrapper: documents split leakage-free by ``source``
-    (all docs from one source share a split), with per-split counts a
-    caller can sanity-check against the configured fractions."""
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "source"])
-    out = group_split_ds(ds, group_col, fractions=fractions, salt=salt)
-    return (
-        out.to_pandas().sort_values("doc_id").reset_index(drop=True)
-    )
-
-
 # --- corpus-trained BPE tokenizer ---------------------------------------------
 
 
@@ -1893,208 +1825,6 @@ def unigram_encode_corpus_ds(
     return docs.map_batches(encode, batch_format="pyarrow", zero_copy_batch=True)
 
 
-# --- frequent-line boilerplate removal (CCNet §2.1 / RefinedWeb line-wise) ----
-
-LINE_FREQ_SET_BUDGET = 5_000_000
-
-
-def line_frequency_filter_ds(
-    docs,
-    *,
-    text_col: str = "text",
-    sep: str = "\n",
-    min_chars: int = 30,
-    min_count: int = 3,
-    drop_empty: bool = True,
-    set_budget: int = LINE_FREQ_SET_BUDGET,
-    seed: int = 0x11F0,
-):
-    """Boilerplate-line removal by corpus frequency (CCNet §2.1,
-    Wenzek et al. LREC 2020 — duplicated-paragraph removal kills
-    'enable javascript' / cookie banners; RefinedWeb applies the same
-    line-wise): a line (``sep``-delimited, length ≥ ``min_chars``)
-    that occurs in ``min_count`` or more places corpus-wide is removed
-    from EVERY document, first occurrence included. Short lines bypass
-    (never counted, never removed).
-
-    Distributed shape: pass 1 ships per-batch pre-combined
-    (line_hash, count) partials — 16 B per DISTINCT line per batch,
-    never text — into one keys-only groupby; the frequent-hash set
-    (count ≥ min_count, guarded by ``set_budget``) broadcasts once via
-    ``ray.put``. Pass 2 is shuffle-free: lines explode / mask /
-    rebuild inside each batch with Arrow list kernels + one
-    ``searchsorted`` probe — no per-row Python. Line identity is the
-    64-bit repo hash (the broadcast set must stay compact, so
-    ~2⁻⁶⁴-per-pair false removals are accepted and documented).
-
-    Text replaced in place, all other columns pass through, n_dropped
-    appended; documents whose every line
-    is removed disappear when ``drop_empty``."""
-    import ray
-
-    from ..functions.scalar import hash_utf8
-
-    # hashes travel the groupby as int64 bit-views: Ray Data's groupby key
-    # path coerces uint64 and values >= 2^63 break Arrow conversion
-    def partials(batch: pa.Table) -> pa.Table:
-        text = pc.fill_null(batch[text_col].combine_chunks(), "")
-        flat = pc.list_flatten(pc.split_pattern(text, sep))
-        flat = flat.filter(pc.greater_equal(pc.utf8_length(flat), min_chars))
-        if len(flat) == 0:
-            return pa.table(
-                {"h": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-            )
-        uniq, counts = np.unique(hash_utf8(flat, seed=seed), return_counts=True)
-        return pa.table(
-            {
-                "h": pa.array(uniq.view(np.int64), pa.int64()),
-                "n": pa.array(counts, pa.int64()),
-            }
-        )
-
-    freq = (
-        docs.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("h")
-        .aggregate(Sum("n", alias_name="n"))
-        .filter(lambda r: r["n"] >= min_count)
-        .materialize()
-    )
-    n_frequent = freq.count()
-    if n_frequent > set_budget:
-        raise ValueError(
-            f"line_frequency_filter: {n_frequent} frequent lines exceed "
-            f"set_budget={set_budget}; raise min_count or the budget"
-        )
-    fset = np.sort(
-        np.concatenate(
-            [
-                b["h"].to_numpy(zero_copy_only=False)
-                for b in freq.iter_batches(batch_size=65536, batch_format="pyarrow")
-            ]
-        )
-        if n_frequent
-        else np.array([], np.int64)
-    ).astype(np.int64, copy=False)
-    fref = ray.put(fset)
-
-    def scrub(batch: pa.Table) -> pa.Table:
-        fs = ray.get(fref)
-        text = pc.fill_null(batch[text_col].combine_chunks(), "")
-        parts = pc.split_pattern(text, sep)
-        flat = pc.list_flatten(parts)
-        parents = pc.list_parent_indices(parts).to_numpy(zero_copy_only=False)
-        lens = pc.utf8_length(flat).to_numpy(zero_copy_only=False)
-        drop = np.zeros(len(flat), dtype=bool)
-        eligible = lens >= min_chars
-        if eligible.any() and len(fs):
-            h = hash_utf8(flat.filter(pa.array(eligible)), seed=seed).view(np.int64)
-            pos = np.searchsorted(fs, h)
-            pos[pos == len(fs)] = 0
-            drop[eligible] = fs[pos] == h
-        keep = ~drop
-        n_docs = batch.num_rows
-        kept_per_doc = np.bincount(parents[keep], minlength=n_docs)
-        offsets = np.zeros(n_docs + 1, dtype=np.int32)
-        np.cumsum(kept_per_doc, out=offsets[1:])
-        kept_flat = flat.filter(pa.array(keep))
-        if isinstance(kept_flat, pa.ChunkedArray):
-            kept_flat = kept_flat.combine_chunks()
-        # large_string inputs (e.g. extracted_text) yield large_string
-        # pieces; binary_join needs list<string> + string separator
-        if kept_flat.type != pa.string():
-            kept_flat = kept_flat.cast(pa.string())
-        new_parts = pa.ListArray.from_arrays(pa.array(offsets), kept_flat)
-        joined = pc.binary_join(new_parts, sep)
-        dropped_per_doc = np.bincount(parents[drop], minlength=n_docs)
-        # text replaced in place, other columns pass through (composable)
-        out = batch.set_column(
-            batch.column_names.index(text_col), text_col, joined
-        ).append_column(
-            "n_dropped", pa.array(dropped_per_doc, pa.int64())
-        )
-        if drop_empty:
-            out = out.filter(pc.greater(pc.utf8_length(out[text_col]), 0))
-        return out
-
-    return docs.map_batches(scrub, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# --- unicode normalization / mojibake repair ---------------------------------
-
-MOJIBAKE_MARKERS = "Ã|â€|Â|Ð|â„|â€š"
-
-
-def build_normalize_kernel(
-    text_col: str = "text", form: str = "NFC", fix_mojibake: bool = True
-):
-    """The kernel of the ``normalize_text`` registry stage. Text is
-    replaced in place as plain ``string()`` regardless of input batch
-    type (a conditional rebuild would leave some blocks
-    ``large_string`` and some ``string``, breaking schema unification
-    at any downstream shuffle/write); all other columns pass through;
-    ``mojibake_fixed`` is appended."""
-    import re
-
-    marker_re = re.compile(MOJIBAKE_MARKERS)
-
-    def repair(s: str) -> str:
-        best = s
-        for enc in ("cp1252", "latin-1"):
-            try:
-                cand = s.encode(enc).decode("utf-8")
-            except (UnicodeEncodeError, UnicodeDecodeError):
-                continue
-            if len(marker_re.findall(cand)) < len(marker_re.findall(best)):
-                best = cand
-            break  # cp1252 encode succeeded; latin-1 would double-map
-        return best
-
-    def kernel(batch: pa.Table) -> pa.Table:
-        text = pc.fill_null(batch[text_col].combine_chunks(), "")
-        if text.type != pa.string():  # large_string corpora: one block type
-            text = text.cast(pa.string())
-        text = pc.replace_substring(text, pattern="\r\n", replacement="\n")
-        text = pc.replace_substring(text, pattern="\r", replacement="\n")
-        # mojibake repair BEFORE control stripping: latin-1-read UTF-8
-        # continuation bytes surface as C1 controls the repair needs
-        fixed = np.zeros(len(text), dtype=bool)
-        if fix_mojibake:
-            flagged = pc.match_substring_regex(
-                text, MOJIBAKE_MARKERS
-            ).to_numpy(zero_copy_only=False)
-            if flagged.any():
-                vals = text.to_pylist()
-                for i in np.flatnonzero(flagged):
-                    out = repair(vals[i])
-                    if out != vals[i]:
-                        vals[i] = out
-                        fixed[i] = True
-                text = pa.array(vals, type=pa.string())
-        text = pc.replace_substring_regex(
-            text,
-            pattern=r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x9f]",
-            replacement="",
-        )
-        non_ascii = pc.match_substring_regex(text, r"[^\x00-\x7f]").to_numpy(
-            zero_copy_only=False
-        )
-        if non_ascii.any():
-            import unicodedata
-
-            vals = text.to_pylist()
-            for i in np.flatnonzero(non_ascii):
-                vals[i] = unicodedata.normalize(form, vals[i])
-            text = pa.array(vals, type=pa.string())
-        # text replaced in place, all other columns pass through — the
-        # stage composes anywhere in a chain without dropping metadata
-        out = batch.set_column(
-            batch.column_names.index(text_col), text_col, text
-        )
-        return out.append_column("mojibake_fixed", pa.array(fixed, pa.bool_()))
-
-    return kernel
-
-
 # --- sentence-boundary chunking ----------------------------------------------
 
 def sentence_chunks_ds(
@@ -2180,460 +1910,5 @@ def sentence_chunks_ds(
                 "truncate": pa.array(seg > max_tokens, pa.bool_()),
             }
         )
-
-    return docs.map_batches(kernel, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# --- robots noindex compliance filter ----------------------------------------
-
-NOINDEX_RE = (
-    r'(?i)<meta[^>]*(?:name\s*=\s*["\x27]?(?:robots|googlebot)\b'
-    r'[^>]*content\s*=\s*["\x27]?[^"\x27>]*noindex'
-    r'|content\s*=\s*["\x27]?[^"\x27>]*noindex[^>]*'
-    r'name\s*=\s*["\x27]?(?:robots|googlebot)\b)'
-)
-NOINDEX_SCAN_BYTES = 16384  # the meta lives in <head>; bound the scan
-
-
-def filter_noindex_ds(
-    pages,
-    *,
-    html_col: str = "html",
-    audit: bool = False,
-):
-    """Robots-meta compliance: drop pages whose head carries
-    ``<meta name="robots|googlebot" content="...noindex...">`` (either
-    attribute order, any case/quoting) — the standard publisher opt-out
-    a responsible training-data crawl honors (REP meta extension,
-    honored by RefinedWeb/CommonCrawl-derived corpora). One vectorized
-    RE2 pass over the first ``NOINDEX_SCAN_BYTES`` of the raw payload
-    (binary kernel — no decode needed), ZERO shuffle.
-
-    ``audit=True`` appends a ``noindex`` bool instead of filtering so
-    a compliance report can be aggregated without a second scan."""
-
-    def kernel(batch: pa.Table) -> pa.Table:
-        payload = batch[html_col]
-        if isinstance(payload, pa.ChunkedArray):
-            payload = payload.combine_chunks()
-        head = pc.binary_slice(
-            pc.fill_null(payload, b""), 0, NOINDEX_SCAN_BYTES
-        )
-        flagged = pc.match_substring_regex(head, pattern=NOINDEX_RE)
-        if audit:
-            return batch.append_column("noindex", flagged)
-        return batch.filter(pc.invert(flagged))
-
-    return pages.map_batches(kernel, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def robots_filter_ds(
-    pages,
-    robots,
-    *,
-    url_col: str = "url",
-    host_col: str = "host",
-    robots_col: str = "robots_txt",
-    agent: str = "*",
-    audit: bool = False,
-    num_buckets: int = 64,
-):
-    """robots.txt fetch-compliance filter (RFC 9309) — the companion
-    of ``filter_noindex_ds``: drop pages whose URL path the host's
-    robots.txt disallows for ``agent``. ``robots`` is a table of
-    (host, robots_txt) — one row per host, as a crawl frontier stores
-    it; hosts with no row allow everything (the no-robots.txt
-    default). ``audit=True`` appends a ``robots_allowed`` bool
-    instead of filtering, for compliance reporting.
-
-    Scale shape: at web scale the robots table is host-cardinality
-    (10^7-10^8 rows) — too big to broadcast — so both sides tag
-    ``stable_bucket(host)`` and co-locate in ONE union +
-    groupby(bucket) shuffle (the `_cogroup_join_apply` pattern,
-    O(num_buckets) dispatch). Inside a bucket each host's robots.txt
-    parses and compiles ONCE, then its pages' paths evaluate in
-    vectorized RE2 passes (O(rules) passes per host, not O(paths)
-    Python matches). Pages ship through the shuffle once; verdicts
-    are pure functions of (robots_txt, agent, path) so the result is
-    layout-independent.
-
-    Contract: duplicate hosts in ``robots`` raise (a frontier's
-    robots snapshot is a lookup, not a log — pick latest upstream).
-    Matching is RFC 9309 longest-match with allow-wins-ties,
-    ``*``/``$`` wildcards, and longest-substring agent-group
-    selection (functions/robots.py)."""
-    from ..functions.robots import (
-        compile_rules,
-        match_allowed,
-        parse_robots,
-        url_path,
-    )
-    from ..functions.scalar import stable_bucket, url_host
-
-    from ..schemas import arrow_types_of
-
-    pg_schema = pages.schema()
-    page_cols = list(pg_schema.names)
-    pg_types = arrow_types_of(pg_schema)
-
-    def tag_pages(batch: pa.Table) -> pa.Table:
-        urls = batch[url_col]
-        host = url_host(urls)
-        data = {c: batch[c] for c in page_cols}
-        data["_host"] = host
-        data["_path"] = url_path(urls)
-        data["_robots"] = pa.nulls(len(batch), pa.string())
-        data["_side"] = pa.array(np.zeros(len(batch), np.int8))
-        data["_bucket"] = pa.array(
-            stable_bucket(host, num_buckets), pa.int32()
-        )
-        return pa.table(data)
-
-    def tag_robots(batch: pa.Table) -> pa.Table:
-        # a null-host robots row can apply to nothing — drop it rather
-        # than poison its bucket
-        batch = batch.filter(pc.is_valid(batch[host_col]))
-        n = len(batch)
-        host = batch[host_col]
-        if isinstance(host, pa.ChunkedArray):
-            host = host.combine_chunks()
-        data = {c: pa.nulls(n, t) for c, t in pg_types.items()}
-        data["_host"] = host
-        data["_path"] = pa.nulls(n, pa.string())
-        data["_robots"] = batch[robots_col].cast(pa.string())
-        data["_side"] = pa.array(np.ones(n, np.int8))
-        data["_bucket"] = pa.array(stable_bucket(host, num_buckets), pa.int32())
-        return pa.table(data)
-
-    tagged = pages.map_batches(tag_pages, batch_format="pyarrow").union(
-        robots.map_batches(tag_robots, batch_format="pyarrow")
-    )
-
-    out_cols = page_cols + (["robots_allowed"] if audit else [])
-
-    def apply_bucket(tbl: pa.Table) -> pa.Table:
-        smask = pc.equal(tbl["_side"], 0)
-        pg = tbl.filter(smask)
-        rb = tbl.filter(pc.invert(smask))
-        rhosts = rb["_host"].to_pylist()
-        if len(rhosts) != len(set(rhosts)):
-            from collections import Counter
-
-            dup = sorted(h for h, c in Counter(rhosts).items() if c > 1)[0]
-            raise ValueError(
-                f"robots_filter_ds: duplicate robots row for host {dup!r} — "
-                "the robots table must be unique per host"
-            )
-        compiled = {
-            h: compile_rules(parse_robots(txt, agent))
-            for h, txt in zip(rhosts, rb["_robots"].to_pylist())
-        }
-        n = pg.num_rows
-        allowed = np.ones(n, dtype=bool)
-        if n and compiled:
-            # null hosts (null/unparseable urls) sort as "" — matching
-            # no robots host, they stay allowed (nothing can disallow a
-            # url with no authority)
-            hosts = np.asarray(
-                [h if h is not None else "" for h in pg["_host"].to_pylist()],
-                dtype=object,
-            )
-            order = np.argsort(hosts, kind="stable")
-            sorted_hosts = hosts[order]
-            bounds = np.flatnonzero(
-                np.concatenate(([True], sorted_hosts[1:] != sorted_hosts[:-1]))
-            )
-            paths = pg["_path"].combine_chunks() if isinstance(
-                pg["_path"], pa.ChunkedArray
-            ) else pg["_path"]
-            for gi, lo in enumerate(bounds):
-                hi = bounds[gi + 1] if gi + 1 < len(bounds) else n
-                rules = compiled.get(sorted_hosts[lo])
-                if not rules:
-                    continue
-                rows = order[lo:hi]
-                sub = paths.take(pa.array(rows, pa.int64()))
-                allowed[rows] = match_allowed(sub, rules)
-        res = pg.select(page_cols)
-        if audit:
-            return res.append_column("robots_allowed", pa.array(allowed))
-        return res.filter(pa.array(allowed))
-
-    out = tagged.groupby("_bucket").map_groups(
-        apply_bucket, batch_format="pyarrow"
-    )
-    return out.select_columns(out_cols)
-
-
-# --- fill-in-the-middle (FIM) transformation ---------------------------------
-
-FIM_PREFIX = "<fim_prefix>"
-FIM_MIDDLE = "<fim_middle>"
-FIM_SUFFIX = "<fim_suffix>"
-
-
-def fim_transform_ds(
-    docs,
-    *,
-    rate: float = 0.5,
-    seed: int = 0xF1E,
-    min_chars: int = 32,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-):
-    """Fill-in-the-middle pretraining transform (Bavarian et al. 2022,
-    arXiv:2207.14255, PSM mode): a deterministic ``rate`` fraction of
-    documents is rewritten as ``<fim_prefix>P<fim_suffix>S<fim_middle>M``
-    where (P, M, S) is a random-by-hash character split of the
-    original; the rest (and docs shorter than ``min_chars``) pass
-    through byte-identical with ``fim_applied=false``. Selection AND
-    split points derive from ``hash64(doc_id:seed)`` — no RNG state,
-    so the transform is retry/layout-stable and a different ``seed``
-    gives an independent epoch, exactly like the engine's other
-    hash-keyed sampling decisions.
-
-    Scale shape: ZERO shuffle — one streaming map_batches; the
-    unselected majority takes a vectorized pass-through, selected rows
-    pay three C-level string slices each (bounded by ``rate``). Split
-    points snap to UTF-8 code-point boundaries via Python slicing
-    (str indexing is code-point-exact by construction)."""
-    from ..functions.scalar import hash_utf8
-
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate must be in [0, 1], got {rate}")
-
-    def kernel(batch: pa.Table) -> pa.Table:
-        text = pc.fill_null(batch[text_col].combine_chunks(), "")
-        ids = batch[id_col].cast(pa.string())
-        h = hash_utf8(
-            pc.binary_join_element_wise(ids, pa.array([str(seed)] * len(text)), ":")
-        )
-        # top 53 bits -> uniform [0,1) selection; low bits -> split points
-        u_sel = (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-        lens = pc.utf8_length(text).to_numpy(zero_copy_only=False)
-        selected = (u_sel < rate) & (lens >= min_chars)
-        applied = np.zeros(len(text), dtype=bool)
-        if not selected.any():  # untouched batch: zero-copy pass-through
-            return batch.append_column(
-                "fim_applied", pa.array(applied, pa.bool_())
-            )
-        # unselected rows keep their ORIGINAL value (incl. nulls) and
-        # the column keeps its original type, so touched and untouched
-        # batches stay value- and schema-consistent
-        orig = batch[text_col].combine_chunks()
-        vals = orig.to_pylist()
-        for i in np.flatnonzero(selected):
-            s = vals[i]
-            n = len(s)
-            hi = int(h[i])
-            # two independent cut points from disjoint hash bit ranges
-            a = (hi & 0xFFFFFF) % n
-            b = ((hi >> 24) & 0xFFFFFF) % n
-            lo, hi2 = (a, b) if a <= b else (b, a)
-            if lo == hi2:  # empty middle teaches nothing; widen by one
-                hi2 = min(n, hi2 + 1)
-            vals[i] = (
-                FIM_PREFIX + s[:lo] + FIM_SUFFIX + s[hi2:] + FIM_MIDDLE + s[lo:hi2]
-            )
-            applied[i] = True
-        # text replaced in place, other columns pass through (composable)
-        out = batch.set_column(
-            batch.column_names.index(text_col),
-            text_col,
-            pa.array(vals, type=orig.type),
-        )
-        return out.append_column("fim_applied", pa.array(applied, pa.bool_()))
-
-    return docs.map_batches(kernel, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def span_corrupt_ds(
-    docs,
-    *,
-    rate: float = 0.15,
-    mean_span: int = 3,
-    seed: int = 0x55C,
-    min_tokens: int = 8,
-    max_sentinels: int = 100,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-):
-    """T5/UL2 span-corruption example builder (Raffel et al. 2020,
-    arXiv:1910.10683 §3.1.4; the R-denoiser of Tay et al. 2022,
-    arXiv:2205.05131): ``rate`` of each doc's tokens are dropped in
-    spans of mean length ``mean_span``; every span is replaced by a
-    sentinel ``<extra_id_k>`` in ``inputs`` and the dropped tokens
-    appear after the same sentinel in ``targets``, which ends with the
-    final sentinel ``<extra_id_{n_spans}>`` — interleaving the two
-    reconstructs the token stream exactly (pinned by pytest).
-
-    The FIM complement: FIM rewrites a fraction of docs with one cut,
-    this rewrites EVERY eligible doc with many masked spans. Same
-    determinism contract as the engine's other sampling decisions —
-    span count, lengths and gap placement all derive from
-    ``hash64(doc_id:seed:j)`` (largest-remainder allocation of the
-    free tokens over gap slots), no RNG state, so the transform is
-    retry/layout-stable and a new ``seed`` is an independent epoch.
-
-    Exact-count geometry (not expected-value): n_corrupt =
-    round(rate*n) clipped to [1, n], n_spans = round(n_corrupt /
-    mean_span) clipped to [1, min(max_sentinels-1, n - n_corrupt + 1)]
-    so every interior gap keeps >= 1 token and sentinel ids never
-    exhaust the reserved vocabulary. Docs under ``min_tokens`` bypass
-    (``corrupted=false``, empty targets). Token boundary = whitespace
-    (the transform is token-level; original spacing is not preserved,
-    exactly like every packer/tokenizer in this module).
-
-    Scale shape: ZERO shuffle, one streaming pass; tokenization and
-    hashing are vectorized Arrow kernels, per-doc work is O(spans)
-    numpy arithmetic plus one C-level join per output string."""
-    from ..functions.scalar import hash_utf8
-
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"rate must be in (0, 1], got {rate}")
-    if mean_span < 1 or max_sentinels < 2:
-        raise ValueError("mean_span must be >= 1 and max_sentinels >= 2")
-    sentinels = np.asarray(
-        [f"<extra_id_{k}>" for k in range(max_sentinels + 1)], dtype=object
-    )
-
-    def kernel(batch: pa.Table) -> pa.Table:
-        text = pc.fill_null(batch[text_col].combine_chunks(), "")
-        n_rows = len(text)
-        tok_list = pc.split_pattern_regex(text, pattern=r"\s+")
-        flat = pc.list_flatten(tok_list)
-        parent = pc.list_parent_indices(tok_list).to_numpy(zero_copy_only=False)
-        nonempty = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-        toks = np.asarray(flat.to_pylist(), dtype=object)[nonempty]
-        parent = parent[nonempty]
-        counts = np.bincount(parent, minlength=n_rows).astype(np.int64)
-        offs = np.concatenate([[0], np.cumsum(counts)])
-
-        ids = batch[id_col].cast(pa.string()).to_pylist()
-        eligible = counts >= min_tokens
-        # all gap-slot hashes for the batch in ONE vectorized call:
-        # doc i contributes n_spans_i + 1 u64s keyed "id:seed:j"
-        n_corrupt = np.clip(np.round(rate * counts).astype(np.int64), 1, counts)
-        n_spans = np.clip(
-            np.round(n_corrupt / mean_span).astype(np.int64),
-            1,
-            np.minimum(max_sentinels - 1, counts - n_corrupt + 1),
-        )
-        n_spans = np.where(eligible, n_spans, 0)
-        gap_doc = np.repeat(np.arange(n_rows), np.where(eligible, n_spans + 1, 0))
-        gap_j = (
-            np.arange(len(gap_doc))
-            - np.repeat(
-                np.concatenate([[0], np.cumsum(np.where(eligible, n_spans + 1, 0))])[
-                    :-1
-                ],
-                np.where(eligible, n_spans + 1, 0),
-            )
-        )
-        if len(gap_doc):
-            keys = pa.array(
-                [f"{ids[d]}:{seed}:{j}" for d, j in zip(gap_doc, gap_j)], pa.string()
-            )
-            gap_u = (hash_utf8(keys) >> np.uint64(11)).astype(np.float64) / float(
-                1 << 53
-            )
-        else:
-            gap_u = np.empty(0, dtype=np.float64)
-
-        inputs = text.to_pylist()
-        targets = [""] * n_rows
-        gpos = 0
-        for i in np.flatnonzero(eligible):
-            n, nc, ns = int(counts[i]), int(n_corrupt[i]), int(n_spans[i])
-            u = gap_u[gpos : gpos + ns + 1]
-            gpos += ns + 1
-            # span lengths: nc split into ns near-equal parts
-            base, rem = divmod(nc, ns)
-            span_len = np.full(ns, base, dtype=np.int64)
-            span_len[:rem] += 1
-            # gaps: interior slots pre-seeded with 1 token, leftover
-            # free tokens shared by largest-remainder over hash weights
-            free = n - nc - (ns - 1)
-            w = u / max(u.sum(), 1e-300)
-            shares = free * w
-            alloc = np.floor(shares).astype(np.int64)
-            short = free - int(alloc.sum())
-            if short > 0:
-                frac_order = np.lexsort((np.arange(ns + 1), -(shares - alloc)))
-                alloc[frac_order[:short]] += 1
-            gaps = alloc
-            gaps[1:-1] += 1  # the pre-seeded interior minimum (no-op at ns=1)
-            starts = np.cumsum(np.concatenate([[gaps[0]], span_len[:-1] + gaps[1:-1]]))
-            off = int(offs[i])
-            in_parts = []
-            tg_parts = []
-            prev = 0
-            for k in range(ns):
-                s, ln = int(starts[k]), int(span_len[k])
-                in_parts.append(toks[off + prev : off + s])
-                in_parts.append(sentinels[k : k + 1])
-                tg_parts.append(sentinels[k : k + 1])
-                tg_parts.append(toks[off + s : off + s + ln])
-                prev = s + ln
-            in_parts.append(toks[off + prev : off + n])
-            tg_parts.append(sentinels[ns : ns + 1])
-            inputs[i] = " ".join(np.concatenate(in_parts))
-            targets[i] = " ".join(np.concatenate(tg_parts))
-
-        return pa.table(
-            {
-                id_col: batch[id_col],
-                "inputs": pa.array(inputs, pa.string()),
-                "targets": pa.array(targets, pa.string()),
-                "n_spans": pa.array(n_spans.astype(np.int32), pa.int32()),
-                "corrupted": pa.array(eligible, pa.bool_()),
-            }
-        )
-
-    return docs.map_batches(kernel, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def gopher_filter_ds(docs, *, text_col: str = "text", audit: bool = False):
-    """The Gopher document-quality filter (Rae et al. 2021,
-    arXiv:2112.11446 table A1): word-count window, mean word length,
-    symbol/bullet/ellipsis ratios, alphabetic-word fraction, required
-    stopwords, plus the repetition rules (top-bigram and dup-3/4-gram
-    thresholds over ``repetition_features`` — occurrence-fraction
-    variant, documented there). ZERO shuffle, one streaming pass;
-    ``audit=True`` appends the per-rule booleans and ``gopher_pass``
-    instead of filtering, so a rejection-breakdown report is one
-    groupby away."""
-    from ..functions.text import (
-        GOPHER_MAX_TOP_3GRAM_FRAC,
-        GOPHER_MAX_TOP_4GRAM_FRAC,
-        GOPHER_MAX_TOP_BIGRAM_FRAC,
-        gopher_rules,
-        top_ngram_fractions,
-    )
-
-    def kernel(batch: pa.Table) -> pa.Table:
-        text = pc.fill_null(batch[text_col].combine_chunks(), "")
-        rules = gopher_rules(text)
-        rep = top_ngram_fractions(text.to_pylist())
-        rules = rules.append_column(
-            "rule_top_2gram",
-            pc.less_equal(rep["top_2gram_frac"], GOPHER_MAX_TOP_BIGRAM_FRAC),
-        ).append_column(
-            "rule_top_3gram",
-            pc.less_equal(rep["top_3gram_frac"], GOPHER_MAX_TOP_3GRAM_FRAC),
-        ).append_column(
-            "rule_top_4gram",
-            pc.less_equal(rep["top_4gram_frac"], GOPHER_MAX_TOP_4GRAM_FRAC),
-        )
-        passed = None
-        for name in rules.column_names:
-            col = rules[name]
-            passed = col if passed is None else pc.and_(passed, col)
-        if audit:
-            out = batch
-            for name in rules.column_names:
-                out = out.append_column(name, rules[name])
-            return out.append_column("gopher_pass", passed)
-        return batch.filter(passed)
 
     return docs.map_batches(kernel, batch_format="pyarrow", zero_copy_batch=True)

@@ -82,24 +82,3 @@ def validate_table(table: pa.Table, schema: pa.Schema, *, where: str = "") -> pa
         return table.select(schema.names).cast(schema)
     except (KeyError, pa.ArrowInvalid, pa.ArrowTypeError) as exc:  # pragma: no cover
         raise ValueError(f"schema mismatch at {where or 'stage boundary'}: {exc}") from exc
-
-
-def arrow_types_of(schema) -> dict:
-    """{name: pa.DataType} from a ``Dataset.schema()`` regardless of
-    block format: Arrow-backed schemas pass through; pandas-block
-    schemas (numpy dtypes) convert via ``pa.from_numpy_dtype``, with
-    numpy ``object`` — pandas' string carrier — mapping to
-    ``pa.string()``. Join/union utilities need real Arrow types to
-    null-pad the other side."""
-    import numpy as np
-
-    out = {}
-    for name, t in zip(schema.names, schema.types):
-        if isinstance(t, pa.DataType):
-            out[name] = t
-            continue
-        dt = np.dtype(t)
-        out[name] = (
-            pa.string() if dt == np.dtype(object) else pa.from_numpy_dtype(dt)
-        )
-    return out

@@ -19,9 +19,8 @@ the payload bytes (magic number, length), deterministic and
 SQL-expressible, so schemas, batch flow, and output layout stay
 testable. ``strict=True`` raises instead of stubbing. Video: the
 CONTAINER layer is real — ``textextract_ray.mp4`` parses ISO BMFF box
-structure and sample tables, so DecodeVideo emits real MP4 metadata
-and FrameSample returns real encoded frames at real container
-timestamps. Pixel decode of those frames has no stdlib path (no
+structure and sample tables, so FrameSample returns real encoded
+frames at real container timestamps. Pixel decode of those frames has no stdlib path (no
 ffmpeg) and remains out of scope.
 """
 
@@ -375,93 +374,6 @@ class FrameSample:
                 "source": pa.array(out_src, pa.string()),
             }
         )
-
-
-VIDEO_META_SCHEMA = pa.schema(
-    [
-        pa.field("media_id", pa.int64()),
-        pa.field("format", pa.string()),
-        pa.field("width", pa.int32()),
-        pa.field("height", pa.int32()),
-        pa.field("duration_ms", pa.int64()),
-        pa.field("n_frames", pa.int64()),
-        pa.field("status", pa.string()),
-    ]
-)
-
-
-class DecodeVideo:
-    """Actor-pool stage: video payload -> typed container metadata.
-
-    MP4 parses for REAL via the own stdlib ISO BMFF parser
-    (textextract_ray.mp4) — brand, movie duration, video track
-    dimensions, frame count from the actual sample table. Other
-    formats stub deterministically (or raise under ``strict=True``);
-    malformed MP4s become ``decode_error`` status rows."""
-
-    def __init__(self, *, strict: bool = False):
-        self.strict = strict
-
-    def _decode(self, payload: bytes) -> tuple:
-        from ..mp4 import is_mp4, mp4_parse
-
-        if is_mp4(payload):
-            info = mp4_parse(payload)
-            t = info.video_track()
-            return (
-                f"mp4/{info.major_brand}",
-                int(t.width) if t else 0,
-                int(t.height) if t else 0,
-                info.duration_ms,
-                len(t.sample_sizes) if t else 0,
-                "ok",
-            )
-        if self.strict:
-            raise NotImplementedError(
-                "non-MP4 video metadata requires ffmpeg; not available in "
-                "this container (stub: DecodeVideo(strict=False))"
-            )
-        n = len(payload)
-        w, h = _fake_dims(payload)
-        return sniff_format(payload), w, h, n % 60_000, n % 1800, "stubbed"
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["media_id"].to_pylist()
-        payloads = batch["media"].to_pylist()
-        rows = []
-        for p in payloads:
-            try:
-                rows.append(self._decode(p or b""))
-            except NotImplementedError:
-                raise
-            except Exception as exc:
-                rows.append(
-                    ("mp4", 0, 0, 0, 0, f"decode_error: {type(exc).__name__}")
-                )
-        cols = list(zip(*rows)) if rows else [[]] * 6
-        return pa.Table.from_arrays(
-            [
-                pa.array(ids, pa.int64()),
-                pa.array(list(cols[0]), pa.string()),
-                pa.array(list(cols[1]), pa.int32()),
-                pa.array(list(cols[2]), pa.int32()),
-                pa.array(list(cols[3]), pa.int64()),
-                pa.array(list(cols[4]), pa.int64()),
-                pa.array(list(cols[5]), pa.string()),
-            ],
-            schema=VIDEO_META_SCHEMA,
-        )
-
-
-def decode_video(media_ds, *, batch_size: int = 16, concurrency=(1, 8), strict: bool = False):
-    return media_ds.map_batches(
-        DecodeVideo,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-        fn_constructor_kwargs={"strict": strict},
-    )
 
 
 PREPROCESSED_SCHEMA = pa.schema(

@@ -4,11 +4,16 @@ entry point reaches.
 Usage: python tools/reach.py
 
 Roots are the CLI (``textextract_ray/__main__.py``), the driver gate
-(``__ray_entry__.py``), ``bench.py``, every file under ``perfbench/`` and
-``tools/``, and every ``@register`` stage factory. Module-level code of
-package modules counts as a root too, since it runs on import; its
-``import`` statements do not, since an import only binds a name: the
-imported definition is reached when a reached scope uses that name.
+(``__ray_entry__.py``), ``bench.py`` and every file under ``perfbench/``
+and ``tools/``. Module-level code of package modules counts as a root
+too, since it runs on import; its ``import`` statements do not, since an
+import only binds a name: the imported definition is reached when a
+reached scope uses that name.
+
+A ``@register`` stage factory runs only when ``build_pipeline`` looks up
+its registry key (the string passed to ``@register``) in a job spec. So
+it is reached only when ``build_pipeline`` is reached and a reached scope
+names that key; registering a stage does not reach it.
 
 A definition (top-level function or class) is reached when a reached
 scope names it: an ``ast.Name``, an ``ast.Attribute`` attribute, an
@@ -47,18 +52,23 @@ def names_in(node: ast.AST) -> set[str]:
     return out
 
 
-def is_registered(d: ast.AST) -> bool:
+def registration(d: ast.AST) -> ast.Call | None:
+    """The ``@register("key")`` decorator call on ``d``, if any."""
     for dec in getattr(d, "decorator_list", ()):
-        f = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(f, ast.Name) and f.id == "register":
-            return True
-    return False
+        if (
+            isinstance(dec, ast.Call)
+            and isinstance(dec.func, ast.Name)
+            and dec.func.id == "register"
+        ):
+            return dec
+    return None
 
 
 def scan() -> tuple[list[tuple[str, int, str, int]], int]:
     """Return the unreached definitions as (path, line, name, lines)
     and the package's total line count."""
     defs: dict[str, list[tuple[str, ast.AST]]] = {}
+    stages: dict[str, str] = {}  # registry key -> factory name
     roots: set[str] = set()
     total = 0
     pkg_files = sorted(glob.glob(os.path.join(REPO, PACKAGE, "**", "*.py"), recursive=True))
@@ -69,8 +79,12 @@ def scan() -> tuple[list[tuple[str, int, str, int]], int]:
         total += src.count("\n")
         entry = rel == os.path.join(PACKAGE, "__main__.py")
         for node in ast.parse(src).body:
-            if isinstance(node, DEFS) and not entry and not is_registered(node):
+            if isinstance(node, DEFS) and not entry:
                 defs.setdefault(node.name, []).append((rel, node))
+                reg = registration(node)
+                if reg is not None:
+                    stages[reg.args[0].value] = node.name
+                    roots |= names_in(reg.func)  # the decorator runs on import
             elif not isinstance(node, (ast.Import, ast.ImportFrom)) and not (
                 isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
@@ -78,10 +92,13 @@ def scan() -> tuple[list[tuple[str, int, str, int]], int]:
                 roots |= names_in(node)
     for pattern in ROOT_FILES:
         for path in glob.glob(os.path.join(REPO, pattern)):
+            if os.path.samefile(path, __file__):
+                continue  # the scan names definitions only as data
             with open(path) as f:
                 roots |= names_in(ast.parse(f.read()))
 
     reached: set[str] = set()
+    named = set(roots)
     todo = [n for n in roots if n in defs]
     while todo:
         name = todo.pop()
@@ -89,7 +106,11 @@ def scan() -> tuple[list[tuple[str, int, str, int]], int]:
             continue
         reached.add(name)
         for _, node in defs[name]:
-            todo.extend(n for n in names_in(node) if n in defs and n not in reached)
+            used = names_in(node)
+            named |= used
+            todo.extend(n for n in used if n in defs and n not in reached)
+        if not todo and "build_pipeline" in reached:
+            todo = [stages[k] for k in named & stages.keys() if stages[k] not in reached]
 
     dead = []
     for name, sites in defs.items():
